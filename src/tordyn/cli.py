@@ -81,13 +81,19 @@ class VerifyFailed(Exception):
         self.payload = payload
 
 
+def _int_param(params: dict, key: str, default: int) -> int:
+    """An explicit value, 0 included, is passed on; only absence means default."""
+    value = params.get(key)
+    return default if value is None else int(value)
+
+
 def _budget(params: dict) -> Budget:
     b = Budget()
-    if params.get("budget_norm") is not None:
-        b = Budget(int(params["budget_norm"]), b.max_window, b.max_candidates)
-    if params.get("budget_window") is not None:
-        b = Budget(b.max_norm, int(params["budget_window"]), b.max_candidates)
-    return b
+    return Budget(
+        _int_param(params, "budget_norm", b.max_norm),
+        _int_param(params, "budget_window", b.max_window),
+        b.max_candidates,
+    )
 
 
 def _resolution(params: dict) -> Fraction:
@@ -134,12 +140,12 @@ def run_job(job: dict) -> dict:
             h = parse_subtorus(job["subtorus"])
         else:
             raise ParseError("orbit needs 'covector' or 'subtorus'")
-        window = int(params.get("budget_window") or 16)
+        window = _int_param(params, "budget_window", 16)
         return encode_orbit_report(orbit(t, h, window))
 
     if command == "disjoint-family":
         t = parse_unimodular(job.get("matrix"))
-        k = int(params.get("count") or 10)
+        k = _int_param(params, "count", 10)
         cert = disjoint_hyperplane_orbits(t, k, _budget(params))
         payload = encode_family(cert)
         if not cert.complete:
@@ -148,7 +154,7 @@ def run_job(job: dict) -> dict:
 
     if command == "certify-nonexpansive":
         t = parse_unimodular(job.get("matrix"))
-        k = int(params.get("count") or 10)
+        k = _int_param(params, "count", 10)
         cert = non_expansivity_certificate(t, k, _budget(params))
         payload = encode_non_expansivity(cert)
         if not cert.complete:
@@ -162,7 +168,7 @@ def run_job(job: dict) -> dict:
 
     if command == "isolation":
         h = parse_subtorus(job.get("subtorus"))
-        cap = int(params.get("budget_norm") or 5)
+        cap = _int_param(params, "budget_norm", 5)
         report = isolation_radius_lower_bound(h, cap, _resolution(params))
         return encode_isolation(report)
 
@@ -171,7 +177,7 @@ def run_job(job: dict) -> dict:
         if not isinstance(matrices, list) or not matrices:
             raise ParseError("group-finite needs a nonempty 'matrices' array")
         gens = [parse_unimodular(m) for m in matrices]
-        cap = int(params.get("count") or 20000)
+        cap = _int_param(params, "count", 20000)
         report = group_is_finite(gens, cap)
         payload = encode_group_report(report)
         if report.status == "inconclusive":
@@ -267,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-window", type=int, default=None)
         p.add_argument("--count", type=int, default=None)
         p.add_argument("--resolution", default=None)
-        p.add_argument("--seed", type=int, default=None,
-                       help="accepted for scripting symmetry; results are deterministic")
     return parser
 
 
@@ -286,13 +290,13 @@ def main(argv=None) -> int:
     job = dict(job)
     job["command"] = args.command
     params = dict(job.get("parameters", {}))
-    for key in ("budget_norm", "budget_window", "count", "resolution", "seed"):
+    for key in ("budget_norm", "budget_window", "count", "resolution"):
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
     job["parameters"] = params
-    budget = _budget(params)
     try:
+        budget = _budget(params)
         result = run_job(job)
         status = EXIT_OK
     except ParseError as exc:

@@ -36,7 +36,13 @@ from .intmat import (
     transpose,
     vec_mat,
 )
-from .lattices import Lattice, matrix_minimal_polynomial, saturate_rows
+from .lattices import (
+    Lattice,
+    annihilator_rows,
+    hnf_basis,
+    matrix_minimal_polynomial,
+    saturate_rows,
+)
 from .polynomials import (
     Poly,
     cyclotomic_orders_if_product,
@@ -49,6 +55,7 @@ from .polynomials import (
 from .subtori import (
     PrimitiveCovector,
     Subtorus,
+    _trusted_subtorus,
     annihilator,
     canonicalize_covector,
     covector_to_hyperplane,
@@ -60,9 +67,10 @@ def act(t: UnimodularMatrix, h: Subtorus) -> Subtorus:
     """Image of the subtorus under the automorphism; dimension is preserved."""
     if t.n != h.ambient_dim:
         raise ValueError("ambient dimension mismatch")
+    # a unimodular map sends a saturated lattice onto a saturated lattice, so
+    # the HNF of the image is already the canonical basis of the image
     rows = tuple(vec_mat(r, transpose(t.rows)) for r in h.basis)
-    sat = saturate_rows(rows, h.ambient_dim)
-    return Subtorus(h.ambient_dim, Lattice(h.ambient_dim, sat))
+    return _trusted_subtorus(h.ambient_dim, hnf_basis(rows, h.ambient_dim))
 
 
 def dual_matrix(t: UnimodularMatrix) -> UnimodularMatrix:
@@ -133,6 +141,26 @@ def _periodic_orbit_period(t: UnimodularMatrix, h: Subtorus) -> int:
     raise AssertionError("periodic orbit must return within the order bound")
 
 
+def orbit_window(
+    t: UnimodularMatrix, h: Subtorus, radius: int
+) -> tuple[tuple[int, Subtorus], ...]:
+    """The window ((m, T^m H) for |m| <= radius), sorted by m."""
+    if t.n != h.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    forward = []
+    cur = h
+    for m in range(1, radius + 1):
+        cur = act(t, cur)
+        forward.append((m, cur))
+    backward = []
+    cur = h
+    tinv = t.inv()
+    for m in range(1, radius + 1):
+        cur = act(tinv, cur)
+        backward.append((-m, cur))
+    return tuple(reversed(backward)) + ((0, h),) + tuple(forward)
+
+
 def orbit(
     t: UnimodularMatrix,
     h: Subtorus,
@@ -147,24 +175,12 @@ def orbit(
     """
     if window_radius < 1:
         raise ValueError("window radius must be >= 1")
-    if t.n != h.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    window = [(0, h)]
-    cur = h
-    tinv = t.inv()
-    for m in range(1, window_radius + 1):
-        cur = act(t, cur)
-        window.append((m, cur))
-    cur = h
-    for m in range(1, window_radius + 1):
-        cur = act(tinv, cur)
-        window.append((-m, cur))
-    window.sort(key=lambda p: p[0])
+    window = orbit_window(t, h, window_radius)
     if h.dim in (0, h.ambient_dim) or orbit_is_periodic(t, h):
         period = 1 if h.dim in (0, h.ambient_dim) and act(t, h) == h else None
         if period is None:
             period = _periodic_orbit_period(t, h)
-        return OrbitReport("periodic", period, window_radius, tuple(window), None, None, True)
+        return OrbitReport("periodic", period, window_radius, window, None, None, True)
     growth = None
     min_ext = None
     rigorous = False
@@ -177,7 +193,7 @@ def orbit(
                 growth.min_exterior_norm, t.n - h.dim
             )
     return OrbitReport(
-        "injective", None, window_radius, tuple(window), min_ext, growth, rigorous
+        "injective", None, window_radius, window, min_ext, growth, rigorous
     )
 
 
@@ -205,39 +221,6 @@ def converges_to_full(t: UnimodularMatrix, h: Subtorus) -> bool:
     if h.dim != h.ambient_dim - 1:
         raise ValueError("exact convergence decision needs a codimension-1 subtorus")
     return not orbit_is_periodic(t, h)
-
-
-def full_convergence_window_evidence(
-    t: UnimodularMatrix, h: Subtorus, window: int
-) -> dict:
-    """Window-scan evidence for lower-dimensional subtori (heuristic only).
-
-    For dim(H) < n-1, non-periodicity of the orbit does not by itself decide
-    convergence to the full torus; this reports which annihilator characters
-    recur within the scanned window.
-    """
-    if not 0 < h.dim < h.ambient_dim - 1:
-        raise ValueError("heuristic evidence is for dimensions strictly below n-1")
-    seen: dict[Mat, list[int]] = {}
-    cur = h
-    tinv = t.inv()
-    states = [(0, h)]
-    for m in range(1, window + 1):
-        cur = act(t, cur)
-        states.append((m, cur))
-    cur = h
-    for m in range(1, window + 1):
-        cur = act(tinv, cur)
-        states.append((-m, cur))
-    for m, sub in states:
-        seen.setdefault(annihilator(sub).basis, []).append(m)
-    recurring = {b: ms for b, ms in seen.items() if len(ms) > 1}
-    return {
-        "heuristic": True,
-        "window": window,
-        "recurring_annihilators": len(recurring),
-        "orbit_periodic": orbit_is_periodic(t, h),
-    }
 
 
 def cyclotomic_radical_matrix(s: Mat) -> Mat:
@@ -326,7 +309,7 @@ def invariant_rational_subspaces(t: UnimodularMatrix) -> InvariantSubspaceReport
         if d >= t.n:
             continue
         fk = evaluate_poly_at_matrix(f, t.rows)
-        kern = _right_kernel(fk)
+        kern = annihilator_rows(fk, t.n)
         if not kern:
             continue
         v = kern[0]
@@ -336,12 +319,6 @@ def invariant_rational_subspaces(t: UnimodularMatrix) -> InvariantSubspaceReport
     witnesses.sort(key=lambda h: (h.dim, h.basis))
     assert witnesses, "reducible characteristic polynomial must yield a witness"
     return InvariantSubspaceReport(True, tuple(witnesses), factors, mu)
-
-
-def _right_kernel(a: Mat) -> Mat:
-    from .lattices import left_kernel
-
-    return left_kernel(transpose(a), len(a))
 
 
 def _cyclic_lattice(a: Mat, v: Vec) -> Mat:

@@ -50,7 +50,14 @@ from .intmat import (
     matrix_order,
     transpose,
 )
-from .lattices import Lattice, complete_to_unimodular, hnf_basis, hnf_pivots, saturate_rows
+from .lattices import (
+    Lattice,
+    annihilator_rows,
+    complete_to_unimodular,
+    hnf_basis,
+    hnf_pivots,
+    saturate_rows,
+)
 from .metric import IsolationReport, isolation_radius_lower_bound
 from .polynomials import cyclotomic_orders_if_product
 from .subtori import (
@@ -62,6 +69,7 @@ from .subtori import (
     hyperplane_to_covector,
     iter_primitive_covectors,
     primitive_covectors,
+    subtorus_from_annihilator,
 )
 
 
@@ -73,6 +81,11 @@ class Budget:
     max_norm: int = 64
     max_window: int = 96
     max_candidates: int = 4000
+
+    def __post_init__(self):
+        for name in ("max_norm", "max_window", "max_candidates"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"budget {name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -213,7 +226,7 @@ def _periodic_family(
         taken.update(orbset)
     complete = len(members) == k
     reports = tuple(
-        _member_report(t, m, max(1, min(order, budget.max_window))) for m in members
+        _member_report(t, m, min(order, budget.max_window)) for m in members
     )
     pairwise = tuple(
         PairDisjointness(i, j, "distinct_periodic_orbits",
@@ -279,7 +292,7 @@ def _unipotent_power_family(
         inv_sets.append(iset)
         taken.update(iset)
     complete = len(members) == k
-    window = max(1, min(budget.max_window, 2 * power + 4))
+    window = min(budget.max_window, 2 * power + 4)
     reports = tuple(_member_report(t, m, window) for m in members)
     pairwise = tuple(
         PairDisjointness(i, j, "distinct_unipotent_invariant_sets",
@@ -355,7 +368,7 @@ def _quotient_family(
     w, d_block, tbar = _quotient_data(t, h_star)
     inner = disjoint_hyperplane_orbits(tbar, k, budget, injective_only)
     members = tuple(_lift_member(w, h_star.dim, g, n) for g in inner.members)
-    window = max(1, min(budget.max_window, 16))
+    window = min(budget.max_window, 16)
     reports = tuple(_member_report(t, m, window) for m in members)
     pairwise = tuple(
         PairDisjointness(i, j, "quotient_lift",
@@ -390,13 +403,12 @@ def _greedy_family(
     kept: list[Vec] = []
     reports: dict[Vec, OrbitReport] = {}
     window_sets: dict[Vec, frozenset[Vec]] = {}
-    explanation = None
 
     def target_norm() -> int:
         return max(covector_norm_inf(g) for g in kept)
 
     def finalize(gamma: Vec) -> OrbitReport:
-        w = max(1, min(24, budget.max_window))
+        w = min(24, budget.max_window)
         report = _member_report(t, gamma, w)
         while True:
             if (
@@ -442,14 +454,26 @@ def _greedy_family(
                     rep = _member_report(t, gamma, w)
                 reports[gamma] = rep
                 window_sets[gamma] = _window_set(rep)
-    rigorous = all(
-        reports[g].min_exterior_norm is not None
-        and reports[g].min_exterior_norm > max(covector_norm_inf(x) for x in kept)
-        for g in kept
-    ) and bool(kept)
     complete = len(kept) == k
-    if not complete:
-        explanation = "budget exhausted before the requested family size"
+    reasons = [] if complete else ["budget exhausted before the requested family size"]
+    target = max((covector_norm_inf(g) for g in kept), default=0)
+    short = next(
+        (i for i, g in enumerate(kept)
+         if reports[g].min_exterior_norm is None or reports[g].min_exterior_norm <= target),
+        None,
+    )
+    if short is not None:
+        rep = reports[kept[short]]
+        floor = (
+            "growth gave no floor"
+            if rep.min_exterior_norm is None
+            else f"growth floor {rep.min_exterior_norm} is too low"
+        )
+        reasons.append(
+            f"member {short} {list(kept[short])} at window radius {rep.window_radius}: "
+            f"{floor} to clear the maximal member norm {target}"
+        )
+    rigorous = bool(kept) and short is None
     pairwise = tuple(
         PairDisjointness(
             i, j, "window_growth",
@@ -471,7 +495,7 @@ def _greedy_family(
         quotient=None,
         rigorous=rigorous,
         complete=complete,
-        explanation=explanation,
+        explanation="; ".join(reasons) or None,
         budget=budget,
     )
 
@@ -543,7 +567,7 @@ def fixed_subtori(
             shifted = mat_sub(s, tuple(
                 tuple(sign if i == j else 0 for j in range(n)) for i in range(n)
             ))
-            kern = _right_kernel_rows(shifted)
+            kern = annihilator_rows(shifted, n)
             if len(kern) == 0:
                 continue
             if len(kern) == 1:
@@ -564,23 +588,11 @@ def fixed_subtori(
     for ann_rows in enumerate_hnf_lattices(n, n - k, dual_norm_bound):
         if saturate_rows(ann_rows, n) != ann_rows:
             continue
-        h = _subtorus_from_ann(ann_rows, n)
+        h = subtorus_from_annihilator(n, ann_rows)
         if act(t, h) == h:
             members.append(h)
     uniq = sorted(set(members), key=lambda h: h.basis)
     return FixedSubtoriReport(k, tuple(uniq), False, dual_norm_bound)
-
-
-def _right_kernel_rows(a: Mat) -> Mat:
-    from .lattices import left_kernel
-
-    return left_kernel(transpose(a), len(a))
-
-
-def _subtorus_from_ann(ann_rows: Mat, n: int) -> Subtorus:
-    from .lattices import annihilator_rows
-
-    return Subtorus(n, Lattice(n, annihilator_rows(hnf_basis(ann_rows, n), n)))
 
 
 @dataclass(frozen=True)
@@ -614,6 +626,8 @@ def non_expansivity_certificate(
 
     if t.n < 2:
         raise ValueError("needs ambient dimension >= 2")
+    if orbit_count < 1:
+        raise ValueError("need orbit_count >= 1")
     order = matrix_order(t)
     if order is not None:
         power = t.power(order)
@@ -635,7 +649,7 @@ def non_expansivity_certificate(
             isolation=None,
             rigorous=True,
             complete=len(fixed) >= 2,
-            explanation=None,
+            explanation=None if len(fixed) >= 2 else "fewer than two fixed hyperplanes",
         )
     family = disjoint_hyperplane_orbits(t, orbit_count, budget, injective_only=True)
     conv = tuple(
@@ -653,6 +667,12 @@ def non_expansivity_certificate(
             resolution,
         )
     complete = family.complete and all(conv)
+    reasons = [family.explanation] if family.explanation else []
+    if iso is not None and iso.bound <= 0:
+        reasons.append(
+            f"isolation bound {iso.bound} is not positive at dual norm cap "
+            f"{isolation_cap} and resolution {resolution}"
+        )
     return NonExpansivityCertificate(
         matrix=t.rows,
         branch="infinitely_many_orbits",
@@ -663,5 +683,5 @@ def non_expansivity_certificate(
         isolation=iso,
         rigorous=family.rigorous and (iso is None or iso.bound > 0),
         complete=complete,
-        explanation=family.explanation,
+        explanation="; ".join(reasons) or None,
     )

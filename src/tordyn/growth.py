@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .intmat import Mat, Vec, char_poly, mat_pow, mat_vec, transpose
+from .intmat import Mat, Vec, char_poly, mat_pow, mat_vec, rational_inverse, transpose
 from .lattices import left_kernel
 from .polynomials import (
     Poly,
@@ -120,25 +120,6 @@ def reciprocal_monic(g: Poly) -> Poly:
     return normalize(rev)
 
 
-def hankel_sequence(vals: dict[int, int], lo: int, hi: int) -> dict[int, int]:
-    return {j: vals[j] * vals[j + 2] - vals[j + 1] ** 2 for j in range(lo, hi + 1)}
-
-
-def _fraction_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    work = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[piv] = work[piv], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
 def transfer_constant(basis: Mat) -> Fraction:
     """Exact K with  |coords|_inf <= K * |coords @ basis|_inf  for all coords.
 
@@ -147,7 +128,7 @@ def transfer_constant(basis: Mat) -> Fraction:
     d = len(basis)
     bt = transpose(basis)
     gram = [[Fraction(sum(x * y for x, y in zip(r1, r2))) for r2 in basis] for r1 in basis]
-    ginv = _fraction_inverse(gram)
+    ginv = rational_inverse(gram)
     # pseudo-inverse P = basis^T @ ginv, shape n x d
     p = [[sum(Fraction(bt[i][a]) * ginv[a][j] for a in range(d)) for j in range(d)]
          for i in range(len(bt))]

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from .polynomials import Poly, cyclotomic_orders_if_product, normalize
 
@@ -20,10 +21,10 @@ Mat = tuple[Vec, ...]
 
 
 def as_vector(entries) -> Vec:
-    v = tuple(int(a) for a in entries)
-    for a, raw in zip(v, entries):
-        if a != raw:
-            raise ValueError("vector entries must be exact integers")
+    raw = tuple(entries)
+    v = tuple(map(int, raw))
+    if v != raw:
+        raise ValueError("vector entries must be exact integers")
     return v
 
 
@@ -55,16 +56,12 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
     """Matrix times column vector."""
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def vec_mat(v: Vec, a: Mat) -> Vec:
     """Row vector times matrix."""
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
@@ -116,17 +113,16 @@ def det(a: Mat) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def inverse_unimodular(a: Mat) -> Mat:
-    """Exact inverse of an integer matrix with determinant +-1."""
+def rational_inverse(a) -> tuple[tuple[Fraction, ...], ...]:
+    """Inverse over Q of a nonsingular square matrix, by Gauss-Jordan
+    elimination on integer or Fraction entries."""
     n = len(a)
-    d = det(a)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    # Gauss-Jordan over Q; entries of the result are integers because det = +-1.
     work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
             for i, row in enumerate(a)]
     for col in range(n):
-        pivot = next(r for r in range(col, n) if work[r][col] != 0)
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
         work[col], work[pivot] = work[pivot], work[col]
         pv = work[col][col]
         work[col] = [x / pv for x in work[col]]
@@ -134,14 +130,18 @@ def inverse_unimodular(a: Mat) -> Mat:
             if r != col and work[r][col] != 0:
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def inverse_unimodular(a: Mat) -> Mat:
+    """Exact inverse of an integer matrix with determinant +-1."""
+    if det(a) not in (1, -1):
+        raise ValueError("matrix is not unimodular")
     inv = []
-    for row in work:
-        ints = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise AssertionError("unimodular inverse must be integral")
-            ints.append(int(x))
-        inv.append(tuple(ints))
+    for row in rational_inverse(a):
+        if any(x.denominator != 1 for x in row):
+            raise AssertionError("unimodular inverse must be integral")
+        inv.append(tuple(int(x) for x in row))
     return tuple(inv)
 
 

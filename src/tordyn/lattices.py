@@ -112,67 +112,20 @@ def hnf_with_transform(rows) -> tuple[Mat, Mat]:
     """
     m = as_matrix(rows)
     k = len(m)
-    aug = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(m)]
     n = len(m[0]) if m else 0
     basis: list[list[int]] = []
     pivots: list[int] = []
-    zero_rows: list[list[int]] = []
-    for row in aug:
-        _insert_augmented(basis, pivots, row, n)
-    # rows that reduced to zero in the first n columns live in the basis list
-    # with pivot >= n; split them off
-    lattice_rows = [(p, r) for p, r in zip(pivots, basis) if p < n]
+    for i, r in enumerate(m):
+        _echelon_insert(basis, pivots, list(r) + [int(i == j) for j in range(k)])
+    # rows whose first n columns reduced to zero have their pivot in the
+    # transform columns; only the lattice part is canonicalized
+    lat = _canonicalize(
+        [r for p, r in zip(pivots, basis) if p < n], [p for p in pivots if p < n]
+    )
     kernel_rows = [r for p, r in zip(pivots, basis) if p >= n]
-    lat_pivots = [p for p, _ in lattice_rows]
-    lat = [r for _, r in lattice_rows]
-    # canonicalize only the lattice part (the transform columns ride along)
-    for idx, (row, p) in enumerate(zip(lat, lat_pivots)):
-        if row[p] < 0:
-            lat[idx] = [-x for x in row]
-    for a in range(len(lat)):
-        p = lat_pivots[a]
-        piv = lat[a][p]
-        for b in range(a):
-            q = lat[b][p] // piv
-            if q:
-                lat[b] = [x - q * y for x, y in zip(lat[b], lat[a])]
-    h = tuple(tuple(r[:n]) for r in lat)
-    u = tuple(tuple(r[n:]) for r in lat) + tuple(tuple(r[n:]) for r in kernel_rows)
+    h = tuple(r[:n] for r in lat)
+    u = tuple(r[n:] for r in lat) + tuple(tuple(r[n:]) for r in kernel_rows)
     return h, u
-
-
-def _insert_augmented(basis, pivots, vec, n):
-    """Echelon insertion over the full augmented width; pivots past column n
-    mark rows whose lattice part reduced to zero."""
-    total = len(vec)
-    j = 0
-    while True:
-        while j < total and vec[j] == 0:
-            j += 1
-        if j >= total:
-            return
-        if j in pivots:
-            k = pivots.index(j)
-            row = basis[k]
-            a, b = row[j], vec[j]
-            if b % a == 0:
-                q = b // a
-                for t in range(j, total):
-                    vec[t] -= q * row[t]
-            else:
-                g, x, y = _xgcd(a, b)
-                ag, bg = a // g, b // g
-                for t in range(j, total):
-                    rt, vt = row[t], vec[t]
-                    row[t] = x * rt + y * vt
-                    vec[t] = -bg * rt + ag * vt
-        else:
-            where = 0
-            while where < len(pivots) and pivots[where] < j:
-                where += 1
-            basis.insert(where, vec)
-            pivots.insert(where, j)
-            return
 
 
 def left_kernel(m_rows, nrows: int) -> Mat:

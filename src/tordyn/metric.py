@@ -15,9 +15,9 @@ from itertools import product
 from math import isqrt
 
 from .growth import ceil_fraction, ceil_sqrt_fraction
-from .intmat import Mat
-from .lattices import Lattice, hnf_basis, saturate_rows
-from .subtori import Subtorus, annihilator, contains
+from .intmat import Mat, rational_inverse
+from .lattices import hnf_basis, saturate_rows
+from .subtori import Subtorus, annihilator, contains, subtorus_from_annihilator
 
 
 @dataclass(frozen=True)
@@ -37,21 +37,6 @@ class MetricEstimate:
         return self.value - self.error_bound
 
 
-def _fraction_inverse(rows):
-    n = len(rows)
-    work = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[piv] = work[piv], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
 class _SubtorusGeometry:
     """Cached exact data for point-to-subtorus distances."""
 
@@ -65,7 +50,7 @@ class _SubtorusGeometry:
                 [Fraction(sum(x * y for x, y in zip(r1, r2))) for r2 in ann]
                 for r1 in ann
             ]
-            self.ginv = _fraction_inverse(gram)
+            self.ginv = rational_inverse(gram)
             self.trace_g = sum(gram[i][i] for i in range(self.r))
 
     def dist2(self, point: tuple[Fraction, ...]) -> Fraction:
@@ -282,11 +267,7 @@ def isolation_radius_lower_bound(
         for ann_rows in enumerate_hnf_lattices(n, rank, dual_norm_bound):
             if saturate_rows(ann_rows, n) != ann_rows:
                 continue
-            cand = (
-                Subtorus.full(n)
-                if rank == 0
-                else Subtorus(n, Lattice(n, _kernel_rows(ann_rows, n)))
-            )
+            cand = subtorus_from_annihilator(n, ann_rows)
             if cand == h:
                 continue
             count += 1
@@ -297,9 +278,3 @@ def isolation_radius_lower_bound(
                 nearest = cand
     assert best is not None
     return IsolationReport(h, dual_norm_bound, res, count, best, nearest)
-
-
-def _kernel_rows(ann_rows: Mat, n: int) -> Mat:
-    from .lattices import annihilator_rows
-
-    return annihilator_rows(hnf_basis(ann_rows, n), n)

@@ -35,10 +35,6 @@ def leading(p: Poly) -> int:
     return p[-1]
 
 
-def constant_term(p: Poly) -> int:
-    return p[0] if p else 0
-
-
 def add(p: Poly, q: Poly) -> Poly:
     n = max(len(p), len(q))
     return normalize(
@@ -69,13 +65,6 @@ def scale(p: Poly, c: int) -> Poly:
     if c == 0:
         return ZERO
     return tuple(c * a for a in p)
-
-
-def evaluate(p: Poly, x: int) -> int:
-    acc = 0
-    for a in reversed(p):
-        acc = acc * x + a
-    return acc
 
 
 def divmod_exact(p: Poly, d: Poly) -> tuple[Poly, Poly]:

@@ -18,7 +18,6 @@ from .dynamics import DistalityVerdict, GroupReport, InvariantSubspaceReport, Or
 from .families import (
     Budget,
     DisjointFamilyCertificate,
-    FixedSubtoriReport,
     NonExpansivityCertificate,
     PairDisjointness,
     QuotientEvidence,
@@ -61,6 +60,16 @@ def _matrix_payload(m: Mat) -> list:
 def _parse_int(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ParseError(f"expected an exact integer, got {x!r}")
+    return x
+
+
+def _parse_optional_int(x) -> int | None:
+    return None if x is None else _parse_int(x)
+
+
+def _parse_bool(x) -> bool:
+    if not isinstance(x, bool):
+        raise ParseError(f"expected true or false, got {x!r}")
     return x
 
 
@@ -145,15 +154,17 @@ def parse_orbit_report(data, ambient_dim: int) -> OrbitReport:
         if not is_canonical_hnf(basis):
             raise ParseError("non-canonical basis in orbit window")
         window.append((_parse_int(m), Subtorus(ambient_dim, Lattice(ambient_dim, basis))))
+    if data["status"] not in ("periodic", "injective"):
+        raise ParseError(f"unknown orbit status {data['status']!r}")
     growth = data.get("growth")
     return OrbitReport(
         status=data["status"],
-        period=data.get("period"),
+        period=_parse_optional_int(data.get("period")),
         window_radius=_parse_int(data["window_radius"]),
         window=tuple(window),
-        min_exterior_norm=data.get("min_exterior_norm"),
+        min_exterior_norm=_parse_optional_int(data.get("min_exterior_norm")),
         growth=parse_growth(growth) if growth is not None else None,
-        rigorous=bool(data["rigorous"]),
+        rigorous=_parse_bool(data["rigorous"]),
     )
 
 
@@ -176,8 +187,8 @@ def parse_growth(data) -> GrowthCertificate:
         transfer=_parse_frac(data["transfer"]),
         forward=parse_direction(data["forward"]),
         backward=parse_direction(data["backward"]),
-        rigorous=bool(data["rigorous"]),
-        min_exterior_norm=data.get("min_exterior_norm"),
+        rigorous=_parse_bool(data["rigorous"]),
+        min_exterior_norm=_parse_optional_int(data.get("min_exterior_norm")),
     )
 
 
@@ -323,15 +334,15 @@ def parse_family(data) -> DisjointFamilyCertificate:
             if data.get("periodic_orbits") is not None
             else None
         ),
-        unipotent_power=data.get("unipotent_power"),
+        unipotent_power=_parse_optional_int(data.get("unipotent_power")),
         invariant_sets=(
             tuple(tuple(parse_invariant(u) for u in s) for s in data["invariant_sets"])
             if data.get("invariant_sets") is not None
             else None
         ),
         quotient=quotient,
-        rigorous=bool(data["rigorous"]),
-        complete=bool(data["complete"]),
+        rigorous=_parse_bool(data["rigorous"]),
+        complete=_parse_bool(data["complete"]),
         explanation=data.get("explanation"),
         budget=parse_budget(data["budget"]),
     )
@@ -386,7 +397,7 @@ def parse_non_expansivity(data) -> NonExpansivityCertificate:
     return NonExpansivityCertificate(
         matrix=matrix,
         branch=data["branch"],
-        order=data.get("order"),
+        order=_parse_optional_int(data.get("order")),
         fixed=(
             tuple(parse_subtorus(h) for h in data["fixed_subtori"])
             if data.get("fixed_subtori") is not None
@@ -394,15 +405,15 @@ def parse_non_expansivity(data) -> NonExpansivityCertificate:
         ),
         family=parse_family(data["family"]) if data.get("family") is not None else None,
         converges=(
-            tuple(bool(x) for x in data["converges_to_full"])
+            tuple(_parse_bool(x) for x in data["converges_to_full"])
             if data.get("converges_to_full") is not None
             else None
         ),
         isolation=(
             parse_isolation(data["isolation"]) if data.get("isolation") is not None else None
         ),
-        rigorous=bool(data["rigorous"]),
-        complete=bool(data["complete"]),
+        rigorous=_parse_bool(data["rigorous"]),
+        complete=_parse_bool(data["complete"]),
         explanation=data.get("explanation"),
     )
 
@@ -436,15 +447,6 @@ def encode_invariant_subspaces(r: InvariantSubspaceReport) -> dict:
             {"coefficients": list(f), "multiplicity": e} for f, e in r.characteristic_factors
         ],
         "minimal_polynomial": list(r.minimal_polynomial),
-    }
-
-
-def encode_fixed_subtori(r: FixedSubtoriReport) -> dict:
-    return {
-        "dimension": r.dimension,
-        "members": [encode_subtorus(h) for h in r.members],
-        "complete": r.complete,
-        "dual_norm_bound": r.dual_norm_bound,
     }
 
 

@@ -67,9 +67,29 @@ def annihilator(h: Subtorus) -> Lattice:
     return Lattice(h.ambient_dim, rows)
 
 
+def _trusted_subtorus(ambient_dim: int, basis: Mat) -> Subtorus:
+    """Build a Subtorus without re-validating it.
+
+    The caller guarantees that basis is the canonical HNF basis of a saturated
+    sublattice of Z^ambient_dim.  Only act (a unimodular image of a saturated
+    lattice is saturated) and subtorus_from_annihilator (a kernel lattice is
+    saturated) may rely on this; outside input goes through Subtorus.
+    """
+    lattice = object.__new__(Lattice)
+    object.__setattr__(lattice, "ambient_dim", ambient_dim)
+    object.__setattr__(lattice, "basis", basis)
+    h = object.__new__(Subtorus)
+    object.__setattr__(h, "ambient_dim", ambient_dim)
+    object.__setattr__(h, "lattice", lattice)
+    return h
+
+
 def subtorus_from_annihilator(ambient_dim: int, ann_rows) -> Subtorus:
+    """The subtorus on which every character in ann_rows vanishes."""
+    if ambient_dim < 1:
+        raise ValueError("ambient dimension must be >= 1")
     rows = annihilator_rows(hnf_basis(ann_rows, ambient_dim), ambient_dim)
-    return Subtorus(ambient_dim, Lattice(ambient_dim, rows))
+    return _trusted_subtorus(ambient_dim, rows)
 
 
 def contains(h1: Subtorus, h2: Subtorus) -> bool:
@@ -82,16 +102,12 @@ def contains(h1: Subtorus, h2: Subtorus) -> bool:
 def canonicalize_covector(entries) -> Vec:
     """Divide by the gcd and make the first nonzero entry positive."""
     v = as_vector(entries)
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero covector")
-    v = tuple(x // g for x in v)
-    first = next(x for x in v if x != 0)
-    if first < 0:
-        v = tuple(-x for x in v)
-    return v
+    if next(x for x in v if x != 0) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 @dataclass(frozen=True)

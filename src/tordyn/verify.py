@@ -16,6 +16,7 @@ from .dynamics import (
     act,
     converges_to_full,
     orbit_is_periodic,
+    orbit_window,
 )
 from .families import (
     DisjointFamilyCertificate,
@@ -61,23 +62,17 @@ def _check_member_report(t, gamma, report, failures, idx) -> None:
         _fail(failures, f"member {idx}: invalid covector ({exc})")
         return
     w = report.window_radius
+    if w < 1:
+        _fail(failures, f"member {idx}: window radius {w} is below 1")
+        return
     if len(report.window) != 2 * w + 1:
         _fail(failures, f"member {idx}: window has {len(report.window)} entries, expected {2 * w + 1}")
         return
-    expected = {0: h}
-    cur = h
-    tinv = t.inv()
-    for m in range(1, w + 1):
-        cur = act(t, cur)
-        expected[m] = cur
-    cur = h
-    for m in range(1, w + 1):
-        cur = act(tinv, cur)
-        expected[-m] = cur
-    for m, sub in report.window:
-        if m not in expected or expected[m] != sub:
-            _fail(failures, f"member {idx}: window entry at exponent {m} does not match recomputation")
-            return
+    expected = orbit_window(t, h, w)
+    if tuple(report.window) != expected:
+        m = next(e[0] for e, r in zip(expected, report.window) if e != r)
+        _fail(failures, f"member {idx}: window entry at exponent {m} does not match recomputation")
+        return
     periodic = orbit_is_periodic(t, h)
     if periodic != (report.status == "periodic"):
         _fail(failures, f"member {idx}: orbit status is wrong")

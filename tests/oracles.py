@@ -157,18 +157,26 @@ GL2_GENERATORS = (
     ((1, 0), (0, -1)),
 )
 
-GL3_GENERATORS = (
-    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
-    ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
-    ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
-    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
-)
+def gl_generators(n):
+    """Generators of GL_n(Z): for n >= 3 a cyclic shift, an elementary
+    transvection, a sign change and a transposition."""
+    if n == 2:
+        return GL2_GENERATORS
+    eye = [list(row) for row in identity(n)]
+    shift = tuple(tuple(int(j == (i - 1) % n) for j in range(n)) for i in range(n))
+    transvection = [row[:] for row in eye]
+    transvection[0][1] = 1
+    flip = [row[:] for row in eye]
+    flip[n - 1][n - 1] = -1
+    swap = [row[:] for row in eye]
+    swap[0], swap[1] = swap[1], swap[0]
+    return (shift,) + tuple(tuple(tuple(r) for r in m) for m in (transvection, flip, swap))
 
 
 def random_word(rng, n, max_len=12, entry_cap=None):
     """A random word in the standard generators, optionally resampled until
     the entries stay under a cap."""
-    gens = GL2_GENERATORS if n == 2 else GL3_GENERATORS
+    gens = gl_generators(n)
     while True:
         word = identity(n)
         for _ in range(rng.randint(1, max_len)):

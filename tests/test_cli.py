@@ -101,6 +101,23 @@ def test_verify_rejects_tampered_certificate_exit_4(capsys):
     assert "member" in env2["result"]["failures"][0]
 
 
+@pytest.mark.parametrize(
+    "args, payload",
+    [
+        (["orbit", "--budget-window", "0"], {"matrix": [[2, 1], [1, 1]], "covector": [0, 1]}),
+        (["disjoint-family", "--count", "0"], {"matrix": [[2, 1], [1, 1]]}),
+        (["certify-nonexpansive", "--count", "0"], {"matrix": [[0, -1], [1, 0]]}),
+        (["isolation", "--budget-norm", "0"], {"subtorus": {"ambient_dim": 2, "basis": [[1, 0]]}}),
+        (["group-finite", "--count", "0"], {"matrices": [[[0, -1], [1, 0]]]}),
+    ],
+)
+def test_explicit_zero_is_rejected_not_defaulted(args, payload, capsys):
+    code, env, err = run_cli(args, payload, capsys)
+    assert code == EXIT_INVALID
+    assert env is None
+    assert "must be >= 1" in err or "need" in err
+
+
 def test_certify_nonexpansive(capsys):
     code, env, _ = run_cli(
         ["certify-nonexpansive", "--count", "5"], {"matrix": [[1, 1], [0, 1]]}, capsys

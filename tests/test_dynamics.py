@@ -14,7 +14,6 @@ from tordyn.dynamics import (
     converges_to_full,
     cyclotomic_radical_matrix,
     dual_matrix,
-    full_convergence_window_evidence,
     group_is_finite,
     invariant_rational_subspaces,
     is_distal_linear,
@@ -32,6 +31,7 @@ from tordyn.intmat import (
     matrix_order,
     mat_vec,
 )
+from tordyn.lattices import Lattice
 from tordyn.subtori import (
     PrimitiveCovector,
     Subtorus,
@@ -40,6 +40,7 @@ from tordyn.subtori import (
     covector_to_hyperplane,
     hyperplane_to_covector,
     primitive_covectors,
+    subtorus_from_annihilator,
 )
 
 CAT = UnimodularMatrix(((2, 1), (1, 1)))
@@ -65,6 +66,33 @@ def test_act_is_group_action_and_preserves_dimension():
         )
         assert act(t1 * t2, h) == act(t1, act(t2, h))
         assert act(t1, h).dim == h.dim
+
+
+def test_act_matches_validating_construction():
+    # act and subtorus_from_annihilator build subtori without re-validation;
+    # the validating constructors are the reference
+    rng = random.Random(57)
+    for n in (2, 3, 4):
+        for _ in range(10):
+            t = random_word(rng, n)
+            for k in range(n + 1):
+                h = Subtorus.trivial(n)
+                while h.dim != k:
+                    h = Subtorus.from_generators(
+                        n, [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)]
+                    )
+                image = act(t, h)
+                assert image == Subtorus.from_generators(n, [mat_vec(t.rows, v) for v in h.basis])
+                assert Subtorus(n, Lattice(n, image.basis)) == image
+                dual = subtorus_from_annihilator(n, h.basis)
+                assert Subtorus(n, Lattice(n, dual.basis)) == dual
+                assert dual.dim == n - k
+            gamma = [0] * n
+            while not any(gamma):
+                gamma = [rng.randint(-9, 9) for _ in range(n)]
+            hyper = covector_to_hyperplane(PrimitiveCovector.from_entries(gamma))
+            assert Subtorus(n, Lattice(n, hyper.basis)) == hyper
+            assert hyper.dim == n - 1
 
 
 def test_act_preserves_containment():
@@ -160,15 +188,6 @@ def test_converges_iff_not_periodic_exhaustive_small():
             periodic = all(x == 0 for x in mat_vec(radical, gamma))
             assert converges_to_full(t, h) == (not periodic)
             assert orbit_is_periodic(t, h) == periodic
-
-
-def test_full_convergence_window_evidence_low_dim():
-    t = random_word(random.Random(55), 3)
-    h = Subtorus.from_generators(3, [(1, 0, 0)])
-    ev = full_convergence_window_evidence(t, h, 6)
-    assert ev["heuristic"] is True
-    with pytest.raises(ValueError):
-        full_convergence_window_evidence(t, Subtorus.full(3), 6)
 
 
 def test_invariant_rational_subspaces_examples():

@@ -289,6 +289,10 @@ def test_rigor_flag_is_honest_under_window_starvation():
         for rep in fam.orbit_reports
     )
     assert fam.rigorous == floors_clear
+    if not fam.rigorous:
+        assert "member" in fam.explanation and "window radius 1" in fam.explanation
+    if not fam.complete:
+        assert "budget exhausted" in fam.explanation
     res = verify_certificate(fam)
     assert res.ok, res.failures
 

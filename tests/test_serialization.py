@@ -104,6 +104,39 @@ def test_unknown_version_rejected():
         parse_non_expansivity(ne)
 
 
+@pytest.fixture(scope="module")
+def cat_non_expansivity():
+    return encode_non_expansivity(non_expansivity_certificate(CAT, 3))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("family", "orbit_reports", 0, "status"), "bogus"),
+        (("family", "orbit_reports", 0, "rigorous"), "true"),
+        (("family", "orbit_reports", 0, "growth", "rigorous"), 0),
+        (("family", "orbit_reports", 0, "min_exterior_norm"), 3.5),
+        (("family", "orbit_reports", 0, "period"), "2"),
+        (("family", "rigorous"), "false"),
+        (("family", "complete"), 1),
+        (("family", "unipotent_power"), True),
+        (("converges_to_full", 0), "yes"),
+        (("order",), 2.0),
+        (("rigorous",), None),
+        (("complete",), "true"),
+    ],
+)
+def test_parse_rejects_mistyped_fields(cat_non_expansivity, path, value):
+    data = json.loads(json.dumps(cat_non_expansivity))
+    parse_non_expansivity(data)
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ParseError):
+        parse_non_expansivity(data)
+
+
 def test_parse_certificate_dispatch():
     fam = disjoint_hyperplane_orbits(CAT, 3)
     assert parse_certificate(encode_family(fam)) == fam

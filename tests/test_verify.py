@@ -4,16 +4,17 @@ import random
 import pytest
 
 from oracles import random_word
-from tordyn.dynamics import dual_matrix
+from tordyn.dynamics import dual_matrix, orbit
 from tordyn.families import disjoint_hyperplane_orbits, non_expansivity_certificate
 from tordyn.intmat import UnimodularMatrix, mat_vec
 from tordyn.serialization import (
     encode_family,
     encode_non_expansivity,
+    encode_orbit_report,
     parse_family,
     parse_non_expansivity,
 )
-from tordyn.subtori import canonicalize_covector
+from tordyn.subtori import PrimitiveCovector, canonicalize_covector, covector_to_hyperplane
 from tordyn.verify import verify_certificate
 
 CAT = UnimodularMatrix(((2, 1), (1, 1)))
@@ -70,6 +71,28 @@ def test_window_entry_swap_rejected(cat_family):
     w = bad["orbit_reports"][0]["window"]
     w[0], w[1] = [w[0][0], w[1][1]], [w[1][0], w[0][1]]
     reject(bad)
+
+
+def test_duplicate_exponent_window_forgery_rejected():
+    # members 0 and 3 lie on one orbit (3 = S^w 0); each window hides the
+    # other by repeating the neighbouring exponent in place of +w or -w
+    bad = encode_family(disjoint_hyperplane_orbits(CAT, 3))
+    rep0 = bad["orbit_reports"][0]
+    w = rep0["window_radius"]
+    g = tuple(bad["members"][0])
+    for _ in range(w):
+        g = mat_vec(dual_matrix(CAT).rows, g)
+    g = canonicalize_covector(g)
+    rep3 = encode_orbit_report(orbit(CAT, covector_to_hyperplane(PrimitiveCovector(g)), w))
+    rep0["window"][-1] = copy.deepcopy(rep0["window"][-2])
+    rep3["window"][0] = copy.deepcopy(rep3["window"][1])
+    bad["members"].append(list(g))
+    bad["orbit_reports"].append(rep3)
+    bad["count"] = 4
+    bad["rigorous"] = False
+    res = reject(bad)
+    assert any("member 0: window" in f for f in res.failures)
+    assert any("member 3: window" in f for f in res.failures)
 
 
 def test_invariant_forgery_rejected(shear_family):
