@@ -161,6 +161,21 @@ def orbit_window(
     return tuple(reversed(backward)) + ((0, h),) + tuple(forward)
 
 
+def covector_window_set(t: UnimodularMatrix, gamma: Vec, radius: int) -> frozenset[Vec]:
+    """{canonicalize(S^m gamma) : |m| <= radius} with S = T^-T: the primitive
+    covectors of the hyperplanes in the window of the hyperplane gamma
+    annihilates, without building any subtorus."""
+    if t.n != len(gamma):
+        raise ValueError("ambient dimension mismatch")
+    out = {canonicalize_covector(gamma)}
+    for step in (dual_matrix(t).rows, transpose(t.rows)):
+        cur = gamma
+        for _ in range(radius):
+            cur = mat_vec(step, cur)
+            out.add(canonicalize_covector(cur))
+    return frozenset(out)
+
+
 def orbit(
     t: UnimodularMatrix,
     h: Subtorus,

@@ -30,6 +30,7 @@ from .dynamics import (
     act,
     converges_to_full,
     covector_orbit_is_periodic,
+    covector_window_set,
     cyclotomic_radical_matrix,
     dual_matrix,
     invariant_rational_subspaces,
@@ -193,12 +194,6 @@ def _candidate_covectors(t: UnimodularMatrix, budget: Budget):
 def _member_report(t: UnimodularMatrix, gamma: Vec, window: int) -> OrbitReport:
     h = covector_to_hyperplane(PrimitiveCovector(gamma))
     return orbit(t, h, window)
-
-
-def _window_set(report: OrbitReport) -> frozenset[Vec]:
-    return frozenset(
-        hyperplane_to_covector(h).entries for _, h in report.window
-    )
 
 
 def _periodic_family(
@@ -431,7 +426,7 @@ def _greedy_family(
         kept.append(gamma)
         report = finalize(gamma)
         reports[gamma] = report
-        window_sets[gamma] = _window_set(report)
+        window_sets[gamma] = covector_window_set(t, gamma, report.window_radius)
         # a wider window may reveal an earlier member on this orbit
         clash = any(
             other != gamma and other in window_sets[gamma] for other in kept
@@ -453,7 +448,7 @@ def _greedy_family(
                     w = min(budget.max_window, w + max(12, w // 2))
                     rep = _member_report(t, gamma, w)
                 reports[gamma] = rep
-                window_sets[gamma] = _window_set(rep)
+                window_sets[gamma] = covector_window_set(t, gamma, rep.window_radius)
     complete = len(kept) == k
     reasons = [] if complete else ["budget exhausted before the requested family size"]
     target = max((covector_norm_inf(g) for g in kept), default=0)

@@ -15,7 +15,11 @@ re-computation:
   Level 1 runs on t itself (unique dominant real eigenvalue); level 2 runs on
   the 2x2 Hankel determinants of t, whose recurrence is the second exterior
   power and turns a dominant complex-conjugate pair into a dominant positive
-  real value.
+  real value.  The q-step recurrence (roots raised to the q-th power) and the
+  Hankel recurrence (pairwise products of roots) are computed from Newton
+  power sums of the annihilator's roots, in exact integers
+  (polynomials.root_power_poly and polynomials.exterior_square_poly); the
+  producer and the checker share these two routines.
 * polynomial: when every eigenvalue is a root of unity (with multiplicity),
   each residue class of t along step q = lcm of the orders is an exact
   polynomial, bounded below by elementary tail estimates.
@@ -31,13 +35,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .intmat import Mat, Vec, char_poly, mat_pow, mat_vec, rational_inverse, transpose
+from .intmat import Mat, Vec, mat_vec, rational_inverse, transpose
 from .lattices import left_kernel
 from .polynomials import (
     Poly,
+    exterior_square_poly,
     is_squarefree_product_of_cyclotomics,
     neg,
     normalize,
+    root_power_poly,
     strip_cyclotomic_factors,
 )
 
@@ -94,13 +100,6 @@ def impulse_values(g: Poly, lo: int, hi: int) -> dict[int, int]:
         vals[j] = -s * g[0]
         j -= 1
     return {k: t for k, t in vals.items() if lo <= k <= hi}
-
-
-def companion(g: Poly) -> Mat:
-    d = len(g) - 1
-    rows = [tuple(1 if j == i + 1 else 0 for j in range(d)) for i in range(d - 1)]
-    rows.append(tuple(-g[i] for i in range(d)))
-    return tuple(rows)
 
 
 def recurrence_from_poly(p: Poly) -> tuple[int, ...]:
@@ -230,12 +229,11 @@ def _try_cone_direction(
     max_index: int,
 ) -> tuple[int, Fraction, Fraction, tuple[ConeEntry, ...], int] | None:
     """Search for (q, mu, nu, entries, floor) certifying seq(j) growth for j > cover_from."""
-    comp = companion(rec_poly)
     dd = len(rec_poly) - 1
     for q in CONE_POWER_STEPS:
         if cover_from + 1 + q * dd > max_index:
             continue
-        qpoly = char_poly(mat_pow(comp, q)) if q > 1 else rec_poly
+        qpoly = root_power_poly(rec_poly, q)
         hints = _root_hints(qpoly)
         if hints is None:
             continue
@@ -427,7 +425,7 @@ def derive_direction(
 
     # level 2 cone on Hankel determinants (dominant complex pair)
     if d >= 3:
-        hpoly = char_poly(compound_second(companion(g_dir)))
+        hpoly = exterior_square_poly(g_dir)
         hseq = {j: seq[j] * seq[j + 2] - seq[j + 1] ** 2
                 for j in seq if j + 2 in seq}
         res = _try_cone_direction(hseq, hpoly, window - 2, max(hseq, default=0))
@@ -438,12 +436,6 @@ def derive_direction(
             return DirectionCertificate(direction, "cone", 2, q, mu, nu, entries, floor, fnorm)
 
     return DirectionCertificate(direction, "window_only")
-
-
-def compound_second(a: Mat) -> Mat:
-    from .intmat import compound_matrix
-
-    return compound_matrix(a, 2)
 
 
 def derive_growth_certificate(m: Mat, v: Vec, window: int) -> GrowthCertificate:
@@ -535,14 +527,14 @@ def _check_direction(vals, g, dc: DirectionCertificate, window, transfer):
         cover_from = window
     elif dc.level == 2 and d >= 3:
         use_seq = {j: seq[j] * seq[j + 2] - seq[j + 1] ** 2 for j in seq if j + 2 in seq}
-        rec = char_poly(compound_second(companion(g_dir)))
+        rec = exterior_square_poly(g_dir)
         cover_from = window - 2
     else:
         return [f"{dc.direction}: invalid cone level"], 0
     q = dc.power_step
-    comp = companion(rec)
-    qpoly = char_poly(mat_pow(comp, q)) if q > 1 else rec
-    b = recurrence_from_poly(qpoly)
+    if q < 1:
+        return [f"{dc.direction}: power step {q} is below 1"], 0
+    b = recurrence_from_poly(root_power_poly(rec, q))
     dd = len(rec) - 1
     lb, ub = _cone_bounds(b, dc.mu, dc.nu)
     if not (dc.mu > 1 and dc.nu >= dc.mu):

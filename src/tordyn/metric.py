@@ -38,13 +38,16 @@ class MetricEstimate:
 
 
 class _SubtorusGeometry:
-    """Cached exact data for point-to-subtorus distances."""
+    """Exact data of one subtorus for distances: its annihilator basis (for
+    point-to-subtorus distances) and the Lipschitz bound of its
+    parametrization (for sampling it)."""
 
-    def __init__(self, h: Subtorus):
+    def __init__(self, h: Subtorus, ann: Mat):
+        """ann must be the canonical annihilator basis of h."""
         self.h = h
-        ann = annihilator(h).basis
         self.ann = ann
         self.r = len(ann)
+        self.lip = sum(_row_norm_upper(row) for row in h.basis)
         if self.r:
             gram = [
                 [Fraction(sum(x * y for x, y in zip(r1, r2))) for r2 in ann]
@@ -124,12 +127,18 @@ def _grid_points(basis: Mat, n: int, steps: int):
         yield tuple(_reduce_mod_one(x) for x in point)
 
 
-def _directional_sup(src: Subtorus, dst: Subtorus, resolution: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval [lo, hi] for sup over src of the distance to dst."""
-    if contains(dst, src):
+def _geometry(h: Subtorus) -> _SubtorusGeometry:
+    return _SubtorusGeometry(h, annihilator(h).basis)
+
+
+def _directional_sup(
+    src_geom: _SubtorusGeometry, geom: _SubtorusGeometry, resolution: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Interval [lo, hi] for sup over the source of the distance to the target."""
+    src = src_geom.h
+    if contains(geom.h, src):
         return Fraction(0), Fraction(0)
-    geom = _SubtorusGeometry(dst)
-    lip = sum(_row_norm_upper(row) for row in src.basis)
+    lip = src_geom.lip
     if lip == 0:
         steps = 1
         mesh = Fraction(0)
@@ -184,8 +193,14 @@ def hausdorff_distance(h1: Subtorus, h2: Subtorus, resolution) -> MetricEstimate
         raise ValueError("resolution must be positive")
     if h1.ambient_dim != h2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    lo1, hi1 = _directional_sup(h1, h2, res)
-    lo2, hi2 = _directional_sup(h2, h1, res)
+    return _hausdorff(_geometry(h1), _geometry(h2), res)
+
+
+def _hausdorff(
+    g1: _SubtorusGeometry, g2: _SubtorusGeometry, res: Fraction
+) -> MetricEstimate:
+    lo1, hi1 = _directional_sup(g1, g2, res)
+    lo2, hi2 = _directional_sup(g2, g1, res)
     lo = max(lo1, lo2)
     hi = max(hi1, hi2)
     return MetricEstimate(value=(lo + hi) / 2, error_bound=(hi - lo) / 2, resolution=res)
@@ -260,6 +275,7 @@ def isolation_radius_lower_bound(
     res = Fraction(resolution)
     n = h.ambient_dim
     r_max = n - h.dim
+    h_geom = _geometry(h)
     best: Fraction | None = None
     nearest = None
     count = 0
@@ -271,7 +287,9 @@ def isolation_radius_lower_bound(
             if cand == h:
                 continue
             count += 1
-            est = hausdorff_distance(h, cand, res)
+            # ann_rows is saturated and in canonical HNF, so it is the
+            # annihilator basis of cand
+            est = _hausdorff(h_geom, _SubtorusGeometry(cand, ann_rows), res)
             lower = est.lower
             if best is None or lower < best:
                 best = lower

@@ -146,6 +146,66 @@ def power_poly(p: Poly, e: int) -> Poly:
     return out
 
 
+def _power_sums(p: Poly, count: int) -> list[int]:
+    """[s_0, s_1, ..., s_count] with s_k the sum of the k-th powers of the
+    roots of the monic p, by the Newton recurrence."""
+    d = len(p) - 1
+    s = [d]
+    for k in range(1, count + 1):
+        acc = k * p[d - k] if k <= d else 0
+        for i in range(1, min(k - 1, d) + 1):
+            acc += p[d - i] * s[k - i]
+        s.append(-acc)
+    return s
+
+
+def _poly_from_power_sums(sums: list[int]) -> Poly:
+    """Monic polynomial of degree len(sums) whose roots have the power sums
+    sums[0], sums[1], ... (s_1, s_2, ...), by Newton's identities."""
+    d = len(sums)
+    c = [0] * d + [1]
+    for k in range(1, d + 1):
+        acc = sums[k - 1] + sum(c[d - i] * sums[k - i - 1] for i in range(1, k))
+        if acc % k:
+            raise AssertionError("Newton identity division must be exact")
+        c[d - k] = -(acc // k)
+    return tuple(c)
+
+
+def _require_monic(p: Poly) -> None:
+    if not p or p[-1] != 1:
+        raise ValueError("polynomial must be monic")
+
+
+def root_power_poly(p: Poly, q: int) -> Poly:
+    """Monic polynomial whose roots are the q-th powers of the roots of the
+    monic p, with multiplicity: the characteristic polynomial of C^q for the
+    companion matrix C of p."""
+    _require_monic(p)
+    if q < 1:
+        raise ValueError("root power must be >= 1")
+    d = len(p) - 1
+    s = _power_sums(p, d * q)
+    return _poly_from_power_sums([s[j * q] for j in range(1, d + 1)])
+
+
+def exterior_square_poly(p: Poly) -> Poly:
+    """Monic polynomial whose roots are the products r_i r_j (i < j) of the
+    roots of the monic p: the characteristic polynomial of the second
+    compound of the companion matrix of p."""
+    _require_monic(p)
+    d = len(p) - 1
+    big = d * (d - 1) // 2
+    s = _power_sums(p, 2 * big)
+    pair_sums = []
+    for k in range(1, big + 1):
+        twice = s[k] * s[k] - s[2 * k]
+        if twice % 2:
+            raise AssertionError("pair power sums must be integers")
+        pair_sums.append(twice // 2)
+    return _poly_from_power_sums(pair_sums)
+
+
 @lru_cache(maxsize=None)
 def totient(m: int) -> int:
     if m < 1:

@@ -4,6 +4,13 @@ The checker never trusts the producer: it recomputes orbit windows, periods,
 invariants, growth floors and quotient data from the matrix and the members,
 and compares them with what the certificate claims.  Any discrepancy is
 reported with the offending member or pair named.
+
+Trusted base: the exact arithmetic of `intmat`, `polynomials` (including the
+Newton power-sum routines behind the q-step and Hankel recurrences) and
+`lattices`; the subtorus and covector code of `subtori`; and, shared with the
+producer, the orbit routines of `dynamics`, `growth.check_growth_certificate`,
+`metric.isolation_radius_lower_bound` and the family helpers
+`families._invariant_set_for` and `families._lift_member`.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from .dynamics import (
     _annihilator_orbit_data,
     _periodic_orbit_period,
     act,
-    converges_to_full,
+    covector_window_set,
     orbit_is_periodic,
     orbit_window,
 )
@@ -41,7 +48,6 @@ from .subtori import (
     canonicalize_covector,
     covector_norm_inf,
     covector_to_hyperplane,
-    hyperplane_to_covector,
 )
 
 
@@ -232,11 +238,13 @@ def _verify_quotient_branch(t, cert, failures):
 
 
 def _verify_greedy_branch(t, cert, failures):
-    window_sets = []
-    for rep in cert.orbit_reports:
-        window_sets.append(
-            frozenset(hyperplane_to_covector(h).entries for _, h in rep.window)
-        )
+    # the radius is read off the stored window, which _check_member_report
+    # has matched entry for entry with 2 * window_radius + 1 recomputed ones;
+    # a radius claimed without its entries then costs no extra work here
+    window_sets = [
+        covector_window_set(t, g, (len(rep.window) - 1) // 2)
+        for g, rep in zip(cert.members, cert.orbit_reports)
+    ]
     for i in range(len(cert.members)):
         for j in range(len(cert.members)):
             if i == j:
@@ -302,9 +310,12 @@ def verify_non_expansivity(cert: NonExpansivityCertificate) -> VerificationResul
         else:
             for i, (g, claimed) in enumerate(zip(cert.family.members, cert.converges)):
                 h = covector_to_hyperplane(PrimitiveCovector(g))
-                if orbit_is_periodic(t, h):
+                periodic = orbit_is_periodic(t, h)
+                if periodic:
                     _fail(failures, f"member {i}: orbit is periodic, not injective")
-                actual = converges_to_full(t, h)
+                # a hyperplane orbit converges to the full torus exactly when
+                # it is not periodic (dynamics.converges_to_full)
+                actual = not periodic
                 if actual != claimed:
                     _fail(failures, f"member {i}: convergence claim is wrong")
                 elif not actual:

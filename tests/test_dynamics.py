@@ -12,6 +12,7 @@ from tordyn.dynamics import (
     act,
     acts_distally_on_subp,
     converges_to_full,
+    covector_window_set,
     cyclotomic_radical_matrix,
     dual_matrix,
     group_is_finite,
@@ -20,6 +21,7 @@ from tordyn.dynamics import (
     is_ergodic,
     orbit,
     orbit_is_periodic,
+    orbit_window,
 )
 from tordyn.intmat import (
     UnimodularMatrix,
@@ -149,6 +151,18 @@ def test_orbit_window_contents():
     assert window[1] == act(CAT, H10)
     assert window[-1] == act(CAT.inv(), H10)
     assert len(rep.window) == 9
+
+
+def test_covector_window_set_matches_orbit_window():
+    rng = random.Random(23)
+    for n in (2, 3, 4):
+        for _ in range(6):
+            t = random_word(rng, n, max_len=8, entry_cap=20)
+            gamma = rng.choice(primitive_covectors(n, 2))
+            h0 = covector_to_hyperplane(PrimitiveCovector(gamma))
+            for r in (0, 1, 5):
+                expected = {hyperplane_to_covector(h).entries for _, h in orbit_window(t, h0, r)}
+                assert covector_window_set(t, gamma, r) == expected
 
 
 def test_orbit_rejects_bad_window():

@@ -144,6 +144,9 @@ def test_checker_rejects_mutations():
     assert check_growth_certificate(CAT_DUAL, (0, 1), bad)
     bad = replace(cert, forward=replace(cert.forward, mu=cert.forward.nu * 2))
     assert check_growth_certificate(CAT_DUAL, (0, 1), bad)
+    for q in (0, -1):
+        bad = replace(cert, forward=replace(cert.forward, power_step=q))
+        assert check_growth_certificate(CAT_DUAL, (0, 1), bad)
 
 
 def test_random_hyperbolic_words_certify_and_hold():

@@ -10,7 +10,8 @@ from tordyn.metric import (
     hausdorff_distance,
     isolation_radius_lower_bound,
 )
-from tordyn.subtori import Subtorus
+from tordyn.lattices import saturate_rows
+from tordyn.subtori import Subtorus, subtorus_from_annihilator
 
 RES = Fraction(1, 50)
 
@@ -124,3 +125,30 @@ def test_isolation_all_candidates_positive():
     rep = isolation_radius_lower_bound(h, 4, Fraction(1, 100))
     assert rep.bound > 0
     assert rep.nearest is not None and rep.nearest != h
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        Subtorus.from_generators(3, [(1, 0, 1), (0, 1, -2)]),
+        Subtorus.from_generators(4, [(1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, -1)]),
+    ],
+)
+def test_isolation_is_the_minimum_of_pairwise_distances(h):
+    res = Fraction(1, 12)
+    n = h.ambient_dim
+    best = nearest = None
+    count = 0
+    for rank in range(n - h.dim + 1):
+        for ann_rows in enumerate_hnf_lattices(n, rank, 2):
+            if saturate_rows(ann_rows, n) != ann_rows:
+                continue
+            cand = subtorus_from_annihilator(n, ann_rows)
+            if cand == h:
+                continue
+            count += 1
+            lower = hausdorff_distance(h, cand, res).lower
+            if best is None or lower < best:
+                best, nearest = lower, cand
+    rep = isolation_radius_lower_bound(h, 2, res)
+    assert (rep.bound, rep.nearest, rep.candidates) == (best, nearest, count)

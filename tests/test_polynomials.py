@@ -1,19 +1,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tordyn.growth import CONE_POWER_STEPS
+from tordyn.intmat import char_poly, compound_matrix, mat_pow
 from tordyn.polynomials import (
     cyclotomic,
     cyclotomic_orders_if_product,
     distinct_cyclotomic_divisors,
     divides,
     divmod_exact,
+    exterior_square_poly,
     is_irreducible,
     is_squarefree_product_of_cyclotomics,
     mul,
     power_poly,
     rational_factors,
     reciprocal,
+    root_power_poly,
     strip_cyclotomic_factors,
     totient,
 )
@@ -110,3 +115,45 @@ def test_distinct_cyclotomic_divisors():
 def test_reciprocal():
     assert reciprocal((2, 0, 1)) == (1, 0, 2)
     assert reciprocal((0, 1)) == (1,)
+
+
+def _companion(p):
+    """Companion matrix of the monic p (ascending coefficients); its
+    characteristic polynomial is p."""
+    d = len(p) - 1
+    rows = [tuple(1 if j == i + 1 else 0 for j in range(d)) for i in range(d - 1)]
+    rows.append(tuple(-c for c in p[:-1]))
+    return tuple(rows)
+
+
+def _monic_unit_constant(min_degree):
+    return st.integers(min_degree, 6).flatmap(
+        lambda d: st.tuples(
+            st.sampled_from((1, -1)),
+            st.lists(st.integers(-3, 3), min_size=d - 1, max_size=d - 1),
+        ).map(lambda parts: (parts[0], *parts[1], 1))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=_monic_unit_constant(1),
+    q=st.one_of(st.sampled_from(CONE_POWER_STEPS), st.integers(1, 96)),
+)
+def test_root_power_poly_matches_companion_power(p, q):
+    assert root_power_poly(p, q) == char_poly(mat_pow(_companion(p), q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_monic_unit_constant(2))
+def test_exterior_square_poly_matches_second_compound(p):
+    assert exterior_square_poly(p) == char_poly(compound_matrix(_companion(p), 2))
+
+
+def test_power_sum_routines_reject_bad_input():
+    with pytest.raises(ValueError):
+        root_power_poly((1, 1, 2), 2)  # not monic
+    with pytest.raises(ValueError):
+        root_power_poly((-1, -1, 1), 0)
+    with pytest.raises(ValueError):
+        exterior_square_poly((1, 2))
