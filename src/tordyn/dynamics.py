@@ -26,6 +26,7 @@ from .intmat import (
     Vec,
     char_poly,
     compound_matrix,
+    cyclic_powers,
     det,
     evaluate_poly_at_matrix,
     identity,
@@ -34,7 +35,6 @@ from .intmat import (
     mat_vec,
     matrix_order,
     transpose,
-    vec_mat,
 )
 from .lattices import (
     Lattice,
@@ -69,7 +69,7 @@ def act(t: UnimodularMatrix, h: Subtorus) -> Subtorus:
         raise ValueError("ambient dimension mismatch")
     # a unimodular map sends a saturated lattice onto a saturated lattice, so
     # the HNF of the image is already the canonical basis of the image
-    rows = tuple(vec_mat(r, transpose(t.rows)) for r in h.basis)
+    rows = tuple(mat_vec(t.rows, r) for r in h.basis)
     return _trusted_subtorus(h.ambient_dim, hnf_basis(rows, h.ambient_dim))
 
 
@@ -359,6 +359,11 @@ def group_is_finite(generators, cap: int = 20000) -> GroupReport:
     Finite when the closure stabilizes within cap elements; infinite as soon
     as an element of infinite order appears; inconclusive when the cap is hit
     with every element so far of finite order.
+
+    Each element's order is decided exactly before it is inserted.  One power
+    walk (`cyclic_powers`) decides the whole cyclic subgroup it generates: its
+    powers all have finite order and lie in the group, so they wait in
+    `finite` and need no walk of their own when the closure reaches them.
     """
     gens = [g if isinstance(g, UnimodularMatrix) else UnimodularMatrix(g) for g in generators]
     if not gens:
@@ -370,6 +375,8 @@ def group_is_finite(generators, cap: int = 20000) -> GroupReport:
         raise ValueError("cap must be >= 1")
     step = [g.rows for g in gens] + [inverse_unimodular(g.rows) for g in gens]
     seen: dict[Mat, None] = {identity(n): None}
+    # elements known to have finite order that are not yet in seen
+    finite: set[Mat] = set()
     frontier = [identity(n)]
     while frontier:
         new_frontier = []
@@ -378,8 +385,13 @@ def group_is_finite(generators, cap: int = 20000) -> GroupReport:
                 b = mat_mul(a, s)
                 if b in seen:
                     continue
-                if matrix_order(UnimodularMatrix(b)) is None:
-                    return GroupReport("infinite", None, None, b)
+                if b in finite:
+                    finite.remove(b)
+                else:
+                    powers = cyclic_powers(b)
+                    if powers is None:
+                        return GroupReport("infinite", None, None, b)
+                    finite.update(p for p in powers[1:] if p not in seen)
                 seen[b] = None
                 if len(seen) > cap:
                     return GroupReport("inconclusive", None, None, None)

@@ -49,19 +49,12 @@ def transpose(a: Mat) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
     """Matrix times column vector."""
     return tuple(sum(map(mul, row, v)) for row in a)
-
-
-def vec_mat(v: Vec, a: Mat) -> Vec:
-    """Row vector times matrix."""
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
@@ -248,25 +241,29 @@ def is_unipotent(t: UnimodularMatrix) -> bool:
     return is_zero(mat_pow(nil, n))
 
 
-def divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def cyclic_powers(a: Mat) -> list[Mat] | None:
+    """[a, a^2, ..., a^k = Id] for the order k of the square matrix a, or None
+    when no power of a is the identity.
 
-
-def matrix_order(t: UnimodularMatrix) -> int | None:
-    """Smallest m >= 1 with t^m = Id, or None when no power is the identity.
-
-    The characteristic polynomial must be a product of cyclotomics for a
-    finite order to exist; the candidate order is then the lcm of the
-    cyclotomic orders, and the true order is its smallest working divisor.
+    A finite order needs a characteristic polynomial that is a product of
+    cyclotomics, and then divides the lcm of their orders; so the walk stops
+    at that lcm, and a power that is still not the identity there means
+    infinite order (a nontrivial Jordan block, as in shear + rotation).
     """
-    orders = cyclotomic_orders_if_product(char_poly(t.rows))
+    orders = cyclotomic_orders_if_product(char_poly(a))
     if orders is None:
         return None
     bound = lcm(*orders) if orders else 1
-    if not t.power(bound).is_identity():
-        return None
-    for d in divisors(bound):
-        if t.power(d).is_identity():
-            return d
-    raise AssertionError("unreachable: bound itself is a valid order")
+    eye = identity(len(a))
+    powers = [a]
+    while powers[-1] != eye:
+        if len(powers) == bound:
+            return None
+        powers.append(mat_mul(powers[-1], a))
+    return powers
+
+
+def matrix_order(t: UnimodularMatrix) -> int | None:
+    """Smallest m >= 1 with t^m = Id, or None when no power is the identity."""
+    powers = cyclic_powers(t.rows)
+    return None if powers is None else len(powers)

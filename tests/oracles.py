@@ -2,13 +2,22 @@
 
 Everything here deliberately avoids the library code paths it is used to
 check: row spans are tested by rational elimination, characteristic
-polynomials by cofactor expansion, orbits by direct stepping, and finite
-order by direct powering.
+polynomials by cofactor expansion, orbits by direct stepping, finite order
+by direct powering, products by a triple loop, and group closures by one
+order check per element.
 """
 
 from fractions import Fraction
+from itertools import permutations, product
 
-from tordyn.intmat import UnimodularMatrix, identity, inverse_unimodular, mat_mul, mat_vec
+from tordyn.intmat import (
+    UnimodularMatrix,
+    identity,
+    inverse_unimodular,
+    mat_mul,
+    mat_vec,
+    matrix_order,
+)
 
 
 def rational_solve_row(rows, target):
@@ -193,6 +202,85 @@ def direct_order_bound_12(t: UnimodularMatrix):
     divides 12, so T has finite order exactly when T^12 = Id."""
     assert t.n <= 3
     return t.power(12).is_identity()
+
+
+def direct_order(t: UnimodularMatrix, bound: int):
+    """Smallest m <= bound with t^m = Id, by multiplying by t one step at a
+    time, or None."""
+    eye = identity(t.n)
+    cur = t.rows
+    for m in range(1, bound + 1):
+        if cur == eye:
+            return m
+        cur = mat_mul(cur, t.rows)
+    return None
+
+
+def mat_mul_triple_loop(a, b):
+    """Product of an m x k and a k x p matrix by the textbook triple loop."""
+    p = len(b[0]) if b else 0
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(p):
+            acc = 0
+            for t in range(len(b)):
+                acc += a[i][t] * b[t][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def signed_permutation_matrices(n):
+    """Every n x n signed permutation matrix: the hyperoctahedral group B_n,
+    of order 2^n n!."""
+    for perm in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            yield tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n))
+                        for i in range(n))
+
+
+def hyperoctahedral_generators(n):
+    """A transposition, an n-cycle and one sign change; they generate B_n."""
+    eye = [list(row) for row in identity(n)]
+    swap = [row[:] for row in eye]
+    swap[0], swap[1] = swap[1], swap[0]
+    cycle = tuple(tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n))
+    flip = [row[:] for row in eye]
+    flip[0][0] = -1
+    return (tuple(map(tuple, swap)), cycle, tuple(map(tuple, flip)))
+
+
+def block_diag(a, b):
+    n, m = len(a), len(b)
+    return tuple(tuple(a[i]) + (0,) * m for i in range(n)) + tuple(
+        (0,) * n + tuple(b[i]) for i in range(m))
+
+
+def reference_group_closure(generators, cap=20000):
+    """(status, order, sorted elements, witness) of the breadth-first closure
+    that decides every new element with its own `matrix_order` call."""
+    gens = [g if isinstance(g, UnimodularMatrix) else UnimodularMatrix(g) for g in generators]
+    n = gens[0].n
+    step = [g.rows for g in gens] + [inverse_unimodular(g.rows) for g in gens]
+    seen = {identity(n): None}
+    frontier = [identity(n)]
+    while frontier:
+        new_frontier = []
+        for a in frontier:
+            for s in step:
+                b = mat_mul(a, s)
+                if b in seen:
+                    continue
+                if matrix_order(UnimodularMatrix(b)) is None:
+                    return ("infinite", None, None, b)
+                seen[b] = None
+                if len(seen) > cap:
+                    return ("inconclusive", None, None, None)
+                new_frontier.append(b)
+        frontier = new_frontier
+    elements = tuple(sorted(seen))
+    return ("finite", len(elements), elements, None)
 
 
 def covector_orbit_scan(s_rows, gamma, window):

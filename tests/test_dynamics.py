@@ -3,10 +3,14 @@ import random
 import pytest
 
 from oracles import (
+    block_diag,
     covector_orbit_scan,
     direct_order_bound_12,
     first_repetition_is_injective,
+    hyperoctahedral_generators,
     random_word,
+    reference_group_closure,
+    signed_permutation_matrices,
 )
 from tordyn.dynamics import (
     act,
@@ -28,10 +32,12 @@ from tordyn.intmat import (
     identity,
     is_unipotent,
     is_zero,
+    mat_mul,
     mat_pow,
     mat_sub,
     matrix_order,
     mat_vec,
+    transpose,
 )
 from tordyn.lattices import Lattice
 from tordyn.subtori import (
@@ -355,6 +361,33 @@ def test_group_inconclusive_on_tiny_cap():
     swap = UnimodularMatrix(((0, 1), (1, 0)))
     rep = group_is_finite([big, swap], cap=3)
     assert rep.status == "inconclusive"
+
+
+def test_group_is_finite_matches_reference_closure():
+    rng = random.Random(29)
+    swap = ((0, 1), (1, 0))
+    cases = []
+    for n in (3, 4):
+        signed = list(signed_permutation_matrices(n))
+        for p in rng.sample(signed, 2):
+            gens = [mat_mul(mat_mul(p, g), transpose(p)) for g in hyperoctahedral_generators(n)]
+            cases.append((gens, 20000, "finite"))
+    cases += [
+        ([ROT.rows, swap], 20000, "finite"),
+        # S and S T generate SL_2(Z): both have finite order, their product not
+        ([ROT.rows, ((0, -1), (1, 1))], 20000, "infinite"),
+        ([SHEAR.rows], 20000, "infinite"),
+        # cyclotomic characteristic polynomial, yet infinite order
+        (list(hyperoctahedral_generators(4)) + [block_diag(SHEAR.rows, ROT.rows)],
+         20000, "infinite"),
+        ([ROT.rows, swap], 3, "inconclusive"),
+        (hyperoctahedral_generators(3), 47, "inconclusive"),
+    ]
+    for gens, cap, status in cases:
+        rep = group_is_finite(gens, cap=cap)
+        assert rep.status == status
+        assert (rep.status, rep.order, rep.elements, rep.witness) == \
+            reference_group_closure(gens, cap)
 
 
 def test_orbit_scan_agreement_with_reports():

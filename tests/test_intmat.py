@@ -1,8 +1,17 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import charpoly_cofactor, direct_order_bound_12, random_word
+from oracles import (
+    block_diag,
+    charpoly_cofactor,
+    direct_order,
+    direct_order_bound_12,
+    mat_mul_triple_loop,
+    random_word,
+    signed_permutation_matrices,
+)
 from tordyn.intmat import (
     UnimodularMatrix,
     char_poly,
@@ -81,6 +90,23 @@ def test_matrix_order_against_direct_powering():
                 assert not t.power(d).is_identity()
 
 
+def test_matrix_order_in_dimensions_four_and_five():
+    from tordyn.polynomials import cyclotomic_orders_if_product
+
+    shear2 = ((1, 1), (0, 1))
+    shear3 = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
+    rot4 = ((0, -1), (1, 0))
+    rot6 = ((0, 0, -1), (1, 0, 0), (0, 1, 0))
+    for rows in (block_diag(shear2, rot4), block_diag(shear2, rot6),
+                 block_diag(shear3, rot4)):
+        assert cyclotomic_orders_if_product(char_poly(rows)) is not None
+        assert matrix_order(UnimodularMatrix(rows)) is None
+    # every finite order in GL_4(Z) divides 120 = lcm{m : phi(m) <= 4}
+    for rows in signed_permutation_matrices(4):
+        t = UnimodularMatrix(rows)
+        assert matrix_order(t) == direct_order(t, 120) is not None
+
+
 def test_matrix_order_consistent_with_cyclotomic_test():
     from tordyn.polynomials import cyclotomic_orders_if_product
 
@@ -93,6 +119,26 @@ def test_matrix_order_consistent_with_cyclotomic_test():
             assert cyclo is not None
         if cyclo is None:
             assert order is None
+
+
+def _matrices(rows, cols):
+    entry = st.integers(-10 ** 30, 10 ** 30)
+    row = st.lists(entry, min_size=cols, max_size=cols).map(tuple)
+    return st.lists(row, min_size=rows, max_size=rows).map(tuple)
+
+
+@st.composite
+def _product_pairs(draw):
+    m, k, p = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    return draw(_matrices(m, k)), draw(_matrices(k, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_product_pairs())
+@example((((1, 2, 3),), ((), (), ())))
+def test_mat_mul_matches_triple_loop(pair):
+    a, b = pair
+    assert mat_mul(a, b) == mat_mul_triple_loop(a, b)
 
 
 def test_is_unipotent():
