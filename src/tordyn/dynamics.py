@@ -99,7 +99,8 @@ class OrbitReport:
     status: str  # "periodic" or "injective"
     period: int | None
     window_radius: int
-    window: tuple[tuple[int, Subtorus], ...]
+    # (m, canonical HNF basis of T^m H) for |m| <= window_radius, sorted by m
+    window: tuple[tuple[int, Mat], ...]
     min_exterior_norm: int | None
     growth: GrowthCertificate | None
     rigorous: bool
@@ -190,7 +191,7 @@ def orbit(
     """
     if window_radius < 1:
         raise ValueError("window radius must be >= 1")
-    window = orbit_window(t, h, window_radius)
+    window = tuple((m, s.basis) for m, s in orbit_window(t, h, window_radius))
     if h.dim in (0, h.ambient_dim) or orbit_is_periodic(t, h):
         period = 1 if h.dim in (0, h.ambient_dim) and act(t, h) == h else None
         if period is None:

@@ -5,8 +5,15 @@ rows, covectors are integer arrays, rationals are "p/q" strings, certificates
 are tagged by a "kind" field, and keys are emitted in sorted order so that
 serialized certificates diff cleanly.  parse_* functions validate: integer
 entries must be exact, automorphism matrices must have determinant +-1, and
-lattice bases must already be canonical (a non-canonical basis is rejected,
+subtorus bases must already be canonical (a non-canonical basis is rejected,
 never silently fixed).
+
+Orbit-window entries are the exception: each is an [m, basis] pair read as
+exact integers only (rows of one length), not as a subtorus.  The checker
+recomputes every window entry as a canonical, saturated HNF basis and
+compares, so a stored basis that is not canonical, not saturated or of the
+wrong length fails that comparison (verification failure, exit 4) instead of
+a parse error (exit 2).
 """
 
 from __future__ import annotations
@@ -137,34 +144,41 @@ def encode_orbit_report(r: OrbitReport) -> dict:
         "status": r.status,
         "period": r.period,
         "window_radius": r.window_radius,
-        "window": [[m, _matrix_payload(h.basis)] for m, h in r.window],
+        "window": [[m, _matrix_payload(basis)] for m, basis in r.window],
         "min_exterior_norm": r.min_exterior_norm,
         "rigorous": r.rigorous,
         "growth": encode_growth(r.growth) if r.growth is not None else None,
     }
 
 
-def parse_orbit_report(data, ambient_dim: int) -> OrbitReport:
+def _parse_window_entry(item) -> tuple[int, Mat]:
+    if not isinstance(item, list) or len(item) != 2:
+        raise ParseError(f"orbit window entry must be an [m, basis] pair, got {item!r}")
+    return _parse_int(item[0]), _parse_matrix(item[1], "window basis")
+
+
+def parse_orbit_report(data) -> OrbitReport:
     if not isinstance(data, dict):
         raise ParseError("orbit report must be an object")
-    window = []
-    for item in data.get("window", []):
-        m, basis = item
-        basis = _parse_matrix(basis, "window basis")
-        if not is_canonical_hnf(basis):
-            raise ParseError("non-canonical basis in orbit window")
-        window.append((_parse_int(m), Subtorus(ambient_dim, Lattice(ambient_dim, basis))))
-    if data["status"] not in ("periodic", "injective"):
-        raise ParseError(f"unknown orbit status {data['status']!r}")
+    status = data.get("status")
+    if status not in ("periodic", "injective"):
+        raise ParseError(f"unknown orbit status {status!r}")
+    window_radius = _parse_int(data["window_radius"])
+    rigorous = _parse_bool(data["rigorous"])
+    period = _parse_optional_int(data.get("period"))
+    min_exterior_norm = _parse_optional_int(data.get("min_exterior_norm"))
+    window = data.get("window")
+    if not isinstance(window, list):
+        raise ParseError("orbit window must be an array of [m, basis] pairs")
     growth = data.get("growth")
     return OrbitReport(
-        status=data["status"],
-        period=_parse_optional_int(data.get("period")),
-        window_radius=_parse_int(data["window_radius"]),
-        window=tuple(window),
-        min_exterior_norm=_parse_optional_int(data.get("min_exterior_norm")),
+        status=status,
+        period=period,
+        window_radius=window_radius,
+        window=tuple(_parse_window_entry(item) for item in window),
+        min_exterior_norm=min_exterior_norm,
         growth=parse_growth(growth) if growth is not None else None,
-        rigorous=_parse_bool(data["rigorous"]),
+        rigorous=rigorous,
     )
 
 
@@ -305,9 +319,8 @@ def parse_family(data) -> DisjointFamilyCertificate:
     if data.get("kind") != "disjoint_family":
         raise ParseError("not a disjoint-family certificate")
     matrix = parse_unimodular(data["matrix"]).rows
-    n = len(matrix)
     members = tuple(parse_covector(m).entries for m in data["members"])
-    reports = tuple(parse_orbit_report(r, n) for r in data["orbit_reports"])
+    reports = tuple(parse_orbit_report(r) for r in data["orbit_reports"])
     quotient = None
     if data.get("quotient") is not None:
         qd = data["quotient"]

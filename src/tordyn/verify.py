@@ -74,7 +74,9 @@ def _check_member_report(t, gamma, report, failures, idx) -> None:
     if len(report.window) != 2 * w + 1:
         _fail(failures, f"member {idx}: window has {len(report.window)} entries, expected {2 * w + 1}")
         return
-    expected = orbit_window(t, h, w)
+    # recomputed bases are canonical and saturated, so a stored entry that is
+    # not (or has the wrong length) cannot compare equal and is rejected here
+    expected = tuple((m, s.basis) for m, s in orbit_window(t, h, w))
     if tuple(report.window) != expected:
         m = next(e[0] for e, r in zip(expected, report.window) if e != r)
         _fail(failures, f"member {idx}: window entry at exponent {m} does not match recomputation")

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +103,52 @@ def test_verify_rejects_tampered_certificate_exit_4(capsys):
     assert "member" in env2["result"]["failures"][0]
 
 
+def _cat_certificate(capsys):
+    code, env, _ = run_cli(
+        ["disjoint-family", "--count", "4"], {"matrix": [[2, 1], [1, 1]]}, capsys
+    )
+    assert code == EXIT_OK
+    return env["result"]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda row: [-x for x in row],  # not canonical: negative pivot
+        lambda row: [2 * x for x in row],  # canonical HNF, not saturated
+        lambda row: row + [0],  # wrong ambient length
+    ],
+    ids=["negated", "doubled", "wrong-length"],
+)
+def test_verify_rejects_tampered_window_basis_exit_4(tamper, capsys):
+    # window bases parse as plain integer rows; the comparison with the
+    # recomputed canonical saturated basis is what rejects them
+    cert = _cat_certificate(capsys)
+    m, basis = cert["orbit_reports"][1]["window"][2]
+    cert["orbit_reports"][1]["window"][2] = [m, [tamper(basis[0])]]
+    code, env, _ = run_cli(["verify"], {"certificate": cert}, capsys)
+    assert code == EXIT_VERIFY_FAILED
+    assert env["result"]["ok"] is False
+    assert any(
+        f.startswith(f"member 1: window entry at exponent {m}")
+        for f in env["result"]["failures"]
+    )
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+@pytest.mark.parametrize("slot", ["exponent", "basis"])
+def test_verify_rejects_non_integer_window_entry_exit_2(bad, slot, capsys):
+    cert = _cat_certificate(capsys)
+    entry = cert["orbit_reports"][0]["window"][1]
+    if slot == "exponent":
+        entry[0] = bad
+    else:
+        entry[1][0][0] = bad
+    code, env, _ = run_cli(["verify"], {"certificate": cert}, capsys)
+    assert code == EXIT_INVALID
+    assert env is None
+
+
 @pytest.mark.parametrize(
     "args, payload",
     [
@@ -182,11 +230,17 @@ def test_determinism_modulo_timing(capsys):
 
 
 def test_console_entry_point():
+    # the child interpreter must find this checkout's package whether or not
+    # tordyn is installed or PYTHONPATH is set by the caller
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "tordyn.cli", "classify", "--input", "-"],
         input='{"matrix": [[0, -1], [1, -1]]}',
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == EXIT_OK
     env = json.loads(result.stdout)

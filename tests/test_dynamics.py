@@ -152,7 +152,8 @@ def test_orbit_examples():
 
 def test_orbit_window_contents():
     rep = orbit(CAT, H10, 4)
-    window = dict(rep.window)
+    # window entries are canonical HNF bases; Lattice validates exactly that
+    window = {m: Subtorus(2, Lattice(2, basis)) for m, basis in rep.window}
     assert window[0] == H10
     assert window[1] == act(CAT, H10)
     assert window[-1] == act(CAT.inv(), H10)
@@ -328,7 +329,8 @@ def test_conjugation_maps_orbits_to_orbits():
         assert rep.status == rep_c.status
         if rep.status == "periodic":
             assert rep.period == rep_c.period
-        for (m1, s1), (m2, s2) in zip(rep.window, rep_c.window):
+        for (m1, b1), (m2, b2) in zip(rep.window, rep_c.window):
+            s1, s2 = Subtorus(n, Lattice(n, b1)), Subtorus(n, Lattice(n, b2))
             assert m1 == m2 and act(u, s1) == s2
 
 
@@ -398,7 +400,8 @@ def test_orbit_scan_agreement_with_reports():
         h = covector_to_hyperplane(PrimitiveCovector(gamma))
         rep = orbit(t, h, 5, want_growth=False)
         scan = covector_orbit_scan(dual_matrix(t).rows, gamma, 5)
-        for m, sub in rep.window:
+        for m, basis in rep.window:
+            sub = Subtorus(2, Lattice(2, basis))
             assert hyperplane_to_covector(sub).entries == scan[m]
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from oracles import random_word
+from tordyn.dynamics import orbit
 from tordyn.families import disjoint_hyperplane_orbits, non_expansivity_certificate
 from tordyn.intmat import UnimodularMatrix
 from tordyn.metric import hausdorff_distance
@@ -84,12 +85,10 @@ def test_non_expansivity_roundtrip():
 
 
 def test_orbit_report_roundtrip():
-    from tordyn.dynamics import orbit
-
     h = Subtorus.from_generators(2, [(1, 0)])
     rep = orbit(CAT, h, 6)
     data = json.loads(json.dumps(encode_orbit_report(rep)))
-    assert parse_orbit_report(data, 2) == rep
+    assert parse_orbit_report(data) == rep
 
 
 def test_unknown_version_rejected():
@@ -135,6 +134,42 @@ def test_parse_rejects_mistyped_fields(cat_non_expansivity, path, value):
     target[path[-1]] = value
     with pytest.raises(ParseError):
         parse_non_expansivity(data)
+
+
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        ("status", "bogus", "status"),
+        ("window_radius", 1.5, "integer"),
+        ("rigorous", "false", "true or false"),
+    ],
+)
+def test_orbit_report_scalars_parse_before_window(key, value, match):
+    # a bad scalar is reported even when the window itself is garbage, so it
+    # costs no walk over the window entries
+    data = encode_orbit_report(orbit(CAT, Subtorus.from_generators(2, [(1, 0)]), 3))
+    data["window"] = [None]
+    data[key] = value
+    with pytest.raises(ParseError, match=match):
+        parse_orbit_report(data)
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "window",
+    [_MISSING, None, {}, [[0]], [[0, [[1, 0]], 1]], [[0, [[1, 0], [1]]]], [[0, [1, 0]]]],
+    ids=["missing", "null", "object", "short-pair", "long-pair", "ragged", "flat-basis"],
+)
+def test_orbit_window_must_be_integer_pairs(window):
+    data = encode_orbit_report(orbit(CAT, Subtorus.from_generators(2, [(1, 0)]), 3))
+    if window is _MISSING:
+        del data["window"]
+    else:
+        data["window"] = window
+    with pytest.raises(ParseError):
+        parse_orbit_report(data)
 
 
 def test_parse_certificate_dispatch():

@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 
 import pytest
@@ -50,6 +51,14 @@ def accept(payload):
 def test_producer_output_verifies(cat_family, shear_family):
     accept(cat_family)
     accept(shear_family)
+
+
+def test_in_memory_and_round_tripped_family_verify():
+    cert = disjoint_hyperplane_orbits(CAT, 8)
+    assert verify_certificate(cert).ok
+    parsed = parse_family(json.loads(json.dumps(encode_family(cert))))
+    assert parsed == cert
+    assert verify_certificate(parsed).ok
 
 
 def test_member_substitution_rejected(cat_family):
