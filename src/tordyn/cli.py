@@ -185,9 +185,10 @@ def run_job(job: dict) -> dict:
         return payload
 
     if command == "verify":
-        data = job.get("certificate", job)
+        if "certificate" not in job:
+            raise ParseError("verify needs a 'certificate'")
         try:
-            cert = parse_certificate(data)
+            cert = parse_certificate(job["certificate"])
         except ParseError:
             raise
         except Exception as exc:

@@ -106,7 +106,7 @@ class OrbitReport:
     rigorous: bool
 
 
-def _annihilator_orbit_data(t: UnimodularMatrix, h: Subtorus) -> tuple[Mat, Vec]:
+def annihilator_orbit_data(t: UnimodularMatrix, h: Subtorus) -> tuple[Mat, Vec]:
     """Matrix and integer vector whose orbit mirrors the subtorus orbit.
 
     The annihilator lattice of act(T, H) is S(ann H) with S the dual matrix,
@@ -123,13 +123,13 @@ def _annihilator_orbit_data(t: UnimodularMatrix, h: Subtorus) -> tuple[Mat, Vec]
 def orbit_is_periodic(t: UnimodularMatrix, h: Subtorus) -> bool:
     if h.dim in (0, h.ambient_dim):
         return True
-    m, pv = _annihilator_orbit_data(t, h)
+    m, pv = annihilator_orbit_data(t, h)
     g = minimal_annihilator(m, pv)
     return is_squarefree_product_of_cyclotomics(g)
 
 
-def _periodic_orbit_period(t: UnimodularMatrix, h: Subtorus) -> int:
-    m, pv = _annihilator_orbit_data(t, h)
+def periodic_orbit_period(t: UnimodularMatrix, h: Subtorus) -> int:
+    m, pv = annihilator_orbit_data(t, h)
     g = minimal_annihilator(m, pv)
     orders = cyclotomic_orders_if_product(g)
     assert orders is not None
@@ -195,13 +195,13 @@ def orbit(
     if h.dim in (0, h.ambient_dim) or orbit_is_periodic(t, h):
         period = 1 if h.dim in (0, h.ambient_dim) and act(t, h) == h else None
         if period is None:
-            period = _periodic_orbit_period(t, h)
+            period = periodic_orbit_period(t, h)
         return OrbitReport("periodic", period, window_radius, window, None, None, True)
     growth = None
     min_ext = None
     rigorous = False
     if want_growth:
-        m, pv = _annihilator_orbit_data(t, h)
+        m, pv = annihilator_orbit_data(t, h)
         growth = derive_growth_certificate(m, pv, window_radius)
         rigorous = growth.rigorous
         if growth.min_exterior_norm is not None:

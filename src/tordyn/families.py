@@ -23,6 +23,7 @@ scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
 from .dynamics import (
@@ -59,7 +60,7 @@ from .lattices import (
     hnf_pivots,
     saturate_rows,
 )
-from .metric import IsolationReport, isolation_radius_lower_bound
+from .metric import IsolationReport, enumerate_hnf_lattices, isolation_radius_lower_bound
 from .polynomials import cyclotomic_orders_if_product
 from .subtori import (
     PrimitiveCovector,
@@ -100,14 +101,6 @@ class UnipotentInvariant:
 
 
 @dataclass(frozen=True)
-class PairDisjointness:
-    first: int
-    second: int
-    kind: str
-    note: str
-
-
-@dataclass(frozen=True)
 class QuotientEvidence:
     invariant_subtorus: Subtorus
     completion: Mat  # unimodular; first rows are the invariant lattice basis
@@ -122,21 +115,14 @@ class DisjointFamilyCertificate:
     members: tuple[Vec, ...]  # canonical primitive covectors of the hyperplanes
     orbit_reports: tuple[OrbitReport, ...]
     branch: str
-    pairwise: tuple[PairDisjointness, ...]
-    periodic_orbits: tuple[tuple[Vec, ...], ...] | None
-    unipotent_power: int | None
-    invariant_sets: tuple[tuple[UnipotentInvariant, ...], ...] | None
-    quotient: QuotientEvidence | None
     rigorous: bool
     complete: bool
     explanation: str | None
-    budget: Budget
-
-    @property
-    def hyperplanes(self) -> tuple[Subtorus, ...]:
-        return tuple(
-            covector_to_hyperplane(PrimitiveCovector(m)) for m in self.members
-        )
+    # the evidence of the branch; the fields of the other branches are None
+    periodic_orbits: tuple[tuple[Vec, ...], ...] | None = None
+    unipotent_power: int | None = None
+    invariant_sets: tuple[tuple[UnipotentInvariant, ...], ...] | None = None
+    quotient: QuotientEvidence | None = None
 
 
 class FamilyConstructionError(Exception):
@@ -223,31 +209,20 @@ def _periodic_family(
     reports = tuple(
         _member_report(t, m, min(order, budget.max_window)) for m in members
     )
-    pairwise = tuple(
-        PairDisjointness(i, j, "distinct_periodic_orbits",
-                         "fully enumerated orbits share no covector")
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    )
     return DisjointFamilyCertificate(
         matrix=t.rows,
         count=len(members),
         members=tuple(members),
         orbit_reports=reports,
         branch="finite_order",
-        pairwise=pairwise,
         periodic_orbits=tuple(orbits),
-        unipotent_power=None,
-        invariant_sets=None,
-        quotient=None,
         rigorous=True,
         complete=complete,
         explanation=None if complete else "candidate norm budget exhausted",
-        budget=budget,
     )
 
 
-def _invariant_set_for(t: UnimodularMatrix, gamma: Vec, power: int) -> tuple[UnipotentInvariant, ...]:
+def invariant_set_for(t: UnimodularMatrix, gamma: Vec, power: int) -> tuple[UnipotentInvariant, ...]:
     s = dual_matrix(t).rows
     s_pow = mat_pow(s, power)
     out = []
@@ -258,15 +233,21 @@ def _invariant_set_for(t: UnimodularMatrix, gamma: Vec, power: int) -> tuple[Uni
     return tuple(sorted(out, key=lambda u: (u.difference_lattice, u.reduced)))
 
 
+def cyclotomic_power(t: UnimodularMatrix) -> int | None:
+    """The least power whose eigenvalues are all 1 when every eigenvalue is a
+    root of unity (the lcm of their orders), else None."""
+    orders = cyclotomic_orders_if_product(char_poly(t.rows))
+    return None if orders is None else lcm(*orders, 1)
+
+
 def _unipotent_power_family(
     t: UnimodularMatrix,
     k: int,
     budget: Budget,
     injective_only: bool,
 ) -> DisjointFamilyCertificate:
-    orders = cyclotomic_orders_if_product(char_poly(t.rows))
-    assert orders is not None
-    power = lcm(*orders) if orders else 1
+    power = cyclotomic_power(t)
+    assert power is not None
     t_pow = t.power(power)
     if not is_unipotent(t_pow):
         raise AssertionError("the cyclotomic-order power must be unipotent")
@@ -280,7 +261,7 @@ def _unipotent_power_family(
             break
         if injective_only and periodic:
             continue
-        iset = _invariant_set_for(t, gamma, power)
+        iset = invariant_set_for(t, gamma, power)
         if taken.intersection(iset):
             continue
         members.append(gamma)
@@ -289,27 +270,17 @@ def _unipotent_power_family(
     complete = len(members) == k
     window = min(budget.max_window, 2 * power + 4)
     reports = tuple(_member_report(t, m, window) for m in members)
-    pairwise = tuple(
-        PairDisjointness(i, j, "distinct_unipotent_invariant_sets",
-                         f"invariant sets of the {power} interleaved suborbits are disjoint")
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    )
     return DisjointFamilyCertificate(
         matrix=t.rows,
         count=len(members),
         members=tuple(members),
         orbit_reports=reports,
         branch="unipotent_power",
-        pairwise=pairwise,
-        periodic_orbits=None,
         unipotent_power=power,
         invariant_sets=tuple(inv_sets),
-        quotient=None,
         rigorous=True,
         complete=complete,
         explanation=None if complete else "candidate budget exhausted",
-        budget=budget,
     )
 
 
@@ -339,7 +310,7 @@ def _quotient_data(t: UnimodularMatrix, h_star: Subtorus):
     return w, d_block, tbar
 
 
-def _lift_member(w: Mat, kdim: int, inner_gamma: Vec, n: int) -> Vec:
+def lift_member(w: Mat, kdim: int, inner_gamma: Vec, n: int) -> Vec:
     inner_h = covector_to_hyperplane(PrimitiveCovector(inner_gamma))
     rows = list(w[:kdim])
     for r in inner_h.basis:
@@ -362,30 +333,19 @@ def _quotient_family(
         raise FamilyConstructionError("chosen subspace is not invariant")
     w, d_block, tbar = _quotient_data(t, h_star)
     inner = disjoint_hyperplane_orbits(tbar, k, budget, injective_only)
-    members = tuple(_lift_member(w, h_star.dim, g, n) for g in inner.members)
+    members = tuple(lift_member(w, h_star.dim, g, n) for g in inner.members)
     window = min(budget.max_window, 16)
     reports = tuple(_member_report(t, m, window) for m in members)
-    pairwise = tuple(
-        PairDisjointness(i, j, "quotient_lift",
-                         "orbits project to disjoint orbits of the quotient automorphism")
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    )
     return DisjointFamilyCertificate(
         matrix=t.rows,
         count=len(members),
         members=members,
         orbit_reports=reports,
         branch="quotient",
-        pairwise=pairwise,
-        periodic_orbits=None,
-        unipotent_power=None,
-        invariant_sets=None,
         quotient=QuotientEvidence(h_star, w, d_block, inner),
         rigorous=inner.rigorous,
         complete=inner.complete and len(members) == k,
         explanation=inner.explanation,
-        budget=budget,
     )
 
 
@@ -399,22 +359,15 @@ def _greedy_family(
     reports: dict[Vec, OrbitReport] = {}
     window_sets: dict[Vec, frozenset[Vec]] = {}
 
-    def target_norm() -> int:
-        return max(covector_norm_inf(g) for g in kept)
+    def clears(report: OrbitReport, target: int) -> bool:
+        return report.min_exterior_norm is not None and report.min_exterior_norm > target
 
-    def finalize(gamma: Vec) -> OrbitReport:
-        w = min(24, budget.max_window)
-        report = _member_report(t, gamma, w)
-        while True:
-            if (
-                report.min_exterior_norm is not None
-                and report.min_exterior_norm > max(target_norm(), covector_norm_inf(gamma))
-            ):
-                return report
-            if w >= budget.max_window:
-                return report
-            w = min(budget.max_window, w + max(12, w // 2))
-            report = _member_report(t, gamma, w)
+    def widen(gamma: Vec, report: OrbitReport, target: int) -> OrbitReport:
+        """Widen the window until the growth floor clears target or the budget ends."""
+        while not clears(report, target) and report.window_radius < budget.max_window:
+            w = report.window_radius
+            report = _member_report(t, gamma, min(budget.max_window, w + max(12, w // 2)))
+        return report
 
     for gamma, periodic in _candidate_covectors(t, budget):
         if len(kept) == k:
@@ -424,39 +377,21 @@ def _greedy_family(
         if any(gamma in window_sets[g] for g in kept):
             continue
         kept.append(gamma)
-        report = finalize(gamma)
+        report = _member_report(t, gamma, min(24, budget.max_window))
+        report = widen(gamma, report, max(covector_norm_inf(g) for g in kept))
         reports[gamma] = report
         window_sets[gamma] = covector_window_set(t, gamma, report.window_radius)
         # a wider window may reveal an earlier member on this orbit
-        clash = any(
-            other != gamma and other in window_sets[gamma] for other in kept
-        )
-        if clash:
+        if any(other != gamma and other in window_sets[gamma] for other in kept):
             kept.pop()
             del reports[gamma], window_sets[gamma]
-            continue
-    # ensure every member's floor clears the final maximal norm
-    if kept:
-        final_target = max(covector_norm_inf(g) for g in kept)
-        for gamma in list(kept):
-            rep = reports[gamma]
-            if rep.min_exterior_norm is None or rep.min_exterior_norm <= final_target:
-                w = rep.window_radius
-                while w < budget.max_window and (
-                    rep.min_exterior_norm is None or rep.min_exterior_norm <= final_target
-                ):
-                    w = min(budget.max_window, w + max(12, w // 2))
-                    rep = _member_report(t, gamma, w)
-                reports[gamma] = rep
-                window_sets[gamma] = covector_window_set(t, gamma, rep.window_radius)
+    # every member's floor must clear the final maximal norm
+    target = max((covector_norm_inf(g) for g in kept), default=0)
+    for gamma in kept:
+        reports[gamma] = widen(gamma, reports[gamma], target)
     complete = len(kept) == k
     reasons = [] if complete else ["budget exhausted before the requested family size"]
-    target = max((covector_norm_inf(g) for g in kept), default=0)
-    short = next(
-        (i for i, g in enumerate(kept)
-         if reports[g].min_exterior_norm is None or reports[g].min_exterior_norm <= target),
-        None,
-    )
+    short = next((i for i, g in enumerate(kept) if not clears(reports[g], target)), None)
     if short is not None:
         rep = reports[kept[short]]
         floor = (
@@ -469,29 +404,15 @@ def _greedy_family(
             f"{floor} to clear the maximal member norm {target}"
         )
     rigorous = bool(kept) and short is None
-    pairwise = tuple(
-        PairDisjointness(
-            i, j, "window_growth",
-            "the later covector is absent from the earlier window and below its growth floor",
-        )
-        for i in range(len(kept))
-        for j in range(i + 1, len(kept))
-    )
     return DisjointFamilyCertificate(
         matrix=t.rows,
         count=len(kept),
         members=tuple(kept),
         orbit_reports=tuple(reports[g] for g in kept),
         branch="irreducible_greedy",
-        pairwise=pairwise,
-        periodic_orbits=None,
-        unipotent_power=None,
-        invariant_sets=None,
-        quotient=None,
         rigorous=rigorous,
         complete=complete,
         explanation="; ".join(reasons) or None,
-        budget=budget,
     )
 
 
@@ -518,7 +439,7 @@ def disjoint_hyperplane_orbits(
                 "finite-order automorphisms have no injective hyperplane orbits"
             )
         return _periodic_family(t, k, order, budget)
-    if cyclotomic_orders_if_product(char_poly(t.rows)) is not None:
+    if cyclotomic_power(t) is not None:
         return _unipotent_power_family(t, k, budget, injective_only)
     report = invariant_rational_subspaces(t)
     if not report.exists:
@@ -577,8 +498,6 @@ def fixed_subtori(
                         members.append(covector_to_hyperplane(PrimitiveCovector(gamma)))
         uniq = sorted(set(members), key=lambda h: h.basis)
         return FixedSubtoriReport(k, tuple(uniq), not capped, dual_norm_bound)
-    from .metric import enumerate_hnf_lattices
-
     members = []
     for ann_rows in enumerate_hnf_lattices(n, n - k, dual_norm_bound):
         if saturate_rows(ann_rows, n) != ann_rows:
@@ -599,14 +518,15 @@ class NonExpansivityCertificate:
 
     matrix: Mat
     branch: str  # "finite_order" or "infinitely_many_orbits"
-    order: int | None
-    fixed: tuple[Subtorus, ...] | None
-    family: DisjointFamilyCertificate | None
-    converges: tuple[bool, ...] | None
-    isolation: IsolationReport | None
     rigorous: bool
     complete: bool
     explanation: str | None
+    # the evidence of the branch; the fields of the other branch are None
+    order: int | None = None
+    fixed: tuple[Subtorus, ...] | None = None
+    family: DisjointFamilyCertificate | None = None
+    converges: tuple[bool, ...] | None = None
+    isolation: IsolationReport | None = None
 
 
 def non_expansivity_certificate(
@@ -617,8 +537,6 @@ def non_expansivity_certificate(
     isolation_cap: int = 2,
     isolation_resolution=None,
 ) -> NonExpansivityCertificate:
-    from fractions import Fraction
-
     if t.n < 2:
         raise ValueError("needs ambient dimension >= 2")
     if orbit_count < 1:
@@ -639,9 +557,6 @@ def non_expansivity_certificate(
             branch="finite_order",
             order=order,
             fixed=tuple(fixed),
-            family=None,
-            converges=None,
-            isolation=None,
             rigorous=True,
             complete=len(fixed) >= 2,
             explanation=None if len(fixed) >= 2 else "fewer than two fixed hyperplanes",
@@ -671,8 +586,6 @@ def non_expansivity_certificate(
     return NonExpansivityCertificate(
         matrix=t.rows,
         branch="infinitely_many_orbits",
-        order=None,
-        fixed=None,
         family=family,
         converges=conv,
         isolation=iso,

@@ -172,7 +172,9 @@ class DirectionCertificate:
 
 @dataclass(frozen=True)
 class GrowthCertificate:
-    window_radius: int
+    """Growth evidence for the orbit outside a window whose radius the orbit
+    report carries."""
+
     annihilator: Poly
     transfer: Fraction
     forward: DirectionCertificate
@@ -456,12 +458,20 @@ def derive_growth_certificate(m: Mat, v: Vec, window: int) -> GrowthCertificate:
     bwd = derive_direction(vals, g, "backward", window, k)
     rigorous = fwd.kind != "window_only" and bwd.kind != "window_only"
     floor = min(fwd.floor_norm, bwd.floor_norm) if rigorous else None
-    return GrowthCertificate(window, g, k, fwd, bwd, rigorous, floor)
+    return GrowthCertificate(g, k, fwd, bwd, rigorous, floor)
 
 
-def check_growth_certificate(m: Mat, v: Vec, cert: GrowthCertificate) -> list[str]:
-    """Re-verify a growth certificate from scratch; returns a list of failures."""
+def check_growth_certificate(m: Mat, v: Vec, cert: GrowthCertificate, window: int) -> list[str]:
+    """Re-verify a growth certificate for the orbit outside the window of
+    radius `window` from scratch; returns a list of failures."""
     problems: list[str] = []
+    for dc in (cert.forward, cert.backward):
+        # a cone covers every residue mod q with an entry at an index in
+        # [-2, window + 1]; a larger q is rejected before it sizes any work
+        if dc.kind == "cone" and not 1 <= dc.power_step <= window + 4:
+            problems.append(f"{dc.direction}: power step {dc.power_step} is outside [1, {window + 4}]")
+    if problems:
+        return problems
     try:
         g = minimal_annihilator(m, v)
     except (ValueError, AssertionError) as exc:
@@ -475,23 +485,22 @@ def check_growth_certificate(m: Mat, v: Vec, cert: GrowthCertificate) -> list[st
     k = transfer_constant(basis)
     if k != cert.transfer:
         problems.append("transfer constant mismatch")
-    span = cert.window_radius + 2 + max(
-        (dc.power_step * (d * d + d + 2) for dc in (cert.forward, cert.backward)),
-        default=0,
-    ) + 26 * (d * d + d + 2)
+    q_max = max((dc.power_step for dc in (cert.forward, cert.backward) if dc.kind == "cone"), default=0)
+    span = window + 2 + (q_max + 26) * (d * d + d + 2)
     vals = impulse_values(g, -span, span)
-    floors = {}
+    floors = []
     for dc in (cert.forward, cert.backward):
-        errs, floor_norm = _check_direction(vals, g, dc, cert.window_radius, k)
+        errs, floor_norm = _check_direction(vals, g, dc, window, k)
         problems.extend(errs)
-        floors[dc.direction] = floor_norm
+        floors.append(floor_norm)
     if cert.rigorous:
         if cert.forward.kind == "window_only" or cert.backward.kind == "window_only":
             problems.append("certificate marked rigorous with window-only evidence")
         elif cert.min_exterior_norm is None:
             problems.append("rigorous certificate missing its exterior norm bound")
-        elif min(floors.values()) < cert.min_exterior_norm:
-            problems.append("claimed exterior norm bound exceeds the certified floor")
+    # a window-only direction certifies floor 0, so no positive bound passes
+    if cert.min_exterior_norm is not None and min(floors) < cert.min_exterior_norm:
+        problems.append("claimed exterior norm bound exceeds the certified floor")
     return problems
 
 
@@ -505,12 +514,18 @@ def _check_direction(vals, g, dc: DirectionCertificate, window, transfer):
     else:
         return [f"unknown direction {dc.direction!r}"], 0
     if dc.kind == "window_only":
+        if dc != DirectionCertificate(dc.direction, "window_only"):
+            return [f"{dc.direction}: window-only evidence carries data"], 0
         return [], 0
     if dc.kind == "polynomial":
         res = _try_polynomial_direction(seq, g_dir, window, max(seq))
         if res is None:
             return [f"{dc.direction}: polynomial evidence cannot be reproduced"], 0
-        _, floor = res
+        q, floor = res
+        bare = DirectionCertificate(dc.direction, "polynomial", 0, q, floor_seq=dc.floor_seq,
+                                    floor_norm=dc.floor_norm)
+        if dc != bare:
+            return [f"{dc.direction}: polynomial evidence has a wrong step or carries cone data"], 0
         if floor < dc.floor_seq:
             return [f"{dc.direction}: stored polynomial floor too large"], 0
         fnorm = ceil_fraction(Fraction(floor) / transfer)
@@ -532,8 +547,6 @@ def _check_direction(vals, g, dc: DirectionCertificate, window, transfer):
     else:
         return [f"{dc.direction}: invalid cone level"], 0
     q = dc.power_step
-    if q < 1:
-        return [f"{dc.direction}: power step {q} is below 1"], 0
     b = recurrence_from_poly(root_power_poly(rec, q))
     dd = len(rec) - 1
     lb, ub = _cone_bounds(b, dc.mu, dc.nu)
@@ -544,6 +557,9 @@ def _check_direction(vals, g, dc: DirectionCertificate, window, transfer):
     seen = set()
     for ent in dc.entries:
         seen.add(ent.residue)
+        if ent.sign not in (1, -1):
+            problems.append(f"{dc.direction}: entry sign {ent.sign} for residue {ent.residue} is not +-1")
+            continue
         if ent.start_index % q != ent.residue or ent.start_index > cover_from + 1:
             problems.append(f"{dc.direction}: entry for residue {ent.residue} out of place")
             continue

@@ -1,12 +1,20 @@
 """Canonical JSON encodings for every report and certificate type.
 
 Encoding rules: matrices are row-major integer arrays, lattices are HNF basis
-rows, covectors are integer arrays, rationals are "p/q" strings, certificates
-are tagged by a "kind" field, and keys are emitted in sorted order so that
-serialized certificates diff cleanly.  parse_* functions validate: integer
-entries must be exact, automorphism matrices must have determinant +-1, and
-subtorus bases must already be canonical (a non-canonical basis is rejected,
-never silently fixed).
+rows, covectors are integer arrays, rationals are "p/q" strings in lowest
+terms, certificates are tagged by a "kind" field, and keys are emitted in
+sorted order so that serialized certificates diff cleanly.
+
+Certificates are at format version 2 and carry only what the checker reads;
+any other version is rejected, as there is one parser.  parse_* functions are
+strict, and every violation is a ParseError (exit 2): each object has exactly
+one key set (no missing key, no unknown key, no defaults); integers are exact,
+flags JSON booleans, rationals canonical, `explanation` a string or null, and
+tags (branch, status, direction, kind) one of their values; automorphism
+matrices have determinant +-1 and subtorus bases are canonical (rejected,
+never fixed); `period` is an integer >= 1 exactly for a periodic orbit
+report, which carries no growth evidence; and a certificate's branch decides
+which of its evidence fields are present and which are null.
 
 Orbit-window entries are the exception: each is an [m, basis] pair read as
 exact integers only (rows of one length), not as a subtorus.  The checker
@@ -23,20 +31,18 @@ from fractions import Fraction
 
 from .dynamics import DistalityVerdict, GroupReport, InvariantSubspaceReport, OrbitReport
 from .families import (
-    Budget,
     DisjointFamilyCertificate,
     NonExpansivityCertificate,
-    PairDisjointness,
     QuotientEvidence,
     UnipotentInvariant,
 )
 from .growth import ConeEntry, DirectionCertificate, GrowthCertificate
-from .intmat import Mat, UnimodularMatrix, as_matrix, as_vector
+from .intmat import Mat, UnimodularMatrix
 from .lattices import Lattice, is_canonical_hnf
 from .metric import IsolationReport, MetricEstimate
 from .subtori import PrimitiveCovector, Subtorus
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 TOOL_NAME = "tordyn"
 TOOL_VERSION = "0.1.0"
 
@@ -53,15 +59,64 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _parse_frac(s) -> Fraction:
-    if not isinstance(s, str) or "/" not in s:
-        raise ParseError(f"expected a 'p/q' rational, got {s!r}")
-    num, den = s.split("/", 1)
-    return Fraction(int(num), int(den))
-
-
 def _matrix_payload(m: Mat) -> list:
     return [list(row) for row in m]
+
+
+def _maybe(encode, x):
+    return None if x is None else encode(x)
+
+
+def _array(data, what: str) -> list:
+    if not isinstance(data, list):
+        raise ParseError(f"{what} must be an array")
+    return data
+
+
+def _record(data, what: str, parsers: dict) -> dict:
+    """Parse an object with exactly the keys of `parsers`, in their order; a
+    key whose parser is None is required but left out of the result."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} must be an object")
+    if data.keys() != parsers.keys():
+        missing = sorted(parsers.keys() - data.keys())
+        unknown = sorted(data.keys() - parsers.keys())
+        raise ParseError(f"{what}: missing keys {missing}, unknown keys {unknown}")
+    values = {}
+    for key, parse in parsers.items():
+        if parse is not None:
+            try:
+                values[key] = parse(data[key])
+            except ParseError as exc:
+                raise ParseError(f"{what} {key}: {exc}") from None
+    return values
+
+
+def _optional(parse):
+    return lambda x: None if x is None else parse(x)
+
+
+def _tuple_of(parse, what: str):
+    return lambda x: tuple(parse(item) for item in _array(x, what))
+
+
+def _choice(*options: str):
+    def parse(x):
+        if not isinstance(x, str) or x not in options:
+            raise ParseError(f"unknown value {x!r}, expected one of {list(options)}")
+        return x
+    return parse
+
+
+def _parse_frac(s) -> Fraction:
+    try:
+        num, den = s.split("/")
+        x = Fraction(int(num), int(den))
+    except (AttributeError, ValueError, ZeroDivisionError):
+        x = None
+    if x is None or _frac_str(x) != s:
+        raise ParseError(f"expected a 'p/q' rational in lowest terms, got {s!r}")
+    return x
 
 
 def _parse_int(x) -> int:
@@ -70,23 +125,39 @@ def _parse_int(x) -> int:
     return x
 
 
-def _parse_optional_int(x) -> int | None:
-    return None if x is None else _parse_int(x)
-
-
 def _parse_bool(x) -> bool:
     if not isinstance(x, bool):
         raise ParseError(f"expected true or false, got {x!r}")
     return x
 
 
+def _parse_explanation(x) -> str | None:
+    if x is not None and not isinstance(x, str):
+        raise ParseError(f"explanation must be a string or null, got {x!r}")
+    return x
+
+
+_parse_optional_int = _optional(_parse_int)
+
+
+def _parse_vector(data, what: str = "vector") -> tuple[int, ...]:
+    return tuple(_parse_int(x) for x in _array(data, what))
+
+
 def _parse_matrix(data, what: str = "matrix") -> Mat:
-    if not isinstance(data, list):
-        raise ParseError(f"{what} must be an array of rows")
-    try:
-        return as_matrix([[_parse_int(x) for x in row] for row in data])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"invalid {what}: {exc}") from exc
+    rows = tuple(_parse_vector(row, f"{what} row") for row in _array(data, what))
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ParseError(f"invalid {what}: ragged rows")
+    return rows
+
+
+def _branch_evidence(values: dict, evidence: dict[str, tuple[str, ...]]) -> None:
+    """The evidence fields of the branch are present, those of the others null."""
+    branch = values["branch"]
+    for key in sorted({k for keys in evidence.values() for k in keys}):
+        needed = key in evidence[branch]
+        if (values[key] is not None) != needed:
+            raise ParseError(f"branch {branch!r} {'needs' if needed else 'carries no'} {key!r}")
 
 
 def parse_unimodular(data) -> UnimodularMatrix:
@@ -102,14 +173,11 @@ def encode_subtorus(h: Subtorus) -> dict:
 
 
 def parse_subtorus(data) -> Subtorus:
-    if not isinstance(data, dict) or "ambient_dim" not in data or "basis" not in data:
-        raise ParseError("subtorus needs 'ambient_dim' and 'basis'")
-    n = _parse_int(data["ambient_dim"])
-    basis = _parse_matrix(data["basis"], "subtorus basis")
-    if not is_canonical_hnf(basis):
+    v = _record(data, "subtorus", {"ambient_dim": _parse_int, "basis": _parse_matrix})
+    if not is_canonical_hnf(v["basis"]):
         raise ParseError("non-canonical basis: subtorus bases must be in HNF")
     try:
-        return Subtorus(n, Lattice(n, basis))
+        return Subtorus(v["ambient_dim"], Lattice(v["ambient_dim"], v["basis"]))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -120,9 +188,7 @@ def encode_covector(g) -> list:
 
 
 def parse_covector(data) -> PrimitiveCovector:
-    if not isinstance(data, list):
-        raise ParseError("covector must be an integer array")
-    v = as_vector([_parse_int(x) for x in data])
+    v = _parse_vector(data, "covector")
     try:
         return PrimitiveCovector(v)
     except ValueError as exc:
@@ -147,7 +213,7 @@ def encode_orbit_report(r: OrbitReport) -> dict:
         "window": [[m, _matrix_payload(basis)] for m, basis in r.window],
         "min_exterior_norm": r.min_exterior_norm,
         "rigorous": r.rigorous,
-        "growth": encode_growth(r.growth) if r.growth is not None else None,
+        "growth": _maybe(encode_growth, r.growth),
     }
 
 
@@ -158,33 +224,28 @@ def _parse_window_entry(item) -> tuple[int, Mat]:
 
 
 def parse_orbit_report(data) -> OrbitReport:
-    if not isinstance(data, dict):
-        raise ParseError("orbit report must be an object")
-    status = data.get("status")
-    if status not in ("periodic", "injective"):
-        raise ParseError(f"unknown orbit status {status!r}")
-    window_radius = _parse_int(data["window_radius"])
-    rigorous = _parse_bool(data["rigorous"])
-    period = _parse_optional_int(data.get("period"))
-    min_exterior_norm = _parse_optional_int(data.get("min_exterior_norm"))
-    window = data.get("window")
-    if not isinstance(window, list):
-        raise ParseError("orbit window must be an array of [m, basis] pairs")
-    growth = data.get("growth")
-    return OrbitReport(
-        status=status,
-        period=period,
-        window_radius=window_radius,
-        window=tuple(_parse_window_entry(item) for item in window),
-        min_exterior_norm=min_exterior_norm,
-        growth=parse_growth(growth) if growth is not None else None,
-        rigorous=rigorous,
-    )
+    # scalars first, so that a bad one costs no walk over the window
+    v = _record(data, "orbit report", {
+        "status": _choice("periodic", "injective"),
+        "window_radius": _parse_int,
+        "rigorous": _parse_bool,
+        "period": _parse_optional_int,
+        "min_exterior_norm": _parse_optional_int,
+        "window": _tuple_of(_parse_window_entry, "orbit window of [m, basis] pairs"),
+        "growth": _optional(parse_growth),
+    })
+    if v["status"] == "injective" and v["period"] is not None:
+        raise ParseError(f"an injective orbit report has period null, got {v['period']!r}")
+    if v["status"] == "periodic":
+        if v["period"] is None or v["period"] < 1:
+            raise ParseError(f"a periodic orbit report needs a period >= 1, got {v['period']!r}")
+        if v["growth"] is not None or v["min_exterior_norm"] is not None:
+            raise ParseError("a periodic orbit report carries no growth evidence")
+    return OrbitReport(**v)
 
 
 def encode_growth(g: GrowthCertificate) -> dict:
     return {
-        "window_radius": g.window_radius,
         "annihilator": list(g.annihilator),
         "transfer": _frac_str(g.transfer),
         "forward": encode_direction(g.forward),
@@ -195,15 +256,14 @@ def encode_growth(g: GrowthCertificate) -> dict:
 
 
 def parse_growth(data) -> GrowthCertificate:
-    return GrowthCertificate(
-        window_radius=_parse_int(data["window_radius"]),
-        annihilator=tuple(_parse_int(x) for x in data["annihilator"]),
-        transfer=_parse_frac(data["transfer"]),
-        forward=parse_direction(data["forward"]),
-        backward=parse_direction(data["backward"]),
-        rigorous=_parse_bool(data["rigorous"]),
-        min_exterior_norm=_parse_optional_int(data.get("min_exterior_norm")),
-    )
+    return GrowthCertificate(**_record(data, "growth certificate", {
+        "annihilator": _parse_vector,
+        "transfer": _parse_frac,
+        "forward": lambda x: parse_direction(x, "forward"),
+        "backward": lambda x: parse_direction(x, "backward"),
+        "rigorous": _parse_bool,
+        "min_exterior_norm": _parse_optional_int,
+    }))
 
 
 def encode_direction(d: DirectionCertificate) -> dict:
@@ -223,37 +283,24 @@ def encode_direction(d: DirectionCertificate) -> dict:
     }
 
 
-def parse_direction(data) -> DirectionCertificate:
-    return DirectionCertificate(
-        direction=data["direction"],
-        kind=data["kind"],
-        level=_parse_int(data.get("level", 0)),
-        power_step=_parse_int(data.get("power_step", 0)),
-        mu=_parse_frac(data["mu"]),
-        nu=_parse_frac(data["nu"]),
-        entries=tuple(
-            ConeEntry(
-                residue=_parse_int(e["residue"]),
-                start_index=_parse_int(e["start_index"]),
-                sign=_parse_int(e["sign"]),
-            )
-            for e in data.get("entries", [])
-        ),
-        floor_seq=_parse_int(data.get("floor_seq", 0)),
-        floor_norm=_parse_int(data.get("floor_norm", 0)),
-    )
+def _parse_cone_entry(data) -> ConeEntry:
+    return ConeEntry(**_record(data, "cone entry", dict.fromkeys(
+        ("residue", "start_index", "sign"), _parse_int)))
 
 
-def encode_budget(b: Budget) -> dict:
-    return {"max_norm": b.max_norm, "max_window": b.max_window, "max_candidates": b.max_candidates}
-
-
-def parse_budget(data) -> Budget:
-    return Budget(
-        max_norm=_parse_int(data["max_norm"]),
-        max_window=_parse_int(data["max_window"]),
-        max_candidates=_parse_int(data["max_candidates"]),
-    )
+def parse_direction(data, direction: str) -> DirectionCertificate:
+    """Growth evidence for the named direction ("forward" or "backward")."""
+    return DirectionCertificate(**_record(data, f"{direction} growth direction", {
+        "direction": _choice(direction),
+        "kind": _choice("cone", "polynomial", "window_only"),
+        "level": _parse_int,
+        "power_step": _parse_int,
+        "mu": _parse_frac,
+        "nu": _parse_frac,
+        "entries": _tuple_of(_parse_cone_entry, "cone entries"),
+        "floor_seq": _parse_int,
+        "floor_norm": _parse_int,
+    }))
 
 
 def encode_invariant(u: UnipotentInvariant) -> dict:
@@ -264,10 +311,10 @@ def encode_invariant(u: UnipotentInvariant) -> dict:
 
 
 def parse_invariant(data) -> UnipotentInvariant:
-    return UnipotentInvariant(
-        difference_lattice=_parse_matrix(data["difference_lattice"], "invariant lattice"),
-        reduced=tuple(_parse_int(x) for x in data["reduced"]),
-    )
+    return UnipotentInvariant(**_record(data, "unipotent invariant", {
+        "difference_lattice": _parse_matrix,
+        "reduced": _parse_vector,
+    }))
 
 
 def encode_family(c: DisjointFamilyCertificate) -> dict:
@@ -279,26 +326,14 @@ def encode_family(c: DisjointFamilyCertificate) -> dict:
         "members": [list(m) for m in c.members],
         "orbit_reports": [encode_orbit_report(r) for r in c.orbit_reports],
         "branch": c.branch,
-        "pairwise": [
-            {"first": p.first, "second": p.second, "kind": p.kind, "note": p.note}
-            for p in c.pairwise
-        ],
-        "periodic_orbits": (
-            [[list(v) for v in orb] for orb in c.periodic_orbits]
-            if c.periodic_orbits is not None
-            else None
-        ),
+        "periodic_orbits": _maybe(lambda orbs: [[list(v) for v in o] for o in orbs], c.periodic_orbits),
         "unipotent_power": c.unipotent_power,
-        "invariant_sets": (
-            [[encode_invariant(u) for u in s] for s in c.invariant_sets]
-            if c.invariant_sets is not None
-            else None
-        ),
-        "quotient": encode_quotient(c.quotient) if c.quotient is not None else None,
+        "invariant_sets": _maybe(lambda sets: [[encode_invariant(u) for u in s] for s in sets],
+                                 c.invariant_sets),
+        "quotient": _maybe(encode_quotient, c.quotient),
         "rigorous": c.rigorous,
         "complete": c.complete,
         "explanation": c.explanation,
-        "budget": encode_budget(c.budget),
     }
 
 
@@ -311,54 +346,56 @@ def encode_quotient(q: QuotientEvidence) -> dict:
     }
 
 
-def parse_family(data) -> DisjointFamilyCertificate:
+def parse_quotient(data) -> QuotientEvidence:
+    return QuotientEvidence(**_record(data, "quotient evidence", {
+        "invariant_subtorus": parse_subtorus,
+        "completion": _parse_matrix,
+        "quotient_matrix": _parse_matrix,
+        "inner": parse_family,
+    }))
+
+
+def _check_header(data, kind: str) -> None:
     if not isinstance(data, dict):
         raise ParseError("certificate must be an object")
     if data.get("format_version") != FORMAT_VERSION:
         raise ParseError(f"unknown format version {data.get('format_version')!r}")
-    if data.get("kind") != "disjoint_family":
-        raise ParseError("not a disjoint-family certificate")
-    matrix = parse_unimodular(data["matrix"]).rows
-    members = tuple(parse_covector(m).entries for m in data["members"])
-    reports = tuple(parse_orbit_report(r) for r in data["orbit_reports"])
-    quotient = None
-    if data.get("quotient") is not None:
-        qd = data["quotient"]
-        quotient = QuotientEvidence(
-            invariant_subtorus=parse_subtorus(qd["invariant_subtorus"]),
-            completion=_parse_matrix(qd["completion"], "completion"),
-            quotient_matrix=_parse_matrix(qd["quotient_matrix"], "quotient matrix"),
-            inner=parse_family(qd["inner"]),
-        )
-    return DisjointFamilyCertificate(
-        matrix=matrix,
-        count=_parse_int(data["count"]),
-        members=members,
-        orbit_reports=reports,
-        branch=data["branch"],
-        pairwise=tuple(
-            PairDisjointness(
-                _parse_int(p["first"]), _parse_int(p["second"]), p["kind"], p["note"]
-            )
-            for p in data.get("pairwise", [])
+    if data.get("kind") != kind:
+        raise ParseError(f"not a {kind} certificate")
+
+
+_FAMILY_EVIDENCE = {
+    "finite_order": ("periodic_orbits",),
+    "unipotent_power": ("unipotent_power", "invariant_sets"),
+    "quotient": ("quotient",),
+    "irreducible_greedy": (),
+}
+
+
+def parse_family(data) -> DisjointFamilyCertificate:
+    _check_header(data, "disjoint_family")
+    v = _record(data, "disjoint-family certificate", {
+        "format_version": None,
+        "kind": None,
+        "matrix": lambda x: parse_unimodular(x).rows,
+        "count": _parse_int,
+        "members": _tuple_of(lambda x: parse_covector(x).entries, "members"),
+        "orbit_reports": _tuple_of(parse_orbit_report, "orbit reports"),
+        "branch": _choice(*_FAMILY_EVIDENCE),
+        "periodic_orbits": _optional(
+            _tuple_of(_tuple_of(_parse_vector, "periodic orbit"), "periodic orbits")
         ),
-        periodic_orbits=(
-            tuple(tuple(tuple(_parse_int(x) for x in v) for v in orb) for orb in data["periodic_orbits"])
-            if data.get("periodic_orbits") is not None
-            else None
+        "unipotent_power": _parse_optional_int,
+        "invariant_sets": _optional(
+            _tuple_of(_tuple_of(parse_invariant, "invariant set"), "invariant sets")
         ),
-        unipotent_power=_parse_optional_int(data.get("unipotent_power")),
-        invariant_sets=(
-            tuple(tuple(parse_invariant(u) for u in s) for s in data["invariant_sets"])
-            if data.get("invariant_sets") is not None
-            else None
-        ),
-        quotient=quotient,
-        rigorous=_parse_bool(data["rigorous"]),
-        complete=_parse_bool(data["complete"]),
-        explanation=data.get("explanation"),
-        budget=parse_budget(data["budget"]),
-    )
+        "quotient": _optional(parse_quotient),
+        "rigorous": _parse_bool,
+        "complete": _parse_bool,
+        "explanation": _parse_explanation,
+    })
+    _branch_evidence(v, _FAMILY_EVIDENCE)
+    return DisjointFamilyCertificate(**v)
 
 
 def encode_isolation(r: IsolationReport) -> dict:
@@ -369,19 +406,28 @@ def encode_isolation(r: IsolationReport) -> dict:
         "candidates": r.candidates,
         "bound": float(r.bound),
         "bound_exact": _frac_str(r.bound),
-        "nearest": encode_subtorus(r.nearest) if r.nearest is not None else None,
+        "nearest": _maybe(encode_subtorus, r.nearest),
     }
 
 
+def _parse_float_display(x) -> None:
+    # the float display of an exact field, which alone is evidence
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ParseError(f"expected a number, got {x!r}")
+
+
 def parse_isolation(data) -> IsolationReport:
-    return IsolationReport(
-        subtorus=parse_subtorus(data["subtorus"]),
-        dual_norm_bound=_parse_int(data["dual_norm_bound"]),
-        resolution=_parse_frac(data["resolution"]),
-        candidates=_parse_int(data["candidates"]),
-        bound=_parse_frac(data["bound_exact"]),
-        nearest=parse_subtorus(data["nearest"]) if data.get("nearest") is not None else None,
-    )
+    v = _record(data, "isolation report", {
+        "subtorus": parse_subtorus,
+        "dual_norm_bound": _parse_int,
+        "resolution": _parse_frac,
+        "candidates": _parse_int,
+        "bound": _parse_float_display,
+        "bound_exact": _parse_frac,
+        "nearest": _optional(parse_subtorus),
+    })
+    v["bound"] = v.pop("bound_exact")
+    return IsolationReport(**v)
 
 
 def encode_non_expansivity(c: NonExpansivityCertificate) -> dict:
@@ -391,54 +437,53 @@ def encode_non_expansivity(c: NonExpansivityCertificate) -> dict:
         "matrix": _matrix_payload(c.matrix),
         "branch": c.branch,
         "order": c.order,
-        "fixed_subtori": [encode_subtorus(h) for h in c.fixed] if c.fixed is not None else None,
-        "family": encode_family(c.family) if c.family is not None else None,
-        "converges_to_full": list(c.converges) if c.converges is not None else None,
-        "isolation": encode_isolation(c.isolation) if c.isolation is not None else None,
+        "fixed_subtori": _maybe(lambda fixed: [encode_subtorus(h) for h in fixed], c.fixed),
+        "family": _maybe(encode_family, c.family),
+        "converges_to_full": _maybe(list, c.converges),
+        "isolation": _maybe(encode_isolation, c.isolation),
         "rigorous": c.rigorous,
         "complete": c.complete,
         "explanation": c.explanation,
     }
 
 
+_NON_EXPANSIVITY_EVIDENCE = {
+    "finite_order": ("order", "fixed_subtori"),
+    # `isolation` is null exactly when the family is empty, which verify checks
+    "infinitely_many_orbits": ("family", "converges_to_full"),
+}
+
+
 def parse_non_expansivity(data) -> NonExpansivityCertificate:
-    if data.get("format_version") != FORMAT_VERSION:
-        raise ParseError(f"unknown format version {data.get('format_version')!r}")
-    if data.get("kind") != "non_expansivity":
-        raise ParseError("not a non-expansivity certificate")
-    matrix = parse_unimodular(data["matrix"]).rows
-    return NonExpansivityCertificate(
-        matrix=matrix,
-        branch=data["branch"],
-        order=_parse_optional_int(data.get("order")),
-        fixed=(
-            tuple(parse_subtorus(h) for h in data["fixed_subtori"])
-            if data.get("fixed_subtori") is not None
-            else None
-        ),
-        family=parse_family(data["family"]) if data.get("family") is not None else None,
-        converges=(
-            tuple(_parse_bool(x) for x in data["converges_to_full"])
-            if data.get("converges_to_full") is not None
-            else None
-        ),
-        isolation=(
-            parse_isolation(data["isolation"]) if data.get("isolation") is not None else None
-        ),
-        rigorous=_parse_bool(data["rigorous"]),
-        complete=_parse_bool(data["complete"]),
-        explanation=data.get("explanation"),
-    )
+    _check_header(data, "non_expansivity")
+    v = _record(data, "non-expansivity certificate", {
+        "format_version": None,
+        "kind": None,
+        "matrix": lambda x: parse_unimodular(x).rows,
+        "branch": _choice(*_NON_EXPANSIVITY_EVIDENCE),
+        "order": _parse_optional_int,
+        "fixed_subtori": _optional(_tuple_of(parse_subtorus, "fixed subtori")),
+        "family": _optional(parse_family),
+        "converges_to_full": _optional(_tuple_of(_parse_bool, "convergence flags")),
+        "isolation": _optional(parse_isolation),
+        "rigorous": _parse_bool,
+        "complete": _parse_bool,
+        "explanation": _parse_explanation,
+    })
+    _branch_evidence(v, _NON_EXPANSIVITY_EVIDENCE)
+    if v["branch"] == "finite_order" and v["isolation"] is not None:
+        raise ParseError("branch 'finite_order' carries no 'isolation'")
+    v["fixed"] = v.pop("fixed_subtori")
+    v["converges"] = v.pop("converges_to_full")
+    return NonExpansivityCertificate(**v)
 
 
 def encode_distality_verdict(v: DistalityVerdict) -> dict:
     return {
         "distal": v.distal,
         "order": v.order if v.order is not None else "infinite",
-        "witness": encode_subtorus(v.witness) if v.witness is not None else None,
-        "witness_covector": encode_covector(v.witness_covector)
-        if v.witness_covector is not None
-        else None,
+        "witness": _maybe(encode_subtorus, v.witness),
+        "witness_covector": _maybe(encode_covector, v.witness_covector),
         "witness_converges_to_full": v.witness_converges_to_full,
     }
 
@@ -447,8 +492,8 @@ def encode_group_report(r: GroupReport) -> dict:
     return {
         "status": r.status,
         "order": r.order,
-        "elements": [_matrix_payload(m) for m in r.elements] if r.elements is not None else None,
-        "witness": _matrix_payload(r.witness) if r.witness is not None else None,
+        "elements": _maybe(lambda els: [_matrix_payload(m) for m in els], r.elements),
+        "witness": _maybe(_matrix_payload, r.witness),
     }
 
 

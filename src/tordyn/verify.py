@@ -10,7 +10,14 @@ Newton power-sum routines behind the q-step and Hankel recurrences) and
 `lattices`; the subtorus and covector code of `subtori`; and, shared with the
 producer, the orbit routines of `dynamics`, `growth.check_growth_certificate`,
 `metric.isolation_radius_lower_bound` and the family helpers
-`families._invariant_set_for` and `families._lift_member`.
+`families.cyclotomic_power`, `families.invariant_set_for` and
+`families.lift_member`.  Every name it imports is public.
+
+The checker bounds most of its work by the size of the certificate: a window
+radius must come with its 2r + 1 entries, a cone power step is at most the
+number of entry indices the cone can use, and the unipotent power is
+recomputed before any suborbit is walked.  The isolation recomputation is the
+exception: its cost grows with the stored dual norm cap and resolution.
 """
 
 from __future__ import annotations
@@ -18,18 +25,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import (
-    _annihilator_orbit_data,
-    _periodic_orbit_period,
     act,
+    annihilator_orbit_data,
     covector_window_set,
+    dual_matrix,
     orbit_is_periodic,
     orbit_window,
+    periodic_orbit_period,
 )
 from .families import (
     DisjointFamilyCertificate,
     NonExpansivityCertificate,
-    _invariant_set_for,
-    _lift_member,
+    cyclotomic_power,
+    invariant_set_for,
+    lift_member,
 )
 from .growth import check_growth_certificate
 from .intmat import (
@@ -86,25 +95,27 @@ def _check_member_report(t, gamma, report, failures, idx) -> None:
         _fail(failures, f"member {idx}: orbit status is wrong")
         return
     if periodic:
-        true_period = _periodic_orbit_period(t, h)
+        true_period = periodic_orbit_period(t, h)
         if report.period != true_period:
             _fail(failures, f"member {idx}: period {report.period} but recomputed {true_period}")
         return
-    if report.growth is not None:
-        m_rows, pv = _annihilator_orbit_data(t, h)
-        problems = check_growth_certificate(m_rows, pv, report.growth)
-        for p in problems:
-            _fail(failures, f"member {idx}: growth certificate: {p}")
-        if report.growth.window_radius != w:
-            _fail(failures, f"member {idx}: growth window disagrees with the orbit window")
-        if (
-            report.min_exterior_norm is not None
-            and report.growth.min_exterior_norm is not None
-            and report.min_exterior_norm > report.growth.min_exterior_norm
-        ):
-            _fail(failures, f"member {idx}: claimed exterior norm exceeds the growth floor")
-    elif report.min_exterior_norm is not None:
-        _fail(failures, f"member {idx}: exterior norm claim without growth evidence")
+    growth = report.growth
+    if growth is None:
+        if report.min_exterior_norm is not None:
+            _fail(failures, f"member {idx}: exterior norm claim without growth evidence")
+        if report.rigorous:
+            _fail(failures, f"member {idx}: rigor claimed without growth evidence")
+        return
+    m_rows, pv = annihilator_orbit_data(t, h)
+    for p in check_growth_certificate(m_rows, pv, growth, w):
+        _fail(failures, f"member {idx}: growth certificate: {p}")
+    # members are hyperplanes, so the annihilator floor is the growth floor
+    if report.min_exterior_norm is not None and (
+        growth.min_exterior_norm is None or report.min_exterior_norm > growth.min_exterior_norm
+    ):
+        _fail(failures, f"member {idx}: claimed exterior norm exceeds the growth floor")
+    if report.rigorous and not growth.rigorous:
+        _fail(failures, f"member {idx}: rigor claimed beyond the growth evidence")
 
 
 def verify_family(cert: DisjointFamilyCertificate) -> VerificationResult:
@@ -152,8 +163,6 @@ def _verify_periodic_branch(t, cert, failures):
     if cert.periodic_orbits is None or len(cert.periodic_orbits) != len(cert.members):
         _fail(failures, "periodic branch needs one enumerated orbit per member")
         return
-    from .dynamics import dual_matrix
-
     s = dual_matrix(t).rows
     for i, (g, orb) in enumerate(zip(cert.members, cert.periodic_orbits)):
         cur = g
@@ -170,9 +179,10 @@ def _verify_periodic_branch(t, cert, failures):
 
 
 def _verify_unipotent_branch(t, cert, failures):
-    power = cert.unipotent_power
-    if power is None or power < 1:
-        _fail(failures, "unipotent branch needs the power exponent")
+    # the stored power must be the recomputed one, which also bounds the work
+    power = cyclotomic_power(t)
+    if power is None or cert.unipotent_power != power:
+        _fail(failures, f"unipotent power {cert.unipotent_power}, recomputed {power}")
         return
     tp = t.power(power)
     if not is_unipotent(tp):
@@ -185,7 +195,7 @@ def _verify_unipotent_branch(t, cert, failures):
         _fail(failures, "unipotent branch needs one invariant set per member")
         return
     for i, (g, stored) in enumerate(zip(cert.members, cert.invariant_sets)):
-        recomputed = _invariant_set_for(t, g, power)
+        recomputed = invariant_set_for(t, g, power)
         if tuple(stored) != recomputed:
             _fail(failures, f"member {i}: invariant set does not match recomputation")
     for i in range(len(cert.members)):
@@ -230,11 +240,13 @@ def _verify_quotient_branch(t, cert, failures):
     inner_result = verify_family(q.inner)
     for f in inner_result.failures:
         _fail(failures, f"quotient interior: {f}")
+    if cert.rigorous and not q.inner.rigorous:
+        _fail(failures, "certificate claims rigor but the quotient family does not")
     if len(q.inner.members) != len(cert.members):
         _fail(failures, "member count differs from the quotient family")
         return
     for i, inner_gamma in enumerate(q.inner.members):
-        lifted = _lift_member(w, kdim, inner_gamma, n)
+        lifted = lift_member(w, kdim, inner_gamma, n)
         if lifted != cert.members[i]:
             _fail(failures, f"member {i}: does not lift the quotient member")
 
@@ -322,14 +334,21 @@ def verify_non_expansivity(cert: NonExpansivityCertificate) -> VerificationResul
                     _fail(failures, f"member {i}: convergence claim is wrong")
                 elif not actual:
                     _fail(failures, f"member {i}: orbit does not converge to the full torus")
-        if cert.isolation is not None:
-            iso = cert.isolation
-            recomputed = isolation_radius_lower_bound(
+        if cert.rigorous and not cert.family.rigorous:
+            _fail(failures, "certificate claims rigor but the family does not")
+        iso = cert.isolation
+        if cert.family.members and iso is None:
+            _fail(failures, "missing the isolation bound of the first member")
+        elif iso is not None:
+            if not cert.family.members or iso.subtorus != covector_to_hyperplane(
+                PrimitiveCovector(cert.family.members[0])
+            ):
+                _fail(failures, "isolation report is not about the first member")
+            elif isolation_radius_lower_bound(
                 iso.subtorus, iso.dual_norm_bound, iso.resolution
-            )
-            if recomputed.bound != iso.bound:
+            ) != iso:
                 _fail(failures, "isolation bound does not match recomputation")
-            if iso.bound <= 0:
+            if cert.rigorous and iso.bound <= 0:
                 _fail(failures, "isolation bound is not positive")
     else:
         _fail(failures, f"unknown branch {cert.branch!r}")

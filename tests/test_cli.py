@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from tordyn.cli import EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, EXIT_VERIFY_FAILED, main
+from tordyn.serialization import FORMAT_VERSION
 
 
 def run_cli(args, payload, capsys):
@@ -267,8 +268,22 @@ def test_classify_dimension_one(capsys):
 
 def test_verify_garbage_certificate_is_invalid_input(capsys):
     code, _, err = run_cli(["verify"], {"certificate": {"kind": "disjoint_family",
-                                                        "format_version": 1}}, capsys)
+                                                        "format_version": FORMAT_VERSION}}, capsys)
     assert code == EXIT_INVALID
+    assert "missing keys" in err
+
+
+def test_verify_rejects_v1_certificate_and_bare_job(capsys):
+    code, env, _ = run_cli(["disjoint-family", "--count", "3"], {"matrix": [[2, 1], [1, 1]]}, capsys)
+    assert code == EXIT_OK
+    cert = env["result"]
+    # a certificate without the 'certificate' wrapper is not a verify job
+    code, _, err = run_cli(["verify"], cert, capsys)
+    assert code == EXIT_INVALID and "'certificate'" in err
+    # format 1 carried pairwise notes and the producer budget; no parser reads it
+    old = dict(cert, format_version=1, pairwise=[], budget={"max_norm": 64})
+    code, _, err = run_cli(["verify"], {"certificate": old}, capsys)
+    assert code == EXIT_INVALID and "unknown format version 1" in err
 
 
 def test_budget_consumed_summary(capsys):

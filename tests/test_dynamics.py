@@ -434,7 +434,7 @@ def test_orbit_low_dimensional_subtorus_injective_floor_sound():
 def test_exterior_power_annihilator_convention():
     # the annihilator Plucker vector of act(T, H) is the exterior-power image
     # of the annihilator Plucker vector of H, up to canonical sign
-    from tordyn.dynamics import _annihilator_orbit_data, plucker_vector
+    from tordyn.dynamics import annihilator_orbit_data, plucker_vector
     from tordyn.subtori import annihilator
 
     rng = random.Random(64)
@@ -449,7 +449,7 @@ def test_exterior_power_annihilator_convention():
         if h.dim == 0 or h.is_full():
             continue
         checked += 1
-        m, pv = _annihilator_orbit_data(t, h)
+        m, pv = annihilator_orbit_data(t, h)
         lhs = plucker_vector(annihilator(act(t, h)).basis, n)
         rhs = canonicalize_covector(mat_vec(m, pv))
         assert lhs == rhs

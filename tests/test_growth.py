@@ -93,7 +93,7 @@ def test_transfer_constant_bounds_coordinates():
 def test_cat_certificate_sound_against_bruteforce():
     cert = derive_growth_certificate(CAT_DUAL, (0, 1), 8)
     assert cert.rigorous and cert.min_exterior_norm is not None
-    assert check_growth_certificate(CAT_DUAL, (0, 1), cert) == []
+    assert check_growth_certificate(CAT_DUAL, (0, 1), cert, 8) == []
     brute = brute_min_norm_outside_window(CAT_DUAL, (0, 1), 8, 300)
     assert brute >= cert.min_exterior_norm
 
@@ -104,7 +104,7 @@ def test_companion_certificate_handles_complex_dominance():
     kinds = {cert.forward.kind, cert.backward.kind}
     assert kinds == {"cone"}
     assert 2 in {cert.forward.level, cert.backward.level}
-    assert check_growth_certificate(COMPANION_DUAL, (0, 0, 1), cert) == []
+    assert check_growth_certificate(COMPANION_DUAL, (0, 0, 1), cert, 20) == []
     brute = brute_min_norm_outside_window(COMPANION_DUAL, (0, 0, 1), 20, 400)
     assert brute >= cert.min_exterior_norm
 
@@ -113,7 +113,7 @@ def test_unipotent_certificate_polynomial_path():
     cert = derive_growth_certificate(SHEAR_DUAL, (1, 0), 10)
     assert cert.rigorous
     assert {cert.forward.kind, cert.backward.kind} == {"polynomial"}
-    assert check_growth_certificate(SHEAR_DUAL, (1, 0), cert) == []
+    assert check_growth_certificate(SHEAR_DUAL, (1, 0), cert, 10) == []
     brute = brute_min_norm_outside_window(SHEAR_DUAL, (1, 0), 10, 400)
     assert brute >= cert.min_exterior_norm
 
@@ -137,16 +137,16 @@ def test_checker_rejects_mutations():
 
     cert = derive_growth_certificate(CAT_DUAL, (0, 1), 8)
     bad = replace(cert, annihilator=(1, -2, 1))
-    assert check_growth_certificate(CAT_DUAL, (0, 1), bad)
+    assert check_growth_certificate(CAT_DUAL, (0, 1), bad, 8)
     bad = replace(cert, min_exterior_norm=10**9)
-    assert check_growth_certificate(CAT_DUAL, (0, 1), bad)
+    assert check_growth_certificate(CAT_DUAL, (0, 1), bad, 8)
     bad = replace(cert, forward=replace(cert.forward, floor_seq=10**12))
-    assert check_growth_certificate(CAT_DUAL, (0, 1), bad)
+    assert check_growth_certificate(CAT_DUAL, (0, 1), bad, 8)
     bad = replace(cert, forward=replace(cert.forward, mu=cert.forward.nu * 2))
-    assert check_growth_certificate(CAT_DUAL, (0, 1), bad)
+    assert check_growth_certificate(CAT_DUAL, (0, 1), bad, 8)
     for q in (0, -1):
         bad = replace(cert, forward=replace(cert.forward, power_step=q))
-        assert check_growth_certificate(CAT_DUAL, (0, 1), bad)
+        assert check_growth_certificate(CAT_DUAL, (0, 1), bad, 8)
 
 
 def test_random_hyperbolic_words_certify_and_hold():
@@ -162,7 +162,7 @@ def test_random_hyperbolic_words_certify_and_hold():
         done += 1
         s = dual_matrix(t).rows
         cert = derive_growth_certificate(s, (0, 1), 12)
-        assert check_growth_certificate(s, (0, 1), cert) == []
+        assert check_growth_certificate(s, (0, 1), cert, 12) == []
         if cert.min_exterior_norm is not None:
             brute = brute_min_norm_outside_window(s, (0, 1), 12, 150)
             assert brute >= cert.min_exterior_norm
@@ -183,7 +183,7 @@ def test_random_n3_words_certify_and_hold():
             continue
         done += 1
         cert = derive_growth_certificate(s, (0, 0, 1), 16)
-        assert check_growth_certificate(s, (0, 0, 1), cert) == []
+        assert check_growth_certificate(s, (0, 0, 1), cert, 16) == []
         if cert.min_exterior_norm is not None:
             brute = brute_min_norm_outside_window(s, (0, 0, 1), 16, 180)
             assert brute >= cert.min_exterior_norm

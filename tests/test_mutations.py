@@ -1,0 +1,252 @@
+"""Single-field mutations of small certificates: strict parsing and the checker
+together must reject every mutant that claims more than is true.
+
+Each mutation changes one field of one encoded certificate: it deletes a key,
+adds a key, retypes a value, changes an integer by one or flips a flag.  The
+mutant then goes through `tordyn verify` (cli.run_job), which may only exit 2
+(ParseError) or 4 (VerifyFailed); any other exception escapes the test.  A
+mutant that is accepted must fall in one of the classes of `weaker_claim`.
+"""
+
+import copy
+import time
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tordyn.cli import VerifyFailed, run_job
+from tordyn.families import disjoint_hyperplane_orbits, non_expansivity_certificate
+from tordyn.intmat import UnimodularMatrix
+from tordyn.serialization import (
+    ParseError,
+    encode_family,
+    encode_non_expansivity,
+    parse_certificate,
+)
+
+ROT = UnimodularMatrix(((0, -1), (1, 0)))
+SHEAR = UnimodularMatrix(((1, 1), (0, 1)))
+CAT = UnimodularMatrix(((2, 1), (1, 1)))
+REDUCIBLE = UnimodularMatrix(((1, 1, 0), (0, 2, 1), (0, 1, 1)))
+
+
+NAMES = (
+    "finite_order",
+    "unipotent_power",
+    "quotient",
+    "irreducible_greedy",
+    "non_expansivity_finite",
+    "non_expansivity_infinite",
+)
+
+
+@lru_cache(maxsize=None)
+def certificates() -> dict:
+    """One small encoded certificate per family branch and per non-expansivity
+    branch, keyed by NAMES."""
+    certs = {
+        "finite_order": encode_family(disjoint_hyperplane_orbits(ROT, 2)),
+        "unipotent_power": encode_family(disjoint_hyperplane_orbits(SHEAR, 2)),
+        "quotient": encode_family(disjoint_hyperplane_orbits(REDUCIBLE, 2)),
+        "irreducible_greedy": encode_family(disjoint_hyperplane_orbits(CAT, 2)),
+        "non_expansivity_finite": encode_non_expansivity(non_expansivity_certificate(ROT, 2)),
+        "non_expansivity_infinite": encode_non_expansivity(non_expansivity_certificate(CAT, 2)),
+    }
+    for name in NAMES[:4]:
+        assert certs[name]["branch"] == name
+    return certs
+
+
+def exit_code(certificate) -> int:
+    """Exit code of `tordyn verify` on the certificate: 0, 2 or 4."""
+    try:
+        run_job({"command": "verify", "certificate": certificate})
+    except ParseError:
+        return 2
+    except VerifyFailed:
+        return 4
+    return 0
+
+
+def _retyped(value):
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (int, float)):
+        return str(value)
+    if isinstance(value, str):
+        return 1
+    if value is None:
+        return 1
+    if isinstance(value, list):
+        return {}
+    return []
+
+
+def mutations(node, path=()):
+    """(path, kind, new value) for every single-field mutation below node; for
+    "delete" and "add" the path names the key."""
+    out = []
+    if isinstance(node, dict):
+        out.append((path + ("unexpected",), "add", 0))
+        for key, value in node.items():
+            out.append((path + (key,), "delete", None))
+            out += mutations(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            out += mutations(value, path + (i,))
+    if path:
+        out.append((path, "retype", _retyped(node)))
+    if isinstance(node, bool):
+        out.append((path, "change", not node))
+    elif isinstance(node, int):
+        out += [(path, "change", node + 1), (path, "change", node - 1)]
+    return out
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def mutate(certificate, path, kind, value):
+    mutant = copy.deepcopy(certificate)
+    parent = _at(mutant, path[:-1])
+    if kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return mutant
+
+
+def weaker_claim(certificate, path, kind, value) -> str | None:
+    """The class of an accepted mutant, or None if accepting it is a fault.
+
+    An accepted mutant must claim less than the original, or make a claim that
+    the checker recomputes in full from other, equally valid evidence:
+    * a `rigorous` or `complete` flag turned from true to false;
+    * a lower floor: `min_exterior_norm`, `floor_seq` or `floor_norm`;
+    * a cone entry moved to another index of its residue class (possible when
+      the power step is 1): the checker re-verifies the cone chain there and
+      recomputes the floor from it;
+    * another fixed subtorus: for a finite-order automorphism every subtorus
+      is fixed by T^order, which the checker re-verifies;
+    * another completion of the invariant basis, or another automorphism with
+      the same invariant subtorus and the same quotient action: every member of
+      a quotient family contains the invariant subtorus, so its orbit depends
+      only on the quotient action, and the checker recomputes both.
+    """
+    if kind != "change":
+        return None
+    key = path[-1]
+    old = _at(certificate, path)
+    if key in ("rigorous", "complete") and old is True and value is False:
+        return "flag withdrawn"
+    if key in ("min_exterior_norm", "floor_seq", "floor_norm") and value < old:
+        return "lower floor"
+    if key == "start_index" and _at(certificate, path[:-3])["power_step"] == 1:
+        return "cone entry moved within its residue class"
+    if path[0] == "fixed_subtori":
+        return "another fixed subtorus"
+    if path[:2] == ("quotient", "completion"):
+        return "another completion of the invariant basis"
+    if path[0] == "matrix" and certificate.get("branch") == "quotient":
+        return "another automorphism with the same quotient action"
+    return None
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_small_certificates_verify(name):
+    assert exit_code(certificates()[name]) == 0
+
+
+@lru_cache(maxsize=None)
+def mutation_sites(name: str) -> list:
+    return mutations(certificates()[name])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_single_field_mutation_claims_no_more(data):
+    certs = certificates()
+    name = data.draw(st.sampled_from(NAMES), label="certificate")
+    path, kind, value = data.draw(st.sampled_from(mutation_sites(name)), label="mutation")
+    code = exit_code(mutate(certs[name], path, kind, value))
+    assert code in (0, 2, 4)
+    if code == 0:
+        assert weaker_claim(certs[name], path, kind, value), (name, path, kind, value)
+
+
+# one encoded object of each kind, as (certificate, path to the object)
+OBJECTS = {
+    "disjoint-family certificate": ("irreducible_greedy", ()),
+    "quotient evidence": ("quotient", ("quotient",)),
+    "unipotent invariant": ("unipotent_power", ("invariant_sets", 0, 0)),
+    "orbit report": ("irreducible_greedy", ("orbit_reports", 0)),
+    "growth certificate": ("irreducible_greedy", ("orbit_reports", 0, "growth")),
+    "cone direction": ("irreducible_greedy", ("orbit_reports", 0, "growth", "forward")),
+    "polynomial direction": ("unipotent_power", ("orbit_reports", 1, "growth", "forward")),
+    "cone entry": ("irreducible_greedy", ("orbit_reports", 0, "growth", "forward", "entries", 0)),
+    "non-expansivity certificate": ("non_expansivity_infinite", ()),
+    "isolation report": ("non_expansivity_infinite", ("isolation",)),
+    "subtorus": ("non_expansivity_finite", ("fixed_subtori", 0)),
+}
+
+
+@pytest.mark.parametrize("what", sorted(OBJECTS))
+def test_encoders_emit_exactly_the_parsed_key_set(what):
+    name, path = OBJECTS[what]
+    certificate = certificates()[name]
+    obj = _at(certificate, path)
+    assert isinstance(obj, dict) and obj
+    parse_certificate(certificate)
+    for key in obj:
+        with pytest.raises(ParseError, match="missing keys|format version|kind"):
+            parse_certificate(mutate(certificate, path + (key,), "delete", None))
+    with pytest.raises(ParseError, match="unknown keys"):
+        parse_certificate(mutate(certificate, path + ("unexpected",), "add", 0))
+
+
+@pytest.mark.parametrize(
+    "name, direction",
+    [
+        ("irreducible_greedy", "forward"),  # cone
+        ("unipotent_power", "backward"),  # polynomial
+        ("irreducible_greedy", "window_only"),
+    ],
+)
+def test_hostile_power_step_is_rejected_quickly(name, direction):
+    certificate = copy.deepcopy(certificates()[name])
+    report = next(r for r in certificate["orbit_reports"] if r["growth"])
+    growth = report["growth"]
+    if direction == "window_only":
+        growth["forward"].update(kind="window_only", level=0, power_step=0, mu="0/1", nu="0/1",
+                                 entries=[], floor_seq=0, floor_norm=0)
+        growth.update(rigorous=False, min_exterior_norm=None)
+        report.update(rigorous=False, min_exterior_norm=None)
+        certificate["rigorous"] = False
+        direction = "forward"
+    assert exit_code(certificate) == 0
+    growth[direction]["power_step"] = 10**9
+    started = time.perf_counter()
+    assert exit_code(certificate) == 4
+    assert time.perf_counter() - started < 1
+
+
+def test_unknown_growth_key_is_rejected_quickly():
+    certificate = copy.deepcopy(certificates()["irreducible_greedy"])
+    certificate["orbit_reports"][0]["growth"]["window_radius"] = 10**9
+    started = time.perf_counter()
+    assert exit_code(certificate) == 2
+    assert time.perf_counter() - started < 1
+
+
+def test_hostile_unipotent_power_is_rejected_quickly():
+    # the checker walks `unipotent_power` suborbits, so it must recompute the
+    # power before it trusts the stored one
+    certificate = copy.deepcopy(certificates()["unipotent_power"])
+    certificate["unipotent_power"] = 10**6
+    started = time.perf_counter()
+    assert exit_code(certificate) == 4
+    assert time.perf_counter() - started < 1

@@ -154,6 +154,43 @@ def test_orbit_report_scalars_parse_before_window(key, value, match):
         parse_orbit_report(data)
 
 
+@pytest.mark.parametrize(
+    "status, changes",
+    [
+        ("injective", {"period": 2}),
+        ("periodic", {"period": None}),
+        ("periodic", {"period": 0}),
+        ("periodic", {"min_exterior_norm": 3}),
+        ("periodic", {"growth": {}}),
+    ],
+)
+def test_orbit_report_period_is_tied_to_status(status, changes):
+    h = Subtorus.from_generators(2, [(1, 0)])
+    data = encode_orbit_report(orbit(CAT if status == "injective" else ROT, h, 3))
+    assert data["status"] == status
+    parse_orbit_report(data)
+    data.update(changes)
+    with pytest.raises(ParseError, match="period|growth"):
+        parse_orbit_report(data)
+
+
+@pytest.mark.parametrize("text", ["2/4", "1/-2", " 1/2", "1_0/3", "1/0", "3", 3])
+def test_rationals_must_be_canonical(text):
+    data = encode_orbit_report(orbit(CAT, Subtorus.from_generators(2, [(1, 0)]), 3))
+    data["growth"]["transfer"] = text
+    with pytest.raises(ParseError, match="lowest terms"):
+        parse_orbit_report(data)
+
+
+@pytest.mark.parametrize("value", [0, ["note"], {"text": "x"}])
+def test_explanation_is_a_string_or_null(value):
+    data = encode_family(disjoint_hyperplane_orbits(CAT, 2))
+    parse_family(data)
+    data["explanation"] = value
+    with pytest.raises(ParseError, match="explanation"):
+        parse_family(data)
+
+
 _MISSING = object()
 
 
