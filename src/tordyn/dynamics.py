@@ -17,6 +17,7 @@ from math import lcm
 
 from .growth import (
     GrowthCertificate,
+    cyclic_basis,
     derive_growth_certificate,
     minimal_annihilator,
 )
@@ -181,7 +182,6 @@ def orbit(
     t: UnimodularMatrix,
     h: Subtorus,
     window_radius: int,
-    want_growth: bool = True,
 ) -> OrbitReport:
     """Decide the exact orbit dichotomy and enumerate a window around m = 0.
 
@@ -197,19 +197,13 @@ def orbit(
         if period is None:
             period = periodic_orbit_period(t, h)
         return OrbitReport("periodic", period, window_radius, window, None, None, True)
-    growth = None
+    m, pv = annihilator_orbit_data(t, h)
+    growth = derive_growth_certificate(m, pv, window_radius)
     min_ext = None
-    rigorous = False
-    if want_growth:
-        m, pv = annihilator_orbit_data(t, h)
-        growth = derive_growth_certificate(m, pv, window_radius)
-        rigorous = growth.rigorous
-        if growth.min_exterior_norm is not None:
-            min_ext = _plucker_floor_to_annihilator_floor(
-                growth.min_exterior_norm, t.n - h.dim
-            )
+    if growth.min_exterior_norm is not None:
+        min_ext = _plucker_floor_to_annihilator_floor(growth.min_exterior_norm, t.n - h.dim)
     return OrbitReport(
-        "injective", None, window_radius, window, min_ext, growth, rigorous
+        "injective", None, window_radius, window, min_ext, growth, growth.rigorous
     )
 
 
@@ -328,22 +322,12 @@ def invariant_rational_subspaces(t: UnimodularMatrix) -> InvariantSubspaceReport
         kern = annihilator_rows(fk, t.n)
         if not kern:
             continue
-        v = kern[0]
-        cyc = _cyclic_lattice(t.rows, v)
+        cyc = saturate_rows(cyclic_basis(t.rows, kern[0], t.n), t.n)
         if 0 < len(cyc) < t.n:
             witnesses.append(Subtorus(t.n, Lattice(t.n, cyc)))
     witnesses.sort(key=lambda h: (h.dim, h.basis))
     assert witnesses, "reducible characteristic polynomial must yield a witness"
     return InvariantSubspaceReport(True, tuple(witnesses), factors, mu)
-
-
-def _cyclic_lattice(a: Mat, v: Vec) -> Mat:
-    rows = [v]
-    cur = v
-    for _ in range(len(v) - 1):
-        cur = mat_vec(a, cur)
-        rows.append(cur)
-    return saturate_rows(tuple(rows), len(v))
 
 
 @dataclass(frozen=True)

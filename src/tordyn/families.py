@@ -29,7 +29,6 @@ from math import lcm
 from .dynamics import (
     OrbitReport,
     act,
-    converges_to_full,
     covector_orbit_is_periodic,
     covector_window_set,
     cyclotomic_radical_matrix,
@@ -68,7 +67,6 @@ from .subtori import (
     canonicalize_covector,
     covector_norm_inf,
     covector_to_hyperplane,
-    hyperplane_to_covector,
     iter_primitive_covectors,
     primitive_covectors,
     subtorus_from_annihilator,
@@ -182,6 +180,17 @@ def _member_report(t: UnimodularMatrix, gamma: Vec, window: int) -> OrbitReport:
     return orbit(t, h, window)
 
 
+def periodic_covector_orbit(s: Mat, gamma: Vec, order: int) -> tuple[Vec, ...]:
+    """The orbit {canonicalize(S^m gamma) : 0 <= m < order}, sorted, of a
+    covector under a dual matrix S whose order divides `order`."""
+    orb = set()
+    cur = gamma
+    for _ in range(order):
+        orb.add(canonicalize_covector(cur))
+        cur = mat_vec(s, cur)
+    return tuple(sorted(orb))
+
+
 def _periodic_family(
     t: UnimodularMatrix, k: int, order: int, budget: Budget
 ) -> DisjointFamilyCertificate:
@@ -194,12 +203,7 @@ def _periodic_family(
             break
         if gamma in taken:
             continue
-        orb = []
-        cur = gamma
-        for _ in range(order):
-            orb.append(canonicalize_covector(cur))
-            cur = mat_vec(s, cur)
-        orbset = tuple(sorted(set(orb)))
+        orbset = periodic_covector_orbit(s, gamma, order)
         if taken.intersection(orbset):
             continue
         members.append(gamma)
@@ -296,29 +300,22 @@ def unipotent_family(t: UnimodularMatrix, k: int, budget: Budget = Budget()) -> 
     return _unipotent_power_family(t, k, budget, injective_only=False)
 
 
-def _quotient_data(t: UnimodularMatrix, h_star: Subtorus):
-    n = t.n
-    kdim = h_star.dim
-    w = complete_to_unimodular(h_star.basis, n)
-    winv = inverse_unimodular(w)
-    m_prime = mat_mul(mat_mul(w, transpose(t.rows)), winv)
-    for i in range(kdim):
-        if any(m_prime[i][j] != 0 for j in range(kdim, n)):
-            raise FamilyConstructionError("subtorus is not invariant in quotient coordinates")
-    d_block = tuple(tuple(m_prime[i][j] for j in range(kdim, n)) for i in range(kdim, n))
-    tbar = UnimodularMatrix(transpose(d_block))
-    return w, d_block, tbar
+def quotient_action(t: UnimodularMatrix, w: Mat, kdim: int) -> Mat | None:
+    """The action induced on the quotient coordinates of a unimodular w whose
+    first kdim rows span an invariant lattice: the lower-right block of
+    w T^T w^-1, or None if that conjugate does not preserve the flag."""
+    m_prime = mat_mul(mat_mul(w, transpose(t.rows)), inverse_unimodular(w))
+    if any(x for row in m_prime[:kdim] for x in row[kdim:]):
+        return None
+    return tuple(row[kdim:] for row in m_prime[kdim:])
 
 
-def lift_member(w: Mat, kdim: int, inner_gamma: Vec, n: int) -> Vec:
-    inner_h = covector_to_hyperplane(PrimitiveCovector(inner_gamma))
-    rows = list(w[:kdim])
-    for r in inner_h.basis:
-        y = (0,) * kdim + tuple(r)
-        rows.append(tuple(sum(y[i] * w[i][j] for i in range(n)) for j in range(n)))
-    sat = saturate_rows(tuple(rows), n)
-    lifted = Subtorus(n, Lattice(n, sat))
-    return hyperplane_to_covector(lifted).entries
+def lift_member(winv: Mat, kdim: int, inner_gamma: Vec) -> Vec:
+    """The covector of the hyperplane that contains the invariant subtorus and
+    maps onto the quotient hyperplane inner_gamma: a covector c vanishes on the
+    rows y w with y in 0^kdim x ker(inner_gamma) exactly when w c lies in
+    0^kdim x Z inner_gamma, so c is w^-1 (0, inner_gamma)."""
+    return canonicalize_covector(mat_vec(winv, (0,) * kdim + tuple(inner_gamma)))
 
 
 def _quotient_family(
@@ -328,12 +325,16 @@ def _quotient_family(
     injective_only: bool,
     h_star: Subtorus,
 ) -> DisjointFamilyCertificate:
-    n = t.n
     if act(t, h_star) != h_star:
         raise FamilyConstructionError("chosen subspace is not invariant")
-    w, d_block, tbar = _quotient_data(t, h_star)
-    inner = disjoint_hyperplane_orbits(tbar, k, budget, injective_only)
-    members = tuple(lift_member(w, h_star.dim, g, n) for g in inner.members)
+    kdim = h_star.dim
+    w = complete_to_unimodular(h_star.basis, t.n)
+    d_block = quotient_action(t, w, kdim)
+    if d_block is None:
+        raise FamilyConstructionError("subtorus is not invariant in quotient coordinates")
+    inner = disjoint_hyperplane_orbits(UnimodularMatrix(transpose(d_block)), k, budget, injective_only)
+    winv = inverse_unimodular(w)
+    members = tuple(lift_member(winv, kdim, g) for g in inner.members)
     window = min(budget.max_window, 16)
     reports = tuple(_member_report(t, m, window) for m in members)
     return DisjointFamilyCertificate(
@@ -529,13 +530,16 @@ class NonExpansivityCertificate:
     isolation: IsolationReport | None = None
 
 
+# fixed hyperplanes listed for a finite-order automorphism, and the dual norm
+# cap of the isolation bound of the first member
+FIXED_COUNT = 2
+ISOLATION_CAP = 2
+
+
 def non_expansivity_certificate(
     t: UnimodularMatrix,
     orbit_count: int = 10,
     budget: Budget = Budget(),
-    fixed_count: int = 2,
-    isolation_cap: int = 2,
-    isolation_resolution=None,
 ) -> NonExpansivityCertificate:
     if t.n < 2:
         raise ValueError("needs ambient dimension >= 2")
@@ -547,7 +551,7 @@ def non_expansivity_certificate(
         assert power.is_identity()
         fixed = []
         for gamma in iter_primitive_covectors(t.n, budget.max_norm):
-            if len(fixed) == fixed_count:
+            if len(fixed) == FIXED_COUNT:
                 break
             h = covector_to_hyperplane(PrimitiveCovector(gamma))
             assert act(power, h) == h
@@ -562,18 +566,15 @@ def non_expansivity_certificate(
             explanation=None if len(fixed) >= 2 else "fewer than two fixed hyperplanes",
         )
     family = disjoint_hyperplane_orbits(t, orbit_count, budget, injective_only=True)
-    conv = tuple(
-        converges_to_full(t, covector_to_hyperplane(PrimitiveCovector(g)))
-        for g in family.members
-    )
-    resolution = isolation_resolution
-    if resolution is None:
-        resolution = Fraction(1, 50) if t.n == 2 else Fraction(1, 12)
+    # a hyperplane orbit converges to the full torus exactly when it is
+    # injective (dynamics.converges_to_full), which each orbit report decides
+    conv = tuple(rep.status == "injective" for rep in family.orbit_reports)
+    resolution = Fraction(1, 50) if t.n == 2 else Fraction(1, 12)
     iso = None
     if family.members:
         iso = isolation_radius_lower_bound(
             covector_to_hyperplane(PrimitiveCovector(family.members[0])),
-            isolation_cap,
+            ISOLATION_CAP,
             resolution,
         )
     complete = family.complete and all(conv)
@@ -581,7 +582,7 @@ def non_expansivity_certificate(
     if iso is not None and iso.bound <= 0:
         reasons.append(
             f"isolation bound {iso.bound} is not positive at dual norm cap "
-            f"{isolation_cap} and resolution {resolution}"
+            f"{ISOLATION_CAP} and resolution {resolution}"
         )
     return NonExpansivityCertificate(
         matrix=t.rows,

@@ -18,15 +18,19 @@ re-computation:
   real value.  The q-step recurrence (roots raised to the q-th power) and the
   Hankel recurrence (pairwise products of roots) are computed from Newton
   power sums of the annihilator's roots, in exact integers
-  (polynomials.root_power_poly and polynomials.exterior_square_poly); the
-  producer and the checker share these two routines.
+  (polynomials.root_power_poly and polynomials.exterior_square_poly).
 * polynomial: when every eigenvalue is a root of unity (with multiplicity),
   each residue class of t along step q = lcm of the orders is an exact
   polynomial, bounded below by elementary tail estimates.
 
-Floating point appears only as a hint source for picking q, mu, nu; the
-emitted certificate is verified exactly before being returned and can be
-re-verified independently via check_growth_certificate.
+The producer (derive_growth_certificate) and the checker
+(check_growth_certificate) share one routine for each step of the evidence:
+direction_sequence gives the sequence, recurrence and covered index of a
+direction and level; cone_is_invariant and enters_cone test a cone and its
+entries; the cone and polynomial floors come from _cone_floor and
+_try_polynomial_direction; and norm_floor turns a sequence floor into a norm
+floor.  Floating point appears only as a hint source for picking q, mu, nu in
+the producer, which searches; the checker only re-runs the exact tests.
 """
 
 from __future__ import annotations
@@ -183,10 +187,6 @@ class GrowthCertificate:
     min_exterior_norm: int | None
 
 
-class _ConeFailure(Exception):
-    pass
-
-
 def _cone_bounds(b: tuple[int, ...], mu: Fraction, nu: Fraction) -> tuple[Fraction, Fraction]:
     """Worst-case next/current ratios of the cone given recurrence coefficients."""
     dd = len(b)
@@ -224,6 +224,63 @@ def _root_hints(p: Poly) -> tuple[float, float] | None:
     return top, second
 
 
+def direction_sequence(
+    vals: dict[int, int], g: Poly, direction: str, level: int, window: int
+) -> tuple[dict[int, int], Poly, int] | None:
+    """(sequence, recurrence polynomial, last index the window covers) for the
+    evidence of one orbit direction at one level, or None if the direction is
+    unknown or the level does not apply.
+
+    Levels 0 (polynomial) and 1 run on the impulse response t, read backwards
+    with the reciprocal recurrence for the backward direction.  Level 2 runs
+    on the Hankel determinants t(j) t(j+2) - t(j+1)^2, whose recurrence has
+    the pairwise root products as roots; determinant j involves t(j+2), so
+    the window covers two indices fewer."""
+    if direction == "forward":
+        g_dir = g
+        seq = {j: vals[j] for j in vals if j >= -2}
+    elif direction == "backward":
+        g_dir = reciprocal_monic(g)
+        seq = {-j: vals[j] for j in vals if j <= 2}
+    else:
+        return None
+    if level in (0, 1):
+        return seq, g_dir, window
+    if level == 2 and len(g) - 1 >= 3:
+        hseq = {j: seq[j] * seq[j + 2] - seq[j + 1] ** 2 for j in seq if j + 2 in seq}
+        return hseq, exterior_square_poly(g_dir), window - 2
+    return None
+
+
+def cone_is_invariant(qpoly: Poly, mu: Fraction, nu: Fraction) -> bool:
+    """Whether 1 < mu <= nu and the q-step recurrence qpoly maps the ratio cone
+    mu <= s(j+1)/s(j) <= nu into itself."""
+    if not 1 < mu <= nu:
+        return False
+    lb, ub = _cone_bounds(recurrence_from_poly(qpoly), mu, nu)
+    return lb >= mu and ub <= nu
+
+
+def enters_cone(seq: dict[int, int], q: int, dd: int, mu: Fraction, nu: Fraction,
+                entry: ConeEntry) -> bool:
+    """Whether the dd values sign * seq(start + q i), i < dd, are positive with
+    every ratio of neighbours in [mu, nu].  A missing index raises KeyError."""
+    sv = [entry.sign * seq[entry.start_index + q * i] for i in range(dd)]
+    return all(x > 0 for x in sv) and all(
+        mu * sv[i] <= sv[i + 1] <= nu * sv[i] for i in range(dd - 1)
+    )
+
+
+def norm_floor(floor_seq: int, level: int, transfer: Fraction) -> int:
+    """Sup-norm floor of the orbit vectors implied by a floor of the sequence.
+
+    At level 2, |t(j) t(j+2) - t(j+1)^2| >= F forces max |t| >= sqrt(F / 2);
+    the transfer constant then bounds coordinates by the ambient norm."""
+    if level == 2:
+        floor_seq = ceil_sqrt_fraction(Fraction(floor_seq, 2))
+    return ceil_fraction(Fraction(floor_seq) / transfer)
+
+
 def _try_cone_direction(
     seq: dict[int, int],
     rec_poly: Poly,
@@ -242,14 +299,12 @@ def _try_cone_direction(
         rho, second = hints
         if rho <= 1.0001 or second >= rho * 0.999:
             continue
-        b = recurrence_from_poly(qpoly)
-        pair = _pick_cone_ratios(b, rho, second)
+        pair = _pick_cone_ratios(qpoly, rho, second)
         if pair is None:
             continue
         mu, nu = pair
-        try:
-            entries = _find_entries(seq, q, dd, mu, nu, cover_from)
-        except _ConeFailure:
+        entries = _find_entries(seq, q, dd, mu, nu, cover_from)
+        if entries is None:
             continue
         floor = _cone_floor(seq, q, mu, entries, cover_from)
         if floor >= 1:
@@ -257,7 +312,7 @@ def _try_cone_direction(
     return None
 
 
-def _pick_cone_ratios(b, rho: float, second: float) -> tuple[Fraction, Fraction] | None:
+def _pick_cone_ratios(qpoly: Poly, rho: float, second: float) -> tuple[Fraction, Fraction] | None:
     gap = rho - max(second, 1.0)
     if gap <= 0:
         return None
@@ -266,33 +321,25 @@ def _pick_cone_ratios(b, rho: float, second: float) -> tuple[Fraction, Fraction]
         hi = rho + shrink * gap * 4
         mu = Fraction(max(1, round(lo * 256)), 256)
         nu = Fraction(round(hi * 256) + 1, 256)
-        if mu <= 1 or nu <= mu:
-            continue
-        lb, ub = _cone_bounds(b, mu, nu)
-        if lb >= mu and ub <= nu:
+        if cone_is_invariant(qpoly, mu, nu):
             return mu, nu
     return None
 
 
-def _find_entries(seq, q, dd, mu, nu, cover_from) -> tuple[ConeEntry, ...]:
+def _find_entries(seq, q, dd, mu, nu, cover_from) -> tuple[ConeEntry, ...] | None:
+    """The first cone entry at or below cover_from + 1 of every residue mod q,
+    or None if some residue has none."""
     entries = []
     for r in range(q):
-        found = None
         e = r
         while e <= cover_from + 1:
-            idx = [e + q * i for i in range(dd)]
-            vals = [seq[i] for i in idx]
-            sign = 1 if vals[0] > 0 else -1
-            sv = [sign * x for x in vals]
-            if all(x > 0 for x in sv) and all(
-                mu * sv[i] <= sv[i + 1] <= nu * sv[i] for i in range(dd - 1)
-            ):
-                found = ConeEntry(residue=r, start_index=e, sign=sign)
+            ent = ConeEntry(residue=r, start_index=e, sign=1 if seq[e] > 0 else -1)
+            if enters_cone(seq, q, dd, mu, nu, ent):
+                entries.append(ent)
                 break
             e += q
-        if found is None:
-            raise _ConeFailure(f"no cone entry for residue {r}")
-        entries.append(found)
+        else:
+            return None
     return tuple(entries)
 
 
@@ -401,42 +448,28 @@ def derive_direction(
     window: int,
     transfer: Fraction,
 ) -> DirectionCertificate:
-    d = len(g) - 1
-    if direction == "forward":
-        g_dir = g
-        seq = {j: vals[j] for j in vals if j >= -2}
-        max_index = max(seq)
-    else:
-        g_dir = reciprocal_monic(g)
-        seq = {-j: vals[j] for j in vals if j <= 2}
-        max_index = max(seq)
-
-    # level 1 cone on the raw sequence
-    res = _try_cone_direction(seq, g_dir, window, max_index)
+    # level 1 cone on the raw sequence, then the polynomial path for
+    # root-of-unity spectra, then a level 2 cone on Hankel determinants
+    # (dominant complex pair)
+    seq, g_dir, cover_from = direction_sequence(vals, g, direction, 1, window)
+    res = _try_cone_direction(seq, g_dir, cover_from, max(seq))
     if res is not None:
         q, mu, nu, entries, floor = res
-        fnorm = ceil_fraction(Fraction(floor) / transfer)
-        return DirectionCertificate(direction, "cone", 1, q, mu, nu, entries, floor, fnorm)
-
-    # polynomial path for root-of-unity spectra
-    respoly = _try_polynomial_direction(seq, g_dir, window, max_index)
+        return DirectionCertificate(direction, "cone", 1, q, mu, nu, entries, floor,
+                                    norm_floor(floor, 1, transfer))
+    respoly = _try_polynomial_direction(seq, g_dir, cover_from, max(seq))
     if respoly is not None:
         q, floor = respoly
-        fnorm = ceil_fraction(Fraction(floor) / transfer)
-        return DirectionCertificate(direction, "polynomial", 0, q, Fraction(0), Fraction(0), (), floor, fnorm)
-
-    # level 2 cone on Hankel determinants (dominant complex pair)
-    if d >= 3:
-        hpoly = exterior_square_poly(g_dir)
-        hseq = {j: seq[j] * seq[j + 2] - seq[j + 1] ** 2
-                for j in seq if j + 2 in seq}
-        res = _try_cone_direction(hseq, hpoly, window - 2, max(hseq, default=0))
+        return DirectionCertificate(direction, "polynomial", 0, q, floor_seq=floor,
+                                    floor_norm=norm_floor(floor, 0, transfer))
+    hankel = direction_sequence(vals, g, direction, 2, window)
+    if hankel is not None:
+        hseq, hpoly, cover_from = hankel
+        res = _try_cone_direction(hseq, hpoly, cover_from, max(hseq, default=0))
         if res is not None:
             q, mu, nu, entries, floor = res
-            m_floor = ceil_sqrt_fraction(Fraction(floor, 2))
-            fnorm = ceil_fraction(Fraction(m_floor) / transfer)
-            return DirectionCertificate(direction, "cone", 2, q, mu, nu, entries, floor, fnorm)
-
+            return DirectionCertificate(direction, "cone", 2, q, mu, nu, entries, floor,
+                                        norm_floor(floor, 2, transfer))
     return DirectionCertificate(direction, "window_only")
 
 
@@ -505,20 +538,20 @@ def check_growth_certificate(m: Mat, v: Vec, cert: GrowthCertificate, window: in
 
 
 def _check_direction(vals, g, dc: DirectionCertificate, window, transfer):
-    if dc.direction == "forward":
-        g_dir = g
-        seq = {j: vals[j] for j in vals if j >= -2}
-    elif dc.direction == "backward":
-        g_dir = reciprocal_monic(g)
-        seq = {-j: vals[j] for j in vals if j <= 2}
-    else:
-        return [f"unknown direction {dc.direction!r}"], 0
     if dc.kind == "window_only":
         if dc != DirectionCertificate(dc.direction, "window_only"):
             return [f"{dc.direction}: window-only evidence carries data"], 0
         return [], 0
+    if dc.kind not in ("cone", "polynomial"):
+        return [f"unknown growth kind {dc.kind!r}"], 0
+    if (dc.kind == "polynomial") != (dc.level == 0):
+        return [f"{dc.direction}: level {dc.level} does not fit {dc.kind} evidence"], 0
+    setup = direction_sequence(vals, g, dc.direction, dc.level, window)
+    if setup is None:
+        return [f"{dc.direction}: no level {dc.level} evidence for this annihilator"], 0
+    seq, rec, cover_from = setup
     if dc.kind == "polynomial":
-        res = _try_polynomial_direction(seq, g_dir, window, max(seq))
+        res = _try_polynomial_direction(seq, rec, cover_from, max(seq))
         if res is None:
             return [f"{dc.direction}: polynomial evidence cannot be reproduced"], 0
         q, floor = res
@@ -528,65 +561,29 @@ def _check_direction(vals, g, dc: DirectionCertificate, window, transfer):
             return [f"{dc.direction}: polynomial evidence has a wrong step or carries cone data"], 0
         if floor < dc.floor_seq:
             return [f"{dc.direction}: stored polynomial floor too large"], 0
-        fnorm = ceil_fraction(Fraction(floor) / transfer)
-        if fnorm < dc.floor_norm:
-            return [f"{dc.direction}: stored norm floor too large"], 0
-        return [], fnorm
-    if dc.kind != "cone":
-        return [f"unknown growth kind {dc.kind!r}"], 0
-    problems = []
-    d = len(g) - 1
-    if dc.level == 1:
-        use_seq = seq
-        rec = g_dir
-        cover_from = window
-    elif dc.level == 2 and d >= 3:
-        use_seq = {j: seq[j] * seq[j + 2] - seq[j + 1] ** 2 for j in seq if j + 2 in seq}
-        rec = exterior_square_poly(g_dir)
-        cover_from = window - 2
     else:
-        return [f"{dc.direction}: invalid cone level"], 0
-    q = dc.power_step
-    b = recurrence_from_poly(root_power_poly(rec, q))
-    dd = len(rec) - 1
-    lb, ub = _cone_bounds(b, dc.mu, dc.nu)
-    if not (dc.mu > 1 and dc.nu >= dc.mu):
-        problems.append(f"{dc.direction}: cone ratios out of range")
-    if lb < dc.mu or ub > dc.nu:
-        problems.append(f"{dc.direction}: cone invariance inequality fails")
-    seen = set()
-    for ent in dc.entries:
-        seen.add(ent.residue)
-        if ent.sign not in (1, -1):
-            problems.append(f"{dc.direction}: entry sign {ent.sign} for residue {ent.residue} is not +-1")
-            continue
-        if ent.start_index % q != ent.residue or ent.start_index > cover_from + 1:
-            problems.append(f"{dc.direction}: entry for residue {ent.residue} out of place")
-            continue
-        try:
-            sv = [ent.sign * use_seq[ent.start_index + q * i] for i in range(dd)]
-        except KeyError:
-            problems.append(f"{dc.direction}: entry indices outside recomputed range")
-            continue
-        if not all(x > 0 for x in sv):
-            problems.append(f"{dc.direction}: entry values not positive for residue {ent.residue}")
-            continue
-        if not all(dc.mu * sv[i] <= sv[i + 1] <= dc.nu * sv[i] for i in range(dd - 1)):
-            problems.append(f"{dc.direction}: entry chain violates the cone for residue {ent.residue}")
-    if seen != set(range(q)):
-        problems.append(f"{dc.direction}: cone entries do not cover all residues mod {q}")
-    if problems:
-        return problems, 0
-    floor = _cone_floor(use_seq, q, dc.mu, dc.entries, cover_from)
-    if floor < dc.floor_seq:
-        problems.append(f"{dc.direction}: stored sequence floor too large")
-        return problems, 0
-    if dc.level == 2:
-        m_floor = ceil_sqrt_fraction(Fraction(floor, 2))
-        fnorm = ceil_fraction(Fraction(m_floor) / transfer)
-    else:
-        fnorm = ceil_fraction(Fraction(floor) / transfer)
+        problems = []
+        q = dc.power_step
+        if not cone_is_invariant(root_power_poly(rec, q), dc.mu, dc.nu):
+            problems.append(f"{dc.direction}: cone ratios out of range or not invariant")
+        dd = len(rec) - 1
+        for ent in dc.entries:
+            if ent.sign not in (1, -1):
+                problems.append(f"{dc.direction}: entry sign {ent.sign} for residue {ent.residue} is not +-1")
+            elif ent.start_index % q != ent.residue or ent.start_index > cover_from + 1:
+                problems.append(f"{dc.direction}: entry for residue {ent.residue} out of place")
+            elif not all(ent.start_index + q * i in seq for i in range(dd)):
+                problems.append(f"{dc.direction}: entry indices outside recomputed range")
+            elif not enters_cone(seq, q, dd, dc.mu, dc.nu, ent):
+                problems.append(f"{dc.direction}: entry for residue {ent.residue} does not enter the cone")
+        if {ent.residue for ent in dc.entries} != set(range(q)):
+            problems.append(f"{dc.direction}: cone entries do not cover all residues mod {q}")
+        if problems:
+            return problems, 0
+        floor = _cone_floor(seq, q, dc.mu, dc.entries, cover_from)
+        if floor < dc.floor_seq:
+            return [f"{dc.direction}: stored sequence floor too large"], 0
+    fnorm = norm_floor(floor, dc.level, transfer)
     if fnorm < dc.floor_norm:
-        problems.append(f"{dc.direction}: stored norm floor too large")
-        return problems, 0
+        return [f"{dc.direction}: stored norm floor too large"], 0
     return [], fnorm

@@ -216,29 +216,23 @@ def enumerate_hnf_lattices(n: int, rank: int, bound: int) -> list[Mat]:
     out: list[Mat] = []
     for pivots in combinations(range(n), rank):
         rows_choices: list[list[tuple[int, ...]]] = []
-        for i, pc in enumerate(pivots):
-            later_pivots = set(pivots[i + 1:])
+        for pc in pivots:
             choices: list[tuple[int, ...]] = []
 
-            def build(row, col, pivot_val):
+            def build(row, col):
                 if col == n:
                     choices.append(tuple(row))
-                    return
-                if col < pc:
-                    build(row + [0], col + 1, pivot_val)
+                elif col < pc:
+                    build(row + [0], col + 1)
                 elif col == pc:
                     for p in range(1, bound + 1):
-                        build(row + [p], col + 1, p)
-                elif col in later_pivots:
-                    # reduced below the later pivot once it is chosen; here we
-                    # just bound the entry and filter by canonicity afterwards
-                    for v in range(-bound, bound + 1):
-                        build(row + [v], col + 1, pivot_val)
+                        build(row + [p], col + 1)
                 else:
+                    # only bounded here; canonicity is filtered afterwards
                     for v in range(-bound, bound + 1):
-                        build(row + [v], col + 1, pivot_val)
+                        build(row + [v], col + 1)
 
-            build([], 0, None)
+            build([], 0)
             rows_choices.append(choices)
         for rows in product(*rows_choices):
             cand = tuple(rows)

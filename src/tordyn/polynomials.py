@@ -321,7 +321,3 @@ def rational_factors(p: Poly) -> list[tuple[Poly, int]]:
         raise AssertionError("factorization does not reproduce the input")
     return out
 
-
-def is_irreducible(p: Poly) -> bool:
-    facts = rational_factors(p)
-    return len(facts) == 1 and facts[0][1] == 1

@@ -410,24 +410,28 @@ def encode_isolation(r: IsolationReport) -> dict:
     }
 
 
-def _parse_float_display(x) -> None:
-    # the float display of an exact field, which alone is evidence
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ParseError(f"expected a number, got {x!r}")
-
-
 def parse_isolation(data) -> IsolationReport:
+    # `bound` displays `bound_exact`, which alone is evidence, so it must be
+    # exactly its float
     v = _record(data, "isolation report", {
         "subtorus": parse_subtorus,
         "dual_norm_bound": _parse_int,
         "resolution": _parse_frac,
         "candidates": _parse_int,
-        "bound": _parse_float_display,
+        "bound": None,
         "bound_exact": _parse_frac,
         "nearest": _optional(parse_subtorus),
     })
-    v["bound"] = v.pop("bound_exact")
-    return IsolationReport(**v)
+    exact = v.pop("bound_exact")
+    shown = data["bound"]
+    try:
+        displays = not isinstance(shown, bool) and shown == float(exact)
+    except OverflowError:
+        displays = False
+    if not displays:
+        raise ParseError(f"isolation report bound: {shown!r} is not the float of bound_exact "
+                         f"{_frac_str(exact)}")
+    return IsolationReport(bound=exact, **v)
 
 
 def encode_non_expansivity(c: NonExpansivityCertificate) -> dict:

@@ -54,9 +54,6 @@ class Subtorus:
     def basis(self) -> Mat:
         return self.lattice.basis
 
-    def is_trivial(self) -> bool:
-        return self.dim == 0
-
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
@@ -129,10 +126,6 @@ class PrimitiveCovector:
     @property
     def ambient_dim(self) -> int:
         return len(self.entries)
-
-    @property
-    def norm_inf(self) -> int:
-        return max(abs(x) for x in self.entries)
 
 
 def hyperplane_to_covector(h: Subtorus) -> PrimitiveCovector:

@@ -5,13 +5,24 @@ invariants, growth floors and quotient data from the matrix and the members,
 and compares them with what the certificate claims.  Any discrepancy is
 reported with the offending member or pair named.
 
+Each piece of evidence has one routine, which the producer calls to build it
+and the checker calls to recompute it: the orbit windows
+(`dynamics.orbit_window`, `dynamics.covector_window_set`); growth
+(`growth.check_growth_certificate`, which shares with the producer the
+sequence of a direction and level, the cone-invariance and entry-chain tests
+and the norm-floor conversion); the finite-order orbits
+(`families.periodic_covector_orbit`); the unipotent invariant sets
+(`families.invariant_set_for`); the quotient action and lift
+(`families.quotient_action`, `families.lift_member`); and the isolation bound
+(`metric.isolation_radius_lower_bound`).  Convergence to the full torus is
+read off each orbit report's status, which `verify_family` has matched with
+the recomputed orbit dichotomy.
+
 Trusted base: the exact arithmetic of `intmat`, `polynomials` (including the
 Newton power-sum routines behind the q-step and Hankel recurrences) and
-`lattices`; the subtorus and covector code of `subtori`; and, shared with the
-producer, the orbit routines of `dynamics`, `growth.check_growth_certificate`,
-`metric.isolation_radius_lower_bound` and the family helpers
-`families.cyclotomic_power`, `families.invariant_set_for` and
-`families.lift_member`.  Every name it imports is public.
+`lattices`; the subtorus and covector code of `subtori`; and the shared
+routines of `dynamics`, `growth`, `metric` and `families` named above.  Every
+name it imports is public and comes from one of these modules.
 
 The checker bounds most of its work by the size of the certificate: a window
 radius must come with its 2r + 1 entries, a cone power step is at most the
@@ -39,6 +50,8 @@ from .families import (
     cyclotomic_power,
     invariant_set_for,
     lift_member,
+    periodic_covector_orbit,
+    quotient_action,
 )
 from .growth import check_growth_certificate
 from .intmat import (
@@ -46,8 +59,6 @@ from .intmat import (
     det,
     inverse_unimodular,
     is_unipotent,
-    mat_mul,
-    mat_vec,
     matrix_order,
     transpose,
 )
@@ -165,12 +176,7 @@ def _verify_periodic_branch(t, cert, failures):
         return
     s = dual_matrix(t).rows
     for i, (g, orb) in enumerate(zip(cert.members, cert.periodic_orbits)):
-        cur = g
-        recomputed = set()
-        for _ in range(order):
-            recomputed.add(canonicalize_covector(cur))
-            cur = mat_vec(s, cur)
-        if set(orb) != recomputed:
+        if tuple(orb) != periodic_covector_orbit(s, g, order):
             _fail(failures, f"member {i}: stored orbit does not match recomputation")
     for i in range(len(cert.members)):
         for j in range(i + 1, len(cert.members)):
@@ -225,12 +231,10 @@ def _verify_quotient_branch(t, cert, failures):
     if tuple(w[:kdim]) != h_star.basis:
         _fail(failures, "completion does not start with the invariant basis")
         return
-    m_prime = mat_mul(mat_mul(w, transpose(t.rows)), inverse_unimodular(w))
-    for i in range(kdim):
-        if any(m_prime[i][j] != 0 for j in range(kdim, n)):
-            _fail(failures, "conjugated action does not preserve the flag")
-            return
-    d_block = tuple(tuple(m_prime[i][j] for j in range(kdim, n)) for i in range(kdim, n))
+    d_block = quotient_action(t, w, kdim)
+    if d_block is None:
+        _fail(failures, "conjugated action does not preserve the flag")
+        return
     if d_block != q.quotient_matrix:
         _fail(failures, "stored quotient matrix does not match the conjugation")
         return
@@ -245,9 +249,9 @@ def _verify_quotient_branch(t, cert, failures):
     if len(q.inner.members) != len(cert.members):
         _fail(failures, "member count differs from the quotient family")
         return
+    winv = inverse_unimodular(w)
     for i, inner_gamma in enumerate(q.inner.members):
-        lifted = lift_member(w, kdim, inner_gamma, n)
-        if lifted != cert.members[i]:
+        if lift_member(winv, kdim, inner_gamma) != cert.members[i]:
             _fail(failures, f"member {i}: does not lift the quotient member")
 
 
@@ -322,18 +326,15 @@ def verify_non_expansivity(cert: NonExpansivityCertificate) -> VerificationResul
         if cert.converges is None or len(cert.converges) != len(cert.family.members):
             _fail(failures, "need convergence evidence per member")
         else:
-            for i, (g, claimed) in enumerate(zip(cert.family.members, cert.converges)):
-                h = covector_to_hyperplane(PrimitiveCovector(g))
-                periodic = orbit_is_periodic(t, h)
-                if periodic:
-                    _fail(failures, f"member {i}: orbit is periodic, not injective")
-                # a hyperplane orbit converges to the full torus exactly when
-                # it is not periodic (dynamics.converges_to_full)
-                actual = not periodic
-                if actual != claimed:
+            # verify_family has matched every report's status with the
+            # recomputed dichotomy, or failed; a hyperplane orbit converges to
+            # the full torus exactly when it is injective
+            # (dynamics.converges_to_full)
+            for i, (rep, claimed) in enumerate(zip(cert.family.orbit_reports, cert.converges)):
+                if rep.status != "injective":
+                    _fail(failures, f"member {i}: orbit is periodic, so it does not converge")
+                elif not claimed:
                     _fail(failures, f"member {i}: convergence claim is wrong")
-                elif not actual:
-                    _fail(failures, f"member {i}: orbit does not converge to the full torus")
         if cert.rigorous and not cert.family.rigorous:
             _fail(failures, "certificate claims rigor but the family does not")
         iso = cert.isolation

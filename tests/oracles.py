@@ -305,3 +305,26 @@ def first_repetition_is_injective(s_rows, gamma, window):
     scan = covector_orbit_scan(s_rows, gamma, window)
     values = list(scan.values())
     return len(set(values)) == len(values)
+
+
+def saturation_lift(w, kdim, inner_gamma):
+    """Covector of the hyperplane spanned by the first kdim rows of the
+    unimodular w and the rows y w, y in 0^kdim x (the hyperplane of T^(n-kdim)
+    that inner_gamma annihilates): the rows are built, saturated and turned
+    back into a covector through a kernel, as the quotient lift once did."""
+    from tordyn.lattices import Lattice, saturate_rows
+    from tordyn.subtori import (
+        PrimitiveCovector,
+        Subtorus,
+        covector_to_hyperplane,
+        hyperplane_to_covector,
+    )
+
+    n = len(w)
+    inner_h = covector_to_hyperplane(PrimitiveCovector(inner_gamma))
+    rows = list(w[:kdim])
+    for r in inner_h.basis:
+        y = (0,) * kdim + tuple(r)
+        rows.append(tuple(sum(y[i] * w[i][j] for i in range(n)) for j in range(n)))
+    lifted = Subtorus(n, Lattice(n, saturate_rows(tuple(rows), n)))
+    return hyperplane_to_covector(lifted).entries

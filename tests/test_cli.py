@@ -177,6 +177,22 @@ def test_certify_nonexpansive(capsys):
     assert code == EXIT_OK
 
 
+def test_verify_rejects_isolation_bound_display_exit_2(capsys):
+    code, env, _ = run_cli(
+        ["certify-nonexpansive", "--count", "2"], {"matrix": [[2, 1], [1, 1]]}, capsys
+    )
+    assert code == EXIT_OK
+    cert = env["result"]
+    exact = cert["isolation"]["bound_exact"]
+    assert round(cert["isolation"]["bound"], 2) == 0.48
+    # the display must be the float of the exact bound, which alone is evidence
+    cert["isolation"]["bound"] = 0.5
+    code, env2, err = run_cli(["verify"], {"certificate": cert}, capsys)
+    assert code == EXIT_INVALID
+    assert env2 is None
+    assert f"bound_exact {exact}" in err
+
+
 def test_inconclusive_budget_exit_3(capsys):
     code, env, _ = run_cli(
         ["disjoint-family", "--count", "30", "--budget-norm", "1"],

@@ -305,8 +305,8 @@ def test_orbit_periodicity_of_powers_divides():
     for _ in range(30):
         t = random_word(rng, 2)
         h = covector_to_hyperplane(PrimitiveCovector.from_entries((1, 3)))
-        rep = orbit(t, h, 2, want_growth=False)
-        rep_sq = orbit(t * t, h, 2, want_growth=False)
+        rep = orbit(t, h, 2)
+        rep_sq = orbit(t * t, h, 2)
         if rep.status == "periodic":
             assert rep_sq.status == "periodic"
             assert rep.period % rep_sq.period == 0 or rep_sq.period % rep.period == 0
@@ -324,8 +324,8 @@ def test_conjugation_maps_orbits_to_orbits():
         )
         if h.dim != n - 1:
             continue
-        rep = orbit(t, h, 3, want_growth=False)
-        rep_c = orbit(tu, act(u, h), 3, want_growth=False)
+        rep = orbit(t, h, 3)
+        rep_c = orbit(tu, act(u, h), 3)
         assert rep.status == rep_c.status
         if rep.status == "periodic":
             assert rep.period == rep_c.period
@@ -398,7 +398,7 @@ def test_orbit_scan_agreement_with_reports():
         t = random_word(rng, 2)
         gamma = (1, 2)
         h = covector_to_hyperplane(PrimitiveCovector(gamma))
-        rep = orbit(t, h, 5, want_growth=False)
+        rep = orbit(t, h, 5)
         scan = covector_orbit_scan(dual_matrix(t).rows, gamma, 5)
         for m, basis in rep.window:
             sub = Subtorus(2, Lattice(2, basis))
@@ -470,7 +470,7 @@ def test_periodicity_decision_against_long_scans_n3():
         gamma = hyperplane_to_covector(h).entries
         s = dual_matrix(t).rows
         if orbit_is_periodic(t, h):
-            rep = orbit(t, h, 1, want_growth=False)
+            rep = orbit(t, h, 1)
             assert act(t.power(rep.period), h) == h
         else:
             checked_injective += 1

@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import covector_orbit_scan, random_word
+from oracles import covector_orbit_scan, random_word, saturation_lift
 from tordyn.dynamics import act, converges_to_full, dual_matrix, orbit, orbit_is_periodic
 from tordyn.families import (
     Budget,
     FamilyConstructionError,
     disjoint_hyperplane_orbits,
     fixed_subtori,
+    lift_member,
     non_expansivity_certificate,
     reduce_mod_lattice,
     unipotent_family,
@@ -169,6 +171,18 @@ def test_disjoint_family_quotient_branch():
             assert brute_force_orbits_disjoint(t, fam.members[i], fam.members[j], 120)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lift_member_matches_the_saturation_lift(data):
+    n = data.draw(st.integers(3, 5), label="n")
+    kdim = data.draw(st.integers(1, n - 2), label="kdim")
+    w = random_word(data.draw(st.randoms(use_true_random=False)), n).rows
+    inner = data.draw(st.lists(st.integers(-6, 6), min_size=n - kdim, max_size=n - kdim)
+                      .filter(any), label="inner covector")
+    gamma = canonicalize_covector(inner)
+    assert lift_member(inverse_unimodular(w), kdim, gamma) == saturation_lift(w, kdim, gamma)
+
+
 def test_greedy_selection_is_stable_under_k():
     small = disjoint_hyperplane_orbits(CAT, 5)
     large = disjoint_hyperplane_orbits(CAT, 10)
@@ -214,7 +228,7 @@ def test_fixed_subtori_cross_check_with_periodic_orbits():
             is_fixed = act(t, h) == h
             assert (h in fixed_set) == is_fixed or not rep.complete
             if is_fixed:
-                assert orbit(t, h, 1, want_growth=False).period == 1
+                assert orbit(t, h, 1).period == 1
 
 
 def test_fixed_subtori_low_dimension():

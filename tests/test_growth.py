@@ -98,15 +98,50 @@ def test_cat_certificate_sound_against_bruteforce():
     assert brute >= cert.min_exterior_norm
 
 
+def companion_dual(low):
+    """Dual of the companion matrix of the monic polynomial with coefficients
+    low (constant term first)."""
+    d = len(low) - 1
+    rows = [tuple(1 if j == i + 1 else 0 for j in range(d)) for i in range(d - 1)]
+    rows.append(tuple(-c for c in low[:-1]))
+    return transpose(inverse_unimodular(tuple(rows)))
+
+
+def random_companion_duals(rng, per_degree):
+    """Duals of companions of random monic polynomials of degree 3-6 with
+    unit constant term, whose orbit of e_d is not periodic."""
+    from tordyn.polynomials import is_squarefree_product_of_cyclotomics
+
+    out = []
+    for d in (3, 4, 5, 6):
+        done = 0
+        while done < per_degree:
+            low = (rng.choice((1, -1)),) + tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (1,)
+            s = companion_dual(low)
+            if not is_squarefree_product_of_cyclotomics(minimal_annihilator(s, (0,) * (d - 1) + (1,))):
+                out.append(s)
+                done += 1
+    return out
+
+
 def test_companion_certificate_handles_complex_dominance():
     cert = derive_growth_certificate(COMPANION_DUAL, (0, 0, 1), 20)
     assert cert.rigorous
     kinds = {cert.forward.kind, cert.backward.kind}
     assert kinds == {"cone"}
     assert 2 in {cert.forward.level, cert.backward.level}
-    assert check_growth_certificate(COMPANION_DUAL, (0, 0, 1), cert, 20) == []
-    brute = brute_min_norm_outside_window(COMPANION_DUAL, (0, 0, 1), 20, 400)
-    assert brute >= cert.min_exterior_norm
+    # random companions of degree 3-6: every cone the producer emits, at
+    # level 1 or 2, passes the checker and bounds the true orbit norms
+    levels = set()
+    for s in [COMPANION_DUAL] + random_companion_duals(random.Random(75), 4):
+        v = (0,) * (len(s) - 1) + (1,)
+        cert = derive_growth_certificate(s, v, 20)
+        levels |= {dc.level for dc in (cert.forward, cert.backward) if dc.kind == "cone"}
+        assert check_growth_certificate(s, v, cert, 20) == []
+        if cert.min_exterior_norm is not None:
+            brute = brute_min_norm_outside_window(s, v, 20, 400)
+            assert brute >= cert.min_exterior_norm
+    assert levels == {1, 2}
 
 
 def test_unipotent_certificate_polynomial_path():
@@ -147,6 +182,28 @@ def test_checker_rejects_mutations():
     for q in (0, -1):
         bad = replace(cert, forward=replace(cert.forward, power_step=q))
         assert check_growth_certificate(CAT_DUAL, (0, 1), bad, 8)
+
+
+def test_checker_rejects_a_cone_that_is_not_invariant():
+    # the honest level 2 cone of the cubic companion, written out so that it
+    # does not depend on the producer, which shares the cone test
+    from dataclasses import replace
+    from fractions import Fraction
+
+    from tordyn.growth import ConeEntry, DirectionCertificate
+
+    honest = DirectionCertificate(
+        "forward", "cone", 2, 2, Fraction(19, 16), Fraction(643, 256),
+        (ConeEntry(0, 6, -1), ConeEntry(1, 5, -1)), floor_seq=4, floor_norm=2,
+    )
+    cert = replace(derive_growth_certificate(COMPANION_DUAL, (0, 0, 1), 20), forward=honest)
+    assert check_growth_certificate(COMPANION_DUAL, (0, 0, 1), cert, 20) == []
+    # every entry chain still fits under nu = 2, but the q-step recurrence
+    # leaves that cone, which only the invariance inequality catches
+    bad = replace(cert, forward=replace(honest, nu=Fraction(2)))
+    problems = check_growth_certificate(COMPANION_DUAL, (0, 0, 1), bad, 20)
+    assert problems[0] == "forward: cone ratios out of range or not invariant"
+    assert not any("entry" in p for p in problems)
 
 
 def test_random_hyperbolic_words_certify_and_hold():

@@ -12,7 +12,6 @@ from tordyn.polynomials import (
     divides,
     divmod_exact,
     exterior_square_poly,
-    is_irreducible,
     is_squarefree_product_of_cyclotomics,
     mul,
     power_poly,
@@ -76,10 +75,12 @@ def test_squarefree_cyclotomic_product():
 
 
 def test_rational_factors_examples():
-    assert is_irreducible((1, -3, 1))  # no rational roots, not a square disc
+    # irreducible: no rational roots, not a square discriminant
+    assert rational_factors((1, -3, 1)) == [((1, -3, 1), 1)]
     facts = rational_factors((-1, 0, 1))  # x^2 - 1
     assert [(f, e) for f, e in facts] == [((-1, 1), 1), ((1, 1), 1)]
-    assert is_irreducible((-1, -1, 0, 1))  # x^3 - x - 1, no rational roots
+    # irreducible: x^3 - x - 1, no rational roots
+    assert rational_factors((-1, -1, 0, 1)) == [((-1, -1, 0, 1), 1)]
 
 
 def test_rational_factors_reconstruct_randomized():

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +105,15 @@ def test_duplicate_exponent_window_forgery_rejected():
     assert any("member 3: window" in f for f in res.failures)
 
 
+def test_periodic_orbit_forgery_rejected():
+    data = encode_family(disjoint_hyperplane_orbits(ROT, 2))
+    accept(data)
+    bad = copy.deepcopy(data)
+    bad["periodic_orbits"][0] = bad["periodic_orbits"][0][:-1]
+    res = reject(bad)
+    assert any("stored orbit" in f for f in res.failures)
+
+
 def test_invariant_forgery_rejected(shear_family):
     bad = copy.deepcopy(shear_family)
     bad["invariant_sets"][0][0]["reduced"] = [123, 456]
@@ -189,7 +199,9 @@ def test_nonexpansivity_fixed_subtorus_duplication():
 def test_isolation_bound_forgery():
     data = encode_non_expansivity(non_expansivity_certificate(CAT, 4))
     bad = copy.deepcopy(data)
+    # the float display must follow the exact bound, or parsing rejects it
     bad["isolation"]["bound_exact"] = "999/1000"
+    bad["isolation"]["bound"] = 0.999
     res = reject(bad)
     assert any("isolation" in f for f in res.failures)
 
@@ -222,3 +234,26 @@ def test_random_families_verify_and_random_tampering_rejected():
         bad["members"][0] = gamma
         cert = parse_family(bad)
         assert not verify_certificate(cert).ok
+
+
+def test_verify_imports_public_names_of_its_trusted_base_only():
+    import ast
+    import re
+
+    import tordyn.verify
+
+    tree = ast.parse(Path(tordyn.verify.__file__).read_text())
+    doc = ast.get_docstring(tree)
+    paragraph = doc[doc.index("Trusted base:"):].split("\n\n")[0]
+    trusted = {name.split(".")[0] for name in re.findall(r"`([\w.]+)`", paragraph)}
+    assert {"intmat", "subtori", "growth", "families"} <= trusted
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "tordyn" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module.split(".")[0] != "tordyn":
+                continue  # standard library
+            module = node.module.removeprefix("tordyn.")
+            assert module in trusted, f"verify imports from {module}, outside its trusted base"
+            private = [a.name for a in node.names if a.name.startswith("_")]
+            assert not private, f"verify imports private names {private} from {module}"
