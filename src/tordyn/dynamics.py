@@ -12,14 +12,17 @@ cyclotomic polynomials, which is a finite, exact test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 from .growth import (
     GrowthCertificate,
     cyclic_basis,
-    derive_growth_certificate,
+    growth_certificate,
+    growth_evidence,
     minimal_annihilator,
+    transfer_constant,
 )
 from .intmat import (
     Mat,
@@ -107,16 +110,15 @@ class OrbitReport:
     rigorous: bool
 
 
-def annihilator_orbit_data(t: UnimodularMatrix, h: Subtorus) -> tuple[Mat, Vec]:
+def annihilator_orbit_data(s: Mat, h: Subtorus) -> tuple[Mat, Vec]:
     """Matrix and integer vector whose orbit mirrors the subtorus orbit.
 
-    The annihilator lattice of act(T, H) is S(ann H) with S the dual matrix,
-    so its Plucker vector moves under the (n-dim H)-th exterior power of S.
+    The annihilator lattice of act(T, H) is S(ann H) with S = T^-T the dual
+    matrix (given by its rows), so its Plucker vector moves under the
+    (n-dim H)-th exterior power of S.
     """
-    n = t.n
-    r = n - h.dim
-    s = dual_matrix(t).rows
-    m = compound_matrix(s, r)
+    n = len(s)
+    m = compound_matrix(s, n - h.dim)
     pv = plucker_vector(annihilator(h).basis, n)
     return m, pv
 
@@ -124,14 +126,14 @@ def annihilator_orbit_data(t: UnimodularMatrix, h: Subtorus) -> tuple[Mat, Vec]:
 def orbit_is_periodic(t: UnimodularMatrix, h: Subtorus) -> bool:
     if h.dim in (0, h.ambient_dim):
         return True
-    m, pv = annihilator_orbit_data(t, h)
+    m, pv = annihilator_orbit_data(dual_matrix(t).rows, h)
     g = minimal_annihilator(m, pv)
     return is_squarefree_product_of_cyclotomics(g)
 
 
-def periodic_orbit_period(t: UnimodularMatrix, h: Subtorus) -> int:
-    m, pv = annihilator_orbit_data(t, h)
-    g = minimal_annihilator(m, pv)
+def periodic_orbit_period(t: UnimodularMatrix, h: Subtorus, g: Poly) -> int:
+    """Minimal period of the periodic orbit of h, whose annihilator data has
+    the minimal annihilator g (a squarefree product of cyclotomics)."""
     orders = cyclotomic_orders_if_product(g)
     assert orders is not None
     cap = lcm(*orders) if orders else 1
@@ -143,39 +145,116 @@ def periodic_orbit_period(t: UnimodularMatrix, h: Subtorus) -> int:
     raise AssertionError("periodic orbit must return within the order bound")
 
 
-def orbit_window(
-    t: UnimodularMatrix, h: Subtorus, radius: int
+def widen_window(
+    t: UnimodularMatrix,
+    tinv: UnimodularMatrix,
+    window: tuple[tuple[int, Subtorus], ...],
+    radius: int,
 ) -> tuple[tuple[int, Subtorus], ...]:
-    """The window ((m, T^m H) for |m| <= radius), sorted by m."""
-    if t.n != h.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
+    """The window ((m, T^m H) for |m| <= radius), sorted by m, extended from
+    the two ends of a window of smaller radius around the same H; tinv is
+    T^-1."""
+    r = (len(window) - 1) // 2
+    if radius < r:
+        raise ValueError("a window cannot be narrowed")
     forward = []
-    cur = h
-    for m in range(1, radius + 1):
+    cur = window[-1][1]
+    for m in range(r + 1, radius + 1):
         cur = act(t, cur)
         forward.append((m, cur))
     backward = []
-    cur = h
-    tinv = t.inv()
-    for m in range(1, radius + 1):
+    cur = window[0][1]
+    for m in range(r + 1, radius + 1):
         cur = act(tinv, cur)
         backward.append((-m, cur))
-    return tuple(reversed(backward)) + ((0, h),) + tuple(forward)
+    return tuple(reversed(backward)) + window + tuple(forward)
 
 
-def covector_window_set(t: UnimodularMatrix, gamma: Vec, radius: int) -> frozenset[Vec]:
-    """{canonicalize(S^m gamma) : |m| <= radius} with S = T^-T: the primitive
-    covectors of the hyperplanes in the window of the hyperplane gamma
-    annihilates, without building any subtorus."""
+def orbit_window(
+    t: UnimodularMatrix, h: Subtorus, radius: int
+) -> tuple[tuple[int, Subtorus], ...]:
+    """The window ((m, T^m H) for |m| <= radius), sorted by m: the radius-0
+    window widened to `radius`."""
+    if t.n != h.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    return widen_window(t, t.inv(), ((0, h),), radius)
+
+
+def covector_window_set(t: UnimodularMatrix, s: Mat, gamma: Vec, radius: int) -> frozenset[Vec]:
+    """{canonicalize(S^m gamma) : |m| <= radius} with S = T^-T given by its
+    rows: the primitive covectors of the hyperplanes in the window of the
+    hyperplane gamma annihilates, without building any subtorus."""
     if t.n != len(gamma):
         raise ValueError("ambient dimension mismatch")
     out = {canonicalize_covector(gamma)}
-    for step in (dual_matrix(t).rows, transpose(t.rows)):
+    for step in (s, transpose(t.rows)):
         cur = gamma
         for _ in range(radius):
             cur = mat_vec(step, cur)
             out.add(canonicalize_covector(cur))
     return frozenset(out)
+
+
+class OrbitBuilder:
+    """The orbit report of one subtorus, built once and widened in place.
+
+    The orbit dichotomy is decided once, from one call to
+    annihilator_orbit_data: a periodic orbit gets its period, an injective
+    one its minimal annihilator and transfer constant.  `widen` extends the
+    window from its two ends, so no `act` step runs twice, and takes the
+    growth evidence of the annihilator at the new radius from `evidence`
+    (growth.growth_evidence, or a table that orbits with one annihilator
+    share); only the norm floors are computed per orbit.
+    """
+
+    def __init__(self, t: UnimodularMatrix, tinv: UnimodularMatrix, s: Mat, h: Subtorus):
+        """tinv is T^-1 and s the rows of S = T^-T."""
+        if t.n != h.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        self.t, self.tinv, self.h = t, tinv, h
+        self.window: tuple[tuple[int, Subtorus], ...] = ((0, h),)
+        self.period: int | None = 1
+        self.annihilator: Poly | None = None
+        self.transfer: Fraction | None = None
+        self.growth: GrowthCertificate | None = None
+        if h.dim in (0, h.ambient_dim):
+            return
+        m, pv = annihilator_orbit_data(s, h)
+        g = minimal_annihilator(m, pv)
+        if is_squarefree_product_of_cyclotomics(g):
+            self.period = periodic_orbit_period(t, h, g)
+        else:
+            self.period = None
+            self.annihilator = g
+            self.transfer = transfer_constant(cyclic_basis(m, pv, len(g) - 1))
+
+    @property
+    def radius(self) -> int:
+        return (len(self.window) - 1) // 2
+
+    def widen(self, radius: int, evidence) -> None:
+        """Widen the window to `radius`; evidence(g, radius) gives the growth
+        evidence of an injective orbit there."""
+        self.window = widen_window(self.t, self.tinv, self.window, radius)
+        if self.annihilator is not None:
+            self.growth = growth_certificate(
+                self.annihilator, evidence(self.annihilator, radius), self.transfer
+            )
+
+    @property
+    def min_exterior_norm(self) -> int | None:
+        if self.growth is None or self.growth.min_exterior_norm is None:
+            return None
+        return _plucker_floor_to_annihilator_floor(
+            self.growth.min_exterior_norm, self.h.ambient_dim - self.h.dim
+        )
+
+    def report(self) -> OrbitReport:
+        window = tuple((m, sub.basis) for m, sub in self.window)
+        if self.period is not None:
+            return OrbitReport("periodic", self.period, self.radius, window, None, None, True)
+        return OrbitReport("injective", None, self.radius, window, self.min_exterior_norm,
+                           self.growth, self.growth.rigorous)
 
 
 def orbit(
@@ -191,20 +270,10 @@ def orbit(
     """
     if window_radius < 1:
         raise ValueError("window radius must be >= 1")
-    window = tuple((m, s.basis) for m, s in orbit_window(t, h, window_radius))
-    if h.dim in (0, h.ambient_dim) or orbit_is_periodic(t, h):
-        period = 1 if h.dim in (0, h.ambient_dim) and act(t, h) == h else None
-        if period is None:
-            period = periodic_orbit_period(t, h)
-        return OrbitReport("periodic", period, window_radius, window, None, None, True)
-    m, pv = annihilator_orbit_data(t, h)
-    growth = derive_growth_certificate(m, pv, window_radius)
-    min_ext = None
-    if growth.min_exterior_norm is not None:
-        min_ext = _plucker_floor_to_annihilator_floor(growth.min_exterior_norm, t.n - h.dim)
-    return OrbitReport(
-        "injective", None, window_radius, window, min_ext, growth, growth.rigorous
-    )
+    tinv = t.inv()
+    builder = OrbitBuilder(t, tinv, transpose(tinv.rows), h)
+    builder.widen(window_radius, growth_evidence)
+    return builder.report()
 
 
 def _plucker_floor_to_annihilator_floor(floor: int, r: int) -> int:

@@ -16,6 +16,12 @@ Family construction dispatches on the structure of the automorphism:
 * no invariant rational subspace: greedy selection of covectors by increasing
   norm, certified by orbit windows plus norm-growth floors.
 
+One build computes T^-1 and S = T^-T once (FamilyOrbits).  Each member's
+orbit report is built once and widened in place (dynamics.OrbitBuilder), and
+the growth evidence, which depends only on the annihilator and the window
+radius, is derived once per distinct pair in a table that lives as long as
+the build: only the transfer constant and the norm floors are a member's own.
+
 Every certificate is pure data; the verify module re-checks all evidence from
 scratch.
 """
@@ -27,6 +33,7 @@ from fractions import Fraction
 from math import lcm
 
 from .dynamics import (
+    OrbitBuilder,
     OrbitReport,
     act,
     covector_orbit_is_periodic,
@@ -34,8 +41,8 @@ from .dynamics import (
     cyclotomic_radical_matrix,
     dual_matrix,
     invariant_rational_subspaces,
-    orbit,
 )
+from .growth import growth_evidence
 from .intmat import (
     Mat,
     UnimodularMatrix,
@@ -60,7 +67,7 @@ from .lattices import (
     saturate_rows,
 )
 from .metric import IsolationReport, enumerate_hnf_lattices, isolation_radius_lower_bound
-from .polynomials import cyclotomic_orders_if_product
+from .polynomials import Poly, cyclotomic_orders_if_product
 from .subtori import (
     PrimitiveCovector,
     Subtorus,
@@ -164,20 +171,46 @@ def unipotent_invariant_pm(s_rows: Mat, gamma: Vec) -> UnipotentInvariant:
     return min((a, b), key=lambda u: (u.difference_lattice, u.reduced))
 
 
-def _candidate_covectors(t: UnimodularMatrix, budget: Budget):
-    s = dual_matrix(t).rows
-    radical = cyclotomic_radical_matrix(s)
+class FamilyOrbits:
+    """The automorphism of one family build with T^-1 and S = T^-T, and the
+    orbit reports of its members.
+
+    `evidence` is the build's table of growth evidence per (annihilator,
+    window radius): members that share an annihilator and a window share one
+    derivation.  The table belongs to this object, so a new build derives
+    afresh."""
+
+    def __init__(self, t: UnimodularMatrix):
+        self.t = t
+        self.tinv = t.inv()
+        self.s = transpose(self.tinv.rows)
+        self._evidence: dict = {}
+
+    def evidence(self, g: Poly, radius: int):
+        key = (g, radius)
+        if key not in self._evidence:
+            self._evidence[key] = growth_evidence(g, radius)
+        return self._evidence[key]
+
+    def start(self, gamma: Vec, radius: int) -> OrbitBuilder:
+        """The orbit of the hyperplane gamma annihilates, with a window of `radius`."""
+        builder = OrbitBuilder(self.t, self.tinv, self.s,
+                               covector_to_hyperplane(PrimitiveCovector(gamma)))
+        builder.widen(radius, self.evidence)
+        return builder
+
+    def reports(self, members, radius: int) -> tuple[OrbitReport, ...]:
+        return tuple(self.start(gamma, radius).report() for gamma in members)
+
+
+def _candidate_covectors(orbits: FamilyOrbits, budget: Budget):
+    radical = cyclotomic_radical_matrix(orbits.s)
     count = 0
-    for gamma in iter_primitive_covectors(t.n, budget.max_norm):
+    for gamma in iter_primitive_covectors(orbits.t.n, budget.max_norm):
         if count >= budget.max_candidates:
             return
         count += 1
         yield gamma, covector_orbit_is_periodic(radical, gamma)
-
-
-def _member_report(t: UnimodularMatrix, gamma: Vec, window: int) -> OrbitReport:
-    h = covector_to_hyperplane(PrimitiveCovector(gamma))
-    return orbit(t, h, window)
 
 
 def periodic_covector_orbit(s: Mat, gamma: Vec, order: int) -> tuple[Vec, ...]:
@@ -192,11 +225,11 @@ def periodic_covector_orbit(s: Mat, gamma: Vec, order: int) -> tuple[Vec, ...]:
 
 
 def _periodic_family(
-    t: UnimodularMatrix, k: int, order: int, budget: Budget
+    orbits: FamilyOrbits, k: int, order: int, budget: Budget
 ) -> DisjointFamilyCertificate:
-    s = dual_matrix(t).rows
+    t, s = orbits.t, orbits.s
     members: list[Vec] = []
-    orbits: list[tuple[Vec, ...]] = []
+    covector_orbits: list[tuple[Vec, ...]] = []
     taken: set[Vec] = set()
     for gamma in iter_primitive_covectors(t.n, budget.max_norm):
         if len(members) == k:
@@ -207,27 +240,26 @@ def _periodic_family(
         if taken.intersection(orbset):
             continue
         members.append(gamma)
-        orbits.append(orbset)
+        covector_orbits.append(orbset)
         taken.update(orbset)
     complete = len(members) == k
-    reports = tuple(
-        _member_report(t, m, min(order, budget.max_window)) for m in members
-    )
+    reports = orbits.reports(members, min(order, budget.max_window))
     return DisjointFamilyCertificate(
         matrix=t.rows,
         count=len(members),
         members=tuple(members),
         orbit_reports=reports,
         branch="finite_order",
-        periodic_orbits=tuple(orbits),
+        periodic_orbits=tuple(covector_orbits),
         rigorous=True,
         complete=complete,
         explanation=None if complete else "candidate norm budget exhausted",
     )
 
 
-def invariant_set_for(t: UnimodularMatrix, gamma: Vec, power: int) -> tuple[UnipotentInvariant, ...]:
-    s = dual_matrix(t).rows
+def invariant_set_for(s: Mat, gamma: Vec, power: int) -> tuple[UnipotentInvariant, ...]:
+    """The sorted invariants of the `power` translates gamma, S gamma, ... under
+    S^power, for the dual matrix S = T^-T given by its rows."""
     s_pow = mat_pow(s, power)
     out = []
     cur = gamma
@@ -245,11 +277,12 @@ def cyclotomic_power(t: UnimodularMatrix) -> int | None:
 
 
 def _unipotent_power_family(
-    t: UnimodularMatrix,
+    orbits: FamilyOrbits,
     k: int,
     budget: Budget,
     injective_only: bool,
 ) -> DisjointFamilyCertificate:
+    t = orbits.t
     power = cyclotomic_power(t)
     assert power is not None
     t_pow = t.power(power)
@@ -260,20 +293,19 @@ def _unipotent_power_family(
     members: list[Vec] = []
     inv_sets: list[tuple[UnipotentInvariant, ...]] = []
     taken: set[UnipotentInvariant] = set()
-    for gamma, periodic in _candidate_covectors(t, budget):
+    for gamma, periodic in _candidate_covectors(orbits, budget):
         if len(members) == k:
             break
         if injective_only and periodic:
             continue
-        iset = invariant_set_for(t, gamma, power)
+        iset = invariant_set_for(orbits.s, gamma, power)
         if taken.intersection(iset):
             continue
         members.append(gamma)
         inv_sets.append(iset)
         taken.update(iset)
     complete = len(members) == k
-    window = min(budget.max_window, 2 * power + 4)
-    reports = tuple(_member_report(t, m, window) for m in members)
+    reports = orbits.reports(members, min(budget.max_window, 2 * power + 4))
     return DisjointFamilyCertificate(
         matrix=t.rows,
         count=len(members),
@@ -297,14 +329,15 @@ def unipotent_family(t: UnimodularMatrix, k: int, budget: Budget = Budget()) -> 
         raise ValueError("the identity is excluded")
     if k < 1:
         raise ValueError("need k >= 1")
-    return _unipotent_power_family(t, k, budget, injective_only=False)
+    return _unipotent_power_family(FamilyOrbits(t), k, budget, injective_only=False)
 
 
-def quotient_action(t: UnimodularMatrix, w: Mat, kdim: int) -> Mat | None:
-    """The action induced on the quotient coordinates of a unimodular w whose
-    first kdim rows span an invariant lattice: the lower-right block of
-    w T^T w^-1, or None if that conjugate does not preserve the flag."""
-    m_prime = mat_mul(mat_mul(w, transpose(t.rows)), inverse_unimodular(w))
+def quotient_action(t: UnimodularMatrix, w: Mat, winv: Mat, kdim: int) -> Mat | None:
+    """The action induced on the quotient coordinates of a unimodular w, with
+    inverse winv, whose first kdim rows span an invariant lattice: the
+    lower-right block of w T^T w^-1, or None if that conjugate does not
+    preserve the flag."""
+    m_prime = mat_mul(mat_mul(w, transpose(t.rows)), winv)
     if any(x for row in m_prime[:kdim] for x in row[kdim:]):
         return None
     return tuple(row[kdim:] for row in m_prime[kdim:])
@@ -319,24 +352,24 @@ def lift_member(winv: Mat, kdim: int, inner_gamma: Vec) -> Vec:
 
 
 def _quotient_family(
-    t: UnimodularMatrix,
+    orbits: FamilyOrbits,
     k: int,
     budget: Budget,
     injective_only: bool,
     h_star: Subtorus,
 ) -> DisjointFamilyCertificate:
+    t = orbits.t
     if act(t, h_star) != h_star:
         raise FamilyConstructionError("chosen subspace is not invariant")
     kdim = h_star.dim
     w = complete_to_unimodular(h_star.basis, t.n)
-    d_block = quotient_action(t, w, kdim)
+    winv = inverse_unimodular(w)
+    d_block = quotient_action(t, w, winv, kdim)
     if d_block is None:
         raise FamilyConstructionError("subtorus is not invariant in quotient coordinates")
     inner = disjoint_hyperplane_orbits(UnimodularMatrix(transpose(d_block)), k, budget, injective_only)
-    winv = inverse_unimodular(w)
     members = tuple(lift_member(winv, kdim, g) for g in inner.members)
-    window = min(budget.max_window, 16)
-    reports = tuple(_member_report(t, m, window) for m in members)
+    reports = orbits.reports(members, min(budget.max_window, 16))
     return DisjointFamilyCertificate(
         matrix=t.rows,
         count=len(members),
@@ -351,26 +384,25 @@ def _quotient_family(
 
 
 def _greedy_family(
-    t: UnimodularMatrix,
+    orbits: FamilyOrbits,
     k: int,
     budget: Budget,
     injective_only: bool,
 ) -> DisjointFamilyCertificate:
     kept: list[Vec] = []
-    reports: dict[Vec, OrbitReport] = {}
+    builders: dict[Vec, OrbitBuilder] = {}
     window_sets: dict[Vec, frozenset[Vec]] = {}
 
-    def clears(report: OrbitReport, target: int) -> bool:
-        return report.min_exterior_norm is not None and report.min_exterior_norm > target
+    def clears(builder: OrbitBuilder, target: int) -> bool:
+        return builder.min_exterior_norm is not None and builder.min_exterior_norm > target
 
-    def widen(gamma: Vec, report: OrbitReport, target: int) -> OrbitReport:
+    def widen(builder: OrbitBuilder, target: int) -> None:
         """Widen the window until the growth floor clears target or the budget ends."""
-        while not clears(report, target) and report.window_radius < budget.max_window:
-            w = report.window_radius
-            report = _member_report(t, gamma, min(budget.max_window, w + max(12, w // 2)))
-        return report
+        while not clears(builder, target) and builder.radius < budget.max_window:
+            w = builder.radius
+            builder.widen(min(budget.max_window, w + max(12, w // 2)), orbits.evidence)
 
-    for gamma, periodic in _candidate_covectors(t, budget):
+    for gamma, periodic in _candidate_covectors(orbits, budget):
         if len(kept) == k:
             break
         if periodic:
@@ -378,38 +410,38 @@ def _greedy_family(
         if any(gamma in window_sets[g] for g in kept):
             continue
         kept.append(gamma)
-        report = _member_report(t, gamma, min(24, budget.max_window))
-        report = widen(gamma, report, max(covector_norm_inf(g) for g in kept))
-        reports[gamma] = report
-        window_sets[gamma] = covector_window_set(t, gamma, report.window_radius)
+        builder = orbits.start(gamma, min(24, budget.max_window))
+        widen(builder, max(covector_norm_inf(g) for g in kept))
+        builders[gamma] = builder
+        window_sets[gamma] = covector_window_set(orbits.t, orbits.s, gamma, builder.radius)
         # a wider window may reveal an earlier member on this orbit
         if any(other != gamma and other in window_sets[gamma] for other in kept):
             kept.pop()
-            del reports[gamma], window_sets[gamma]
+            del builders[gamma], window_sets[gamma]
     # every member's floor must clear the final maximal norm
     target = max((covector_norm_inf(g) for g in kept), default=0)
     for gamma in kept:
-        reports[gamma] = widen(gamma, reports[gamma], target)
+        widen(builders[gamma], target)
     complete = len(kept) == k
     reasons = [] if complete else ["budget exhausted before the requested family size"]
-    short = next((i for i, g in enumerate(kept) if not clears(reports[g], target)), None)
+    short = next((i for i, g in enumerate(kept) if not clears(builders[g], target)), None)
     if short is not None:
-        rep = reports[kept[short]]
+        b = builders[kept[short]]
         floor = (
             "growth gave no floor"
-            if rep.min_exterior_norm is None
-            else f"growth floor {rep.min_exterior_norm} is too low"
+            if b.min_exterior_norm is None
+            else f"growth floor {b.min_exterior_norm} is too low"
         )
         reasons.append(
-            f"member {short} {list(kept[short])} at window radius {rep.window_radius}: "
+            f"member {short} {list(kept[short])} at window radius {b.radius}: "
             f"{floor} to clear the maximal member norm {target}"
         )
     rigorous = bool(kept) and short is None
     return DisjointFamilyCertificate(
-        matrix=t.rows,
+        matrix=orbits.t.rows,
         count=len(kept),
         members=tuple(kept),
-        orbit_reports=tuple(reports[g] for g in kept),
+        orbit_reports=tuple(builders[g].report() for g in kept),
         branch="irreducible_greedy",
         rigorous=rigorous,
         complete=complete,
@@ -433,27 +465,28 @@ def disjoint_hyperplane_orbits(
         raise ValueError("needs ambient dimension >= 2")
     if k < 1:
         raise ValueError("need k >= 1")
+    orbits = FamilyOrbits(t)
     order = matrix_order(t)
     if order is not None:
         if injective_only:
             raise FamilyConstructionError(
                 "finite-order automorphisms have no injective hyperplane orbits"
             )
-        return _periodic_family(t, k, order, budget)
+        return _periodic_family(orbits, k, order, budget)
     if cyclotomic_power(t) is not None:
-        return _unipotent_power_family(t, k, budget, injective_only)
+        return _unipotent_power_family(orbits, k, budget, injective_only)
     report = invariant_rational_subspaces(t)
     if not report.exists:
-        return _greedy_family(t, k, budget, injective_only)
+        return _greedy_family(orbits, k, budget, injective_only)
     witness = next((w for w in report.witnesses if w.dim <= t.n - 2), None)
     if witness is None:
         raise AssertionError(
             "a reducible characteristic polynomial yields a witness of codimension >= 2"
         )
     try:
-        return _quotient_family(t, k, budget, injective_only, witness)
+        return _quotient_family(orbits, k, budget, injective_only, witness)
     except FamilyConstructionError:
-        return _greedy_family(t, k, budget, injective_only)
+        return _greedy_family(orbits, k, budget, injective_only)
 
 
 @dataclass(frozen=True)
@@ -536,6 +569,13 @@ FIXED_COUNT = 2
 ISOLATION_CAP = 2
 
 
+def isolation_resolution(n: int) -> Fraction:
+    """Resolution of the isolation bound of the first member in T^n; with
+    ISOLATION_CAP it fixes the work of the bound, and the checker accepts
+    no other."""
+    return Fraction(1, 50) if n == 2 else Fraction(1, 12)
+
+
 def non_expansivity_certificate(
     t: UnimodularMatrix,
     orbit_count: int = 10,
@@ -569,7 +609,7 @@ def non_expansivity_certificate(
     # a hyperplane orbit converges to the full torus exactly when it is
     # injective (dynamics.converges_to_full), which each orbit report decides
     conv = tuple(rep.status == "injective" for rep in family.orbit_reports)
-    resolution = Fraction(1, 50) if t.n == 2 else Fraction(1, 12)
+    resolution = isolation_resolution(t.n)
     iso = None
     if family.members:
         iso = isolation_radius_lower_bound(

@@ -23,19 +23,29 @@ re-computation:
   each residue class of t along step q = lcm of the orders is an exact
   polynomial, bounded below by elementary tail estimates.
 
-The producer (derive_growth_certificate) and the checker
-(check_growth_certificate) share one routine for each step of the evidence:
-direction_sequence gives the sequence, recurrence and covered index of a
-direction and level; cone_is_invariant and enters_cone test a cone and its
-entries; the cone and polynomial floors come from _cone_floor and
-_try_polynomial_direction; and norm_floor turns a sequence floor into a norm
-floor.  Floating point appears only as a hint source for picking q, mu, nu in
-the producer, which searches; the checker only re-runs the exact tests.
+A certificate has two parts.  Everything but the norm floors depends only
+on the annihilator g and the window radius: the impulse values, and for each
+direction the kind, level, q, mu, nu, entries and sequence floor
+(growth_evidence).  Only the transfer constant belongs to the orbit itself,
+and the norm floor of a direction is norm_floor(floor_seq, level, transfer)
+(growth_certificate).  derive_growth_certificate composes the two, and a
+family whose members share g and a window derives the first part once.
+
+The producer and the checker (check_growth_certificate) share one routine for
+each step of the evidence: direction_sequence gives the sequence, recurrence
+and covered index of a direction and level; cone_is_invariant and enters_cone
+test a cone and its entries; the cone and polynomial floors come from
+_cone_floor and _try_polynomial_direction; and norm_floor turns a sequence
+floor into a norm floor.  The checker splits the same way: the direction
+evidence is checked once per (annihilator, window, directions without their
+norm floors), and each orbit's norm floors against its own transfer
+constant.  Floating point appears only as a hint source for picking q, mu, nu
+in the producer, which searches; the checker only re-runs the exact tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -446,8 +456,9 @@ def derive_direction(
     g: Poly,
     direction: str,
     window: int,
-    transfer: Fraction,
 ) -> DirectionCertificate:
+    """Evidence for one direction, with floor_norm 0: the search depends only
+    on the annihilator's impulse values and the window."""
     # level 1 cone on the raw sequence, then the polynomial path for
     # root-of-unity spectra, then a level 2 cone on Hankel determinants
     # (dominant complex pair)
@@ -455,22 +466,46 @@ def derive_direction(
     res = _try_cone_direction(seq, g_dir, cover_from, max(seq))
     if res is not None:
         q, mu, nu, entries, floor = res
-        return DirectionCertificate(direction, "cone", 1, q, mu, nu, entries, floor,
-                                    norm_floor(floor, 1, transfer))
+        return DirectionCertificate(direction, "cone", 1, q, mu, nu, entries, floor)
     respoly = _try_polynomial_direction(seq, g_dir, cover_from, max(seq))
     if respoly is not None:
         q, floor = respoly
-        return DirectionCertificate(direction, "polynomial", 0, q, floor_seq=floor,
-                                    floor_norm=norm_floor(floor, 0, transfer))
+        return DirectionCertificate(direction, "polynomial", 0, q, floor_seq=floor)
     hankel = direction_sequence(vals, g, direction, 2, window)
     if hankel is not None:
         hseq, hpoly, cover_from = hankel
         res = _try_cone_direction(hseq, hpoly, cover_from, max(hseq, default=0))
         if res is not None:
             q, mu, nu, entries, floor = res
-            return DirectionCertificate(direction, "cone", 2, q, mu, nu, entries, floor,
-                                        norm_floor(floor, 2, transfer))
+            return DirectionCertificate(direction, "cone", 2, q, mu, nu, entries, floor)
     return DirectionCertificate(direction, "window_only")
+
+
+def growth_evidence(g: Poly, window: int) -> tuple[DirectionCertificate, DirectionCertificate]:
+    """The part of a growth certificate that depends only on the annihilator
+    g and the window radius: the forward and backward evidence, each with
+    floor_norm 0.
+
+    g must not be a squarefree product of cyclotomics (a periodic orbit)."""
+    if is_squarefree_product_of_cyclotomics(g):
+        raise ValueError("orbit is periodic; growth certificates do not apply")
+    d = len(g) - 1
+    span = window + 2 + 24 * (d * d + d + 2)
+    vals = impulse_values(g, -span, span)
+    return derive_direction(vals, g, "forward", window), derive_direction(vals, g, "backward", window)
+
+
+def growth_certificate(
+    g: Poly, evidence: tuple[DirectionCertificate, DirectionCertificate], transfer: Fraction
+) -> GrowthCertificate:
+    """The growth certificate of one orbit: the shared evidence of its
+    annihilator and window, with the norm floors of its own transfer
+    constant."""
+    fwd, bwd = (replace(dc, floor_norm=norm_floor(dc.floor_seq, dc.level, transfer))
+                for dc in evidence)
+    rigorous = fwd.kind != "window_only" and bwd.kind != "window_only"
+    floor = min(fwd.floor_norm, bwd.floor_norm) if rigorous else None
+    return GrowthCertificate(g, transfer, fwd, bwd, rigorous, floor)
 
 
 def derive_growth_certificate(m: Mat, v: Vec, window: int) -> GrowthCertificate:
@@ -480,23 +515,21 @@ def derive_growth_certificate(m: Mat, v: Vec, window: int) -> GrowthCertificate:
     product of cyclotomics).
     """
     g = minimal_annihilator(m, v)
-    if is_squarefree_product_of_cyclotomics(g):
-        raise ValueError("orbit is periodic; growth certificates do not apply")
-    d = len(g) - 1
-    span = window + 2 + 24 * (d * d + d + 2)
-    vals = impulse_values(g, -span, span)
-    basis = cyclic_basis(m, v, d)
-    k = transfer_constant(basis)
-    fwd = derive_direction(vals, g, "forward", window, k)
-    bwd = derive_direction(vals, g, "backward", window, k)
-    rigorous = fwd.kind != "window_only" and bwd.kind != "window_only"
-    floor = min(fwd.floor_norm, bwd.floor_norm) if rigorous else None
-    return GrowthCertificate(g, k, fwd, bwd, rigorous, floor)
+    evidence = growth_evidence(g, window)
+    return growth_certificate(g, evidence, transfer_constant(cyclic_basis(m, v, len(g) - 1)))
 
 
-def check_growth_certificate(m: Mat, v: Vec, cert: GrowthCertificate, window: int) -> list[str]:
+def check_growth_certificate(
+    m: Mat, v: Vec, cert: GrowthCertificate, window: int, evidence_checks: dict | None = None
+) -> list[str]:
     """Re-verify a growth certificate for the orbit outside the window of
-    radius `window` from scratch; returns a list of failures."""
+    radius `window` from scratch; returns a list of failures.
+
+    The direction evidence is checked by check_growth_evidence, whose outcome
+    `evidence_checks` holds per (annihilator, window, directions without
+    their norm floors): the orbits of one certificate pass one dict, so
+    members that share all of these are checked once.  The annihilator, the
+    transfer constant and the norm floors are checked for every orbit."""
     problems: list[str] = []
     for dc in (cert.forward, cert.backward):
         # a cone covers every residue mod q with an entry at an index in
@@ -513,19 +546,25 @@ def check_growth_certificate(m: Mat, v: Vec, cert: GrowthCertificate, window: in
         return ["stored annihilator does not match the recomputed one"]
     if is_squarefree_product_of_cyclotomics(g):
         return ["orbit is periodic; growth certificate is vacuous"]
-    d = len(g) - 1
-    basis = cyclic_basis(m, v, d)
-    k = transfer_constant(basis)
+    k = transfer_constant(cyclic_basis(m, v, len(g) - 1))
     if k != cert.transfer:
         problems.append("transfer constant mismatch")
-    q_max = max((dc.power_step for dc in (cert.forward, cert.backward) if dc.kind == "cone"), default=0)
-    span = window + 2 + (q_max + 26) * (d * d + d + 2)
-    vals = impulse_values(g, -span, span)
+    evidence = tuple(replace(dc, floor_norm=0) for dc in (cert.forward, cert.backward))
+    key = (g, window, evidence)
+    if evidence_checks is None:
+        evidence_checks = {}
+    if key not in evidence_checks:
+        evidence_checks[key] = check_growth_evidence(g, evidence, window)
+    errs, seq_floors = evidence_checks[key]
+    problems.extend(errs)
     floors = []
-    for dc in (cert.forward, cert.backward):
-        errs, floor_norm = _check_direction(vals, g, dc, window, k)
-        problems.extend(errs)
-        floors.append(floor_norm)
+    for dc, floor in zip((cert.forward, cert.backward), seq_floors):
+        # a direction whose evidence failed, or a window-only one, certifies 0
+        fnorm = 0 if floor is None else norm_floor(floor, dc.level, k)
+        if fnorm < dc.floor_norm:
+            problems.append(f"{dc.direction}: stored norm floor too large")
+            fnorm = 0
+        floors.append(fnorm)
     if cert.rigorous:
         if cert.forward.kind == "window_only" or cert.backward.kind == "window_only":
             problems.append("certificate marked rigorous with window-only evidence")
@@ -537,7 +576,29 @@ def check_growth_certificate(m: Mat, v: Vec, cert: GrowthCertificate, window: in
     return problems
 
 
-def _check_direction(vals, g, dc: DirectionCertificate, window, transfer):
+def check_growth_evidence(
+    g: Poly, evidence: tuple[DirectionCertificate, DirectionCertificate], window: int
+) -> tuple[list[str], tuple[int | None, int | None]]:
+    """Check the forward and backward evidence (floor_norm 0) of the
+    non-periodic annihilator g outside the window of radius `window`.
+
+    Returns the failures and, per direction, the recomputed sequence floor:
+    0 for window-only evidence, None for evidence that failed."""
+    d = len(g) - 1
+    q_max = max((dc.power_step for dc in evidence if dc.kind == "cone"), default=0)
+    span = window + 2 + (q_max + 26) * (d * d + d + 2)
+    vals = impulse_values(g, -span, span)
+    problems: list[str] = []
+    floors = []
+    for dc in evidence:
+        errs, floor = _check_direction(vals, g, dc, window)
+        problems.extend(errs)
+        floors.append(None if errs else floor)
+    return problems, tuple(floors)
+
+
+def _check_direction(vals, g, dc: DirectionCertificate, window) -> tuple[list[str], int]:
+    """Failures of one direction's evidence and its recomputed sequence floor."""
     if dc.kind == "window_only":
         if dc != DirectionCertificate(dc.direction, "window_only"):
             return [f"{dc.direction}: window-only evidence carries data"], 0
@@ -555,8 +616,7 @@ def _check_direction(vals, g, dc: DirectionCertificate, window, transfer):
         if res is None:
             return [f"{dc.direction}: polynomial evidence cannot be reproduced"], 0
         q, floor = res
-        bare = DirectionCertificate(dc.direction, "polynomial", 0, q, floor_seq=dc.floor_seq,
-                                    floor_norm=dc.floor_norm)
+        bare = DirectionCertificate(dc.direction, "polynomial", 0, q, floor_seq=dc.floor_seq)
         if dc != bare:
             return [f"{dc.direction}: polynomial evidence has a wrong step or carries cone data"], 0
         if floor < dc.floor_seq:
@@ -583,7 +643,4 @@ def _check_direction(vals, g, dc: DirectionCertificate, window, transfer):
         floor = _cone_floor(seq, q, dc.mu, dc.entries, cover_from)
         if floor < dc.floor_seq:
             return [f"{dc.direction}: stored sequence floor too large"], 0
-    fnorm = norm_floor(floor, dc.level, transfer)
-    if fnorm < dc.floor_norm:
-        return [f"{dc.direction}: stored norm floor too large"], 0
-    return [], fnorm
+    return [], floor

@@ -241,19 +241,24 @@ def is_unipotent(t: UnimodularMatrix) -> bool:
     return is_zero(mat_pow(nil, n))
 
 
-def cyclic_powers(a: Mat) -> list[Mat] | None:
-    """[a, a^2, ..., a^k = Id] for the order k of the square matrix a, or None
-    when no power of a is the identity.
-
-    A finite order needs a characteristic polynomial that is a product of
-    cyclotomics, and then divides the lcm of their orders; so the walk stops
-    at that lcm, and a power that is still not the identity there means
-    infinite order (a nontrivial Jordan block, as in shear + rotation).
-    """
+def order_bound(a: Mat) -> int | None:
+    """A multiple of the order of the square matrix a if it has one: the lcm
+    of the cyclotomic orders when its characteristic polynomial is a product
+    of cyclotomics, which a finite order needs; otherwise None.  A power at
+    the bound that is not the identity means infinite order (a nontrivial
+    Jordan block, as in shear + rotation)."""
     orders = cyclotomic_orders_if_product(char_poly(a))
     if orders is None:
         return None
-    bound = lcm(*orders) if orders else 1
+    return lcm(*orders) if orders else 1
+
+
+def cyclic_powers(a: Mat) -> list[Mat] | None:
+    """[a, a^2, ..., a^k = Id] for the order k of the square matrix a, or None
+    when no power of a is the identity; the walk stops at order_bound(a)."""
+    bound = order_bound(a)
+    if bound is None:
+        return None
     eye = identity(len(a))
     powers = [a]
     while powers[-1] != eye:
@@ -263,7 +268,32 @@ def cyclic_powers(a: Mat) -> list[Mat] | None:
     return powers
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, in increasing order."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def matrix_order(t: UnimodularMatrix) -> int | None:
-    """Smallest m >= 1 with t^m = Id, or None when no power is the identity."""
-    powers = cyclic_powers(t.rows)
-    return None if powers is None else len(powers)
+    """Smallest m >= 1 with t^m = Id, or None when no power is the identity.
+
+    t^order_bound != Id means infinite order; otherwise each prime is divided
+    out of the bound while the power stays the identity, one mat_pow per
+    test."""
+    order = order_bound(t.rows)
+    eye = identity(t.n)
+    if order is None or mat_pow(t.rows, order) != eye:
+        return None
+    for p in _prime_factors(order):
+        while order % p == 0 and mat_pow(t.rows, order // p) == eye:
+            order //= p
+    return order

@@ -7,10 +7,13 @@ reported with the offending member or pair named.
 
 Each piece of evidence has one routine, which the producer calls to build it
 and the checker calls to recompute it: the orbit windows
-(`dynamics.orbit_window`, `dynamics.covector_window_set`); growth
-(`growth.check_growth_certificate`, which shares with the producer the
-sequence of a direction and level, the cone-invariance and entry-chain tests
-and the norm-floor conversion); the finite-order orbits
+(`dynamics.widen_window`, which `dynamics.orbit_window` starts from the
+radius-0 window, and `dynamics.covector_window_set`); the orbit dichotomy and
+period (`dynamics.annihilator_orbit_data`, `growth.minimal_annihilator`,
+`dynamics.periodic_orbit_period`); growth (`growth.check_growth_certificate`,
+which shares with the producer the sequence of a direction and level, the
+cone-invariance and entry-chain tests and the norm-floor conversion); the
+finite-order orbits
 (`families.periodic_covector_orbit`); the unipotent invariant sets
 (`families.invariant_set_for`); the quotient action and lift
 (`families.quotient_action`, `families.lift_member`); and the isolation bound
@@ -24,11 +27,19 @@ Newton power-sum routines behind the q-step and Hankel recurrences) and
 routines of `dynamics`, `growth`, `metric` and `families` named above.  Every
 name it imports is public and comes from one of these modules.
 
-The checker bounds most of its work by the size of the certificate: a window
-radius must come with its 2r + 1 entries, a cone power step is at most the
-number of entry indices the cone can use, and the unipotent power is
-recomputed before any suborbit is walked.  The isolation recomputation is the
-exception: its cost grows with the stored dual norm cap and resolution.
+`verify_family` inverts the matrix once: T^-1 steps the windows backwards
+and S = T^-T carries the annihilator data and the covector windows.  Members
+that share everything the growth direction check reads (the annihilator, the
+window radius and both directions' evidence without their norm floors) are
+direction-checked once; each member's transfer constant and norm floors are
+checked on their own.
+
+The checker bounds its work by the size of the certificate: a window radius
+must come with its 2r + 1 entries, a cone power step is at most the number of
+entry indices the cone can use, the unipotent power is recomputed before any
+suborbit is walked, and an isolation report must have the producer's dual
+norm cap (`families.ISOLATION_CAP`) and resolution
+(`families.isolation_resolution`) before any subtorus is scanned.
 """
 
 from __future__ import annotations
@@ -39,21 +50,21 @@ from .dynamics import (
     act,
     annihilator_orbit_data,
     covector_window_set,
-    dual_matrix,
-    orbit_is_periodic,
-    orbit_window,
     periodic_orbit_period,
+    widen_window,
 )
 from .families import (
+    ISOLATION_CAP,
     DisjointFamilyCertificate,
     NonExpansivityCertificate,
     cyclotomic_power,
     invariant_set_for,
+    isolation_resolution,
     lift_member,
     periodic_covector_orbit,
     quotient_action,
 )
-from .growth import check_growth_certificate
+from .growth import check_growth_certificate, minimal_annihilator
 from .intmat import (
     UnimodularMatrix,
     det,
@@ -63,6 +74,7 @@ from .intmat import (
     transpose,
 )
 from .metric import isolation_radius_lower_bound
+from .polynomials import is_squarefree_product_of_cyclotomics
 from .subtori import (
     PrimitiveCovector,
     canonicalize_covector,
@@ -81,7 +93,9 @@ def _fail(failures: list[str], msg: str) -> None:
     failures.append(msg)
 
 
-def _check_member_report(t, gamma, report, failures, idx) -> None:
+def _check_member_report(t, tinv, s, gamma, report, failures, idx, growth_checks) -> None:
+    """Check one member's orbit report; tinv is T^-1, s the rows of S = T^-T,
+    and growth_checks the direction-check outcomes the members share."""
     try:
         h = covector_to_hyperplane(PrimitiveCovector(gamma))
     except ValueError as exc:
@@ -96,17 +110,19 @@ def _check_member_report(t, gamma, report, failures, idx) -> None:
         return
     # recomputed bases are canonical and saturated, so a stored entry that is
     # not (or has the wrong length) cannot compare equal and is rejected here
-    expected = tuple((m, s.basis) for m, s in orbit_window(t, h, w))
+    expected = tuple((m, sub.basis) for m, sub in widen_window(t, tinv, ((0, h),), w))
     if tuple(report.window) != expected:
         m = next(e[0] for e, r in zip(expected, report.window) if e != r)
         _fail(failures, f"member {idx}: window entry at exponent {m} does not match recomputation")
         return
-    periodic = orbit_is_periodic(t, h)
+    m_rows, pv = annihilator_orbit_data(s, h)
+    g = minimal_annihilator(m_rows, pv)
+    periodic = is_squarefree_product_of_cyclotomics(g)
     if periodic != (report.status == "periodic"):
         _fail(failures, f"member {idx}: orbit status is wrong")
         return
     if periodic:
-        true_period = periodic_orbit_period(t, h)
+        true_period = periodic_orbit_period(t, h, g)
         if report.period != true_period:
             _fail(failures, f"member {idx}: period {report.period} but recomputed {true_period}")
         return
@@ -117,8 +133,7 @@ def _check_member_report(t, gamma, report, failures, idx) -> None:
         if report.rigorous:
             _fail(failures, f"member {idx}: rigor claimed without growth evidence")
         return
-    m_rows, pv = annihilator_orbit_data(t, h)
-    for p in check_growth_certificate(m_rows, pv, growth, w):
+    for p in check_growth_certificate(m_rows, pv, growth, w, growth_checks):
         _fail(failures, f"member {idx}: growth certificate: {p}")
     # members are hyperplanes, so the annihilator floor is the growth floor
     if report.min_exterior_norm is not None and (
@@ -151,8 +166,11 @@ def verify_family(cert: DisjointFamilyCertificate) -> VerificationResult:
         return VerificationResult(False, tuple(failures))
     if failures:
         return VerificationResult(False, tuple(failures))
+    tinv = t.inv()
+    s = transpose(tinv.rows)
+    growth_checks: dict = {}
     for i, (g, rep) in enumerate(zip(cert.members, cert.orbit_reports)):
-        _check_member_report(t, g, rep, failures, i)
+        _check_member_report(t, tinv, s, g, rep, failures, i, growth_checks)
     checker = {
         "finite_order": _verify_periodic_branch,
         "unipotent_power": _verify_unipotent_branch,
@@ -162,11 +180,11 @@ def verify_family(cert: DisjointFamilyCertificate) -> VerificationResult:
     if checker is None:
         _fail(failures, f"unknown branch {cert.branch!r}")
     else:
-        checker(t, cert, failures)
+        checker(t, s, cert, failures)
     return VerificationResult(not failures, tuple(failures))
 
 
-def _verify_periodic_branch(t, cert, failures):
+def _verify_periodic_branch(t, s, cert, failures):
     order = matrix_order(t)
     if order is None:
         _fail(failures, "branch claims finite order but the matrix has infinite order")
@@ -174,7 +192,6 @@ def _verify_periodic_branch(t, cert, failures):
     if cert.periodic_orbits is None or len(cert.periodic_orbits) != len(cert.members):
         _fail(failures, "periodic branch needs one enumerated orbit per member")
         return
-    s = dual_matrix(t).rows
     for i, (g, orb) in enumerate(zip(cert.members, cert.periodic_orbits)):
         if tuple(orb) != periodic_covector_orbit(s, g, order):
             _fail(failures, f"member {i}: stored orbit does not match recomputation")
@@ -184,7 +201,7 @@ def _verify_periodic_branch(t, cert, failures):
                 _fail(failures, f"members {i} and {j}: periodic orbits intersect")
 
 
-def _verify_unipotent_branch(t, cert, failures):
+def _verify_unipotent_branch(t, s, cert, failures):
     # the stored power must be the recomputed one, which also bounds the work
     power = cyclotomic_power(t)
     if power is None or cert.unipotent_power != power:
@@ -201,7 +218,7 @@ def _verify_unipotent_branch(t, cert, failures):
         _fail(failures, "unipotent branch needs one invariant set per member")
         return
     for i, (g, stored) in enumerate(zip(cert.members, cert.invariant_sets)):
-        recomputed = invariant_set_for(t, g, power)
+        recomputed = invariant_set_for(s, g, power)
         if tuple(stored) != recomputed:
             _fail(failures, f"member {i}: invariant set does not match recomputation")
     for i in range(len(cert.members)):
@@ -210,7 +227,7 @@ def _verify_unipotent_branch(t, cert, failures):
                 _fail(failures, f"members {i} and {j}: invariant sets intersect")
 
 
-def _verify_quotient_branch(t, cert, failures):
+def _verify_quotient_branch(t, s, cert, failures):
     q = cert.quotient
     if q is None:
         _fail(failures, "quotient branch needs quotient evidence")
@@ -231,7 +248,8 @@ def _verify_quotient_branch(t, cert, failures):
     if tuple(w[:kdim]) != h_star.basis:
         _fail(failures, "completion does not start with the invariant basis")
         return
-    d_block = quotient_action(t, w, kdim)
+    winv = inverse_unimodular(w)
+    d_block = quotient_action(t, w, winv, kdim)
     if d_block is None:
         _fail(failures, "conjugated action does not preserve the flag")
         return
@@ -249,18 +267,17 @@ def _verify_quotient_branch(t, cert, failures):
     if len(q.inner.members) != len(cert.members):
         _fail(failures, "member count differs from the quotient family")
         return
-    winv = inverse_unimodular(w)
     for i, inner_gamma in enumerate(q.inner.members):
         if lift_member(winv, kdim, inner_gamma) != cert.members[i]:
             _fail(failures, f"member {i}: does not lift the quotient member")
 
 
-def _verify_greedy_branch(t, cert, failures):
+def _verify_greedy_branch(t, s, cert, failures):
     # the radius is read off the stored window, which _check_member_report
     # has matched entry for entry with 2 * window_radius + 1 recomputed ones;
     # a radius claimed without its entries then costs no extra work here
     window_sets = [
-        covector_window_set(t, g, (len(rep.window) - 1) // 2)
+        covector_window_set(t, s, g, (len(rep.window) - 1) // 2)
         for g, rep in zip(cert.members, cert.orbit_reports)
     ]
     for i in range(len(cert.members)):
@@ -341,10 +358,19 @@ def verify_non_expansivity(cert: NonExpansivityCertificate) -> VerificationResul
         if cert.family.members and iso is None:
             _fail(failures, "missing the isolation bound of the first member")
         elif iso is not None:
+            resolution = isolation_resolution(t.n)
             if not cert.family.members or iso.subtorus != covector_to_hyperplane(
                 PrimitiveCovector(cert.family.members[0])
             ):
                 _fail(failures, "isolation report is not about the first member")
+            # the cap and resolution set the scan's work, so only the
+            # producer's are accepted, and they are checked before the scan
+            elif iso.dual_norm_bound != ISOLATION_CAP or iso.resolution != resolution:
+                _fail(
+                    failures,
+                    f"isolation report has dual norm cap {iso.dual_norm_bound} and resolution "
+                    f"{iso.resolution}, not {ISOLATION_CAP} and {resolution}",
+                )
             elif isolation_radius_lower_bound(
                 iso.subtorus, iso.dual_norm_bound, iso.resolution
             ) != iso:

@@ -193,6 +193,28 @@ def test_verify_rejects_isolation_bound_display_exit_2(capsys):
     assert f"bound_exact {exact}" in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("dual_norm_bound", 64), ("dual_norm_bound", 256), ("resolution", "1/1000")],
+)
+def test_verify_rejects_isolation_work_settings_before_the_scan_exit_4(field, value, capsys):
+    # the cap and the resolution set the checker's isolation work; a copy
+    # with other values is refused before any subtorus is scanned
+    import time
+
+    code, env, _ = run_cli(
+        ["certify-nonexpansive", "--count", "2"], {"matrix": [[2, 1], [1, 1]]}, capsys
+    )
+    assert code == EXIT_OK
+    cert = env["result"]
+    cert["isolation"][field] = value
+    started = time.perf_counter()
+    code, env2, _ = run_cli(["verify"], {"certificate": cert}, capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == EXIT_VERIFY_FAILED
+    assert any("isolation report has dual norm cap" in f for f in env2["result"]["failures"])
+
+
 def test_inconclusive_budget_exit_3(capsys):
     code, env, _ = run_cli(
         ["disjoint-family", "--count", "30", "--budget-norm", "1"],

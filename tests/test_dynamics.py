@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     block_diag,
@@ -169,7 +170,7 @@ def test_covector_window_set_matches_orbit_window():
             h0 = covector_to_hyperplane(PrimitiveCovector(gamma))
             for r in (0, 1, 5):
                 expected = {hyperplane_to_covector(h).entries for _, h in orbit_window(t, h0, r)}
-                assert covector_window_set(t, gamma, r) == expected
+                assert covector_window_set(t, dual_matrix(t).rows, gamma, r) == expected
 
 
 def test_orbit_rejects_bad_window():
@@ -449,7 +450,7 @@ def test_exterior_power_annihilator_convention():
         if h.dim == 0 or h.is_full():
             continue
         checked += 1
-        m, pv = annihilator_orbit_data(t, h)
+        m, pv = annihilator_orbit_data(dual_matrix(t).rows, h)
         lhs = plucker_vector(annihilator(act(t, h)).basis, n)
         rhs = canonicalize_covector(mat_vec(m, pv))
         assert lhs == rhs
@@ -476,3 +477,43 @@ def test_periodicity_decision_against_long_scans_n3():
             checked_injective += 1
             assert first_repetition_is_injective(s, gamma, 300)
     assert checked_injective > 5
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(3, 5).flatmap(lambda d: st.tuples(
+        st.sampled_from((1, -1)),
+        st.lists(st.integers(-2, 2), min_size=d - 1, max_size=d - 1),
+    )),
+    st.lists(st.integers(0, 6), min_size=1, max_size=4),
+    st.integers(0, 2),
+)
+def test_widened_report_equals_orbit_at_final_radius(poly, steps, which):
+    # a report built once and widened through several radii is the report
+    # orbit() builds at the final radius, and widening runs each act step once
+    import tordyn.dynamics as dynamics
+    from tordyn.dynamics import OrbitBuilder
+    from tordyn.growth import growth_evidence
+
+    c0, middle = poly
+    low = (c0, *middle, 1)  # monic, unit constant term
+    d = len(low) - 1
+    rows = [tuple(1 if j == i + 1 else 0 for j in range(d)) for i in range(d - 1)]
+    rows.append(tuple(-c for c in low[:-1]))
+    t = UnimodularMatrix(tuple(rows))
+    gamma = tuple(1 if j == which % d else 0 for j in range(d))
+    h = covector_to_hyperplane(PrimitiveCovector(gamma))
+    tinv = t.inv()
+    builder = OrbitBuilder(t, tinv, dual_matrix(t).rows, h)
+    acts = []
+    original = dynamics.act
+    dynamics.act = lambda *args: acts.append(args) or original(*args)
+    try:
+        radius = 0
+        for step in steps:
+            radius += step + 1
+            builder.widen(radius, growth_evidence)
+    finally:
+        dynamics.act = original
+    assert len(acts) == 2 * radius
+    assert builder.report() == orbit(t, h, radius)

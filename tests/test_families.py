@@ -349,3 +349,46 @@ def test_family_mixed_spectrum_block_diagonal():
     assert fam.count == 5
     res = verify_certificate(fam)
     assert res.ok, res.failures
+
+
+def _count_growth_evidence(monkeypatch):
+    """Record the (annihilator, radius) of every growth derivation a family
+    build makes."""
+    import tordyn.families as families
+
+    calls = []
+    original = families.growth_evidence
+
+    def counted(g, radius):
+        calls.append((g, radius))
+        return original(g, radius)
+
+    monkeypatch.setattr(families, "growth_evidence", counted)
+    return calls
+
+
+def test_family_derives_growth_once_per_annihilator_and_window(monkeypatch):
+    calls = _count_growth_evidence(monkeypatch)
+    cert = disjoint_hyperplane_orbits(CAT, 60)
+    assert cert.count == 60 and cert.rigorous
+    # every member of the cat map has one annihilator and one window radius
+    assert len({rep.window_radius for rep in cert.orbit_reports}) == 1
+    assert len(calls) == 1
+
+    calls.clear()
+    cert = disjoint_hyperplane_orbits(COMPANION, 20)
+    assert cert.count == 20
+    assert len({rep.growth.annihilator for rep in cert.orbit_reports}) == 1
+    # one derivation per radius any member reached, final or on the way
+    assert len(calls) == len(set(calls))
+    assert {rep.window_radius for rep in cert.orbit_reports} <= {r for _, r in calls}
+
+
+def test_second_build_derives_again(monkeypatch):
+    # the table of growth evidence lives as long as one build
+    calls = _count_growth_evidence(monkeypatch)
+    first = disjoint_hyperplane_orbits(CAT, 60)
+    assert len(calls) == 1
+    second = disjoint_hyperplane_orbits(CAT, 60)
+    assert len(calls) == 2 and calls[0] == calls[1]
+    assert first == second

@@ -77,6 +77,42 @@ def test_matrix_order_examples():
     assert matrix_order(UnimodularMatrix(((2, 1), (1, 1)))) is None
 
 
+def _block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    rows, offset = [], 0
+    for b in blocks:
+        rows += [(0,) * offset + tuple(r) + (0,) * (n - offset - len(b)) for r in b]
+        offset += len(b)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "last_block, expected",
+    [(((1, 1), (0, 1)), None), (((1, 0), (0, 1)), 4620)],
+    ids=["shear", "identity"],
+)
+def test_matrix_order_at_lcm_4620_is_fast(last_block, expected):
+    # companions of Phi_3, Phi_4, Phi_5, Phi_7, Phi_11 plus a 2x2 block:
+    # n = 26, and the orders bound the search at lcm = 4620
+    import time
+
+    from tordyn.polynomials import cyclotomic
+
+    def companion(low):
+        d = len(low) - 1
+        return [tuple(1 if j == i + 1 else 0 for j in range(d)) for i in range(d - 1)] + [
+            tuple(-c for c in low[:-1])
+        ]
+
+    t = UnimodularMatrix(_block_diagonal(
+        *(companion(cyclotomic(m)) for m in (3, 4, 5, 7, 11)), last_block
+    ))
+    assert t.n == 26
+    started = time.perf_counter()
+    assert matrix_order(t) == expected
+    assert time.perf_counter() - started < 0.5
+
+
 def test_matrix_order_against_direct_powering():
     rng = random.Random(7)
     for _ in range(120):

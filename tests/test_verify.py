@@ -257,3 +257,28 @@ def test_verify_imports_public_names_of_its_trusted_base_only():
             assert module in trusted, f"verify imports from {module}, outside its trusted base"
             private = [a.name for a in node.names if a.name.startswith("_")]
             assert not private, f"verify imports private names {private} from {module}"
+
+
+def _shared_evidence(report):
+    growth = report["growth"]
+    dirs = [{k: v for k, v in growth[d].items() if k != "floor_norm"} for d in ("forward", "backward")]
+    return growth["annihilator"], report["window_radius"], dirs
+
+
+@pytest.mark.parametrize("forgery", ["floor_seq", "floor_norm", "entry"])
+def test_forgery_in_one_of_two_members_sharing_evidence_names_that_member(cat_family, forgery):
+    # the checker checks the direction evidence once for members that share
+    # it; a forgery in the second member still fails the second member only
+    reports = cat_family["orbit_reports"]
+    assert _shared_evidence(reports[0]) == _shared_evidence(reports[1])
+    bad = copy.deepcopy(cat_family)
+    fwd = bad["orbit_reports"][1]["growth"]["forward"]
+    assert fwd["kind"] == "cone"
+    if forgery == "entry":
+        # a cone entry must lie at or below the window's last index + 1
+        fwd["entries"][0]["start_index"] = bad["orbit_reports"][1]["window_radius"] + 2
+    else:
+        fwd[forgery] += 1
+    res = reject(bad)
+    assert any(f.startswith("member 1: growth certificate") for f in res.failures), res.failures
+    assert not any(f.startswith("member 0") for f in res.failures)
