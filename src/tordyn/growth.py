@@ -520,10 +520,18 @@ def derive_growth_certificate(m: Mat, v: Vec, window: int) -> GrowthCertificate:
 
 
 def check_growth_certificate(
-    m: Mat, v: Vec, cert: GrowthCertificate, window: int, evidence_checks: dict | None = None
+    m: Mat,
+    v: Vec,
+    cert: GrowthCertificate,
+    window: int,
+    evidence_checks: dict | None = None,
+    g: Poly | None = None,
 ) -> list[str]:
     """Re-verify a growth certificate for the orbit outside the window of
     radius `window` from scratch; returns a list of failures.
+
+    g, when given, is minimal_annihilator(m, v), already recomputed by the
+    caller; otherwise it is recomputed here.
 
     The direction evidence is checked by check_growth_evidence, whose outcome
     `evidence_checks` holds per (annihilator, window, directions without
@@ -538,10 +546,11 @@ def check_growth_certificate(
             problems.append(f"{dc.direction}: power step {dc.power_step} is outside [1, {window + 4}]")
     if problems:
         return problems
-    try:
-        g = minimal_annihilator(m, v)
-    except (ValueError, AssertionError) as exc:
-        return [f"annihilator recomputation failed: {exc}"]
+    if g is None:
+        try:
+            g = minimal_annihilator(m, v)
+        except (ValueError, AssertionError) as exc:
+            return [f"annihilator recomputation failed: {exc}"]
     if g != cert.annihilator:
         return ["stored annihilator does not match the recomputed one"]
     if is_squarefree_product_of_cyclotomics(g):

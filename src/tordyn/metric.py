@@ -5,6 +5,15 @@ distance from a rational point to a subtorus is an exact closest-vector
 computation in annihilator coordinates, so grid sampling plus the 1-Lipschitz
 property of distance functions gives two-sided bounds: the true Hausdorff
 distance always lies in [value - error_bound, value + error_bound].
+
+hausdorff_distance and the isolation scan share one path.  A candidate of
+the scan costs one kernel (its subtorus basis, from its annihilator) plus a
+second one only when its annihilator has rank >= 2 (the saturation test; a
+single row is saturated when its gcd is 1).  Containment is a zero test of
+integer dot products, the Lipschitz bound an integer isqrt, and a
+codimension-1 target needs no Gram inverse: its grid maximum and the square
+root enclosure are integers, so a Fraction is made only for the bound that
+comes out.  The bounds are those of the Fraction arithmetic this replaces.
 """
 
 from __future__ import annotations
@@ -12,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 
 from .growth import ceil_fraction, ceil_sqrt_fraction
 from .intmat import Mat, rational_inverse
-from .lattices import hnf_basis, saturate_rows
-from .subtori import Subtorus, annihilator, contains, subtorus_from_annihilator
+from .lattices import annihilator_rows, hnf_basis
+from .subtori import Subtorus, annihilator, subtorus_from_annihilator
 
 
 @dataclass(frozen=True)
@@ -38,17 +47,23 @@ class MetricEstimate:
 
 
 class _SubtorusGeometry:
-    """Exact data of one subtorus for distances: its annihilator basis (for
-    point-to-subtorus distances) and the Lipschitz bound of its
-    parametrization (for sampling it)."""
+    """Exact data of one subtorus for distances: its basis, its annihilator
+    basis (for point-to-subtorus distances), the Lipschitz bound of its
+    parametrization and the grid it is sampled on at one resolution."""
 
-    def __init__(self, h: Subtorus, ann: Mat):
-        """ann must be the canonical annihilator basis of h."""
-        self.h = h
+    def __init__(self, n: int, basis: Mat, ann: Mat, res: Fraction):
+        """basis and ann must be the canonical bases of a saturated lattice
+        and of its annihilator."""
+        self.n = n
+        self.basis = basis
         self.ann = ann
         self.r = len(ann)
-        self.lip = sum(_row_norm_upper(row) for row in h.basis)
-        if self.r:
+        self.lip = sum(_isqrt_ceil(sum(x * x for x in row)) for row in basis)
+        # ceil(lip / (2 res)) grid steps make the mesh lip / (2 steps) <= res
+        num = self.lip * res.denominator
+        self.steps = max(1, -(-num // (2 * res.numerator)))
+        if self.r > 1:
+            # only the generic point-to-subtorus distance reads the Gram inverse
             gram = [
                 [Fraction(sum(x * y for x, y in zip(r1, r2))) for r2 in ann]
                 for r1 in ann
@@ -57,9 +72,8 @@ class _SubtorusGeometry:
             self.trace_g = sum(gram[i][i] for i in range(self.r))
 
     def dist2(self, point: tuple[Fraction, ...]) -> Fraction:
-        """Exact squared distance from the point (mod Z^n) to the subtorus."""
-        if self.r == 0:
-            return Fraction(0)
+        """Exact squared distance from the point (mod Z^n) to the subtorus,
+        for r >= 2."""
         y0 = [sum(Fraction(a) * p for a, p in zip(row, point)) for row in self.ann]
         # start from the componentwise nearest integer shift
         z0 = [-_round_half_down(y) for y in y0]
@@ -87,24 +101,20 @@ def _round_half_down(x: Fraction) -> int:
     return ceil_fraction(x - Fraction(1, 2))
 
 
-def _sqrt_interval(x: Fraction, scale: int = 1 << 24) -> tuple[Fraction, Fraction]:
-    """Rational enclosure [lo, hi] of sqrt(x) for x >= 0."""
-    if x < 0:
-        raise ValueError("negative value")
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    num = x.numerator * scale * scale
-    s = isqrt(num // x.denominator)
-    lo = Fraction(s, scale)
-    while lo * lo > x:
-        s -= 1
-        lo = Fraction(s, scale)
-    hi = Fraction(s + 1, scale)
-    return lo, hi
+def _isqrt_ceil(m: int) -> int:
+    """Smallest integer s with s*s >= m, for m >= 0."""
+    s = isqrt(m)
+    return s if s * s == m else s + 1
 
 
-def _row_norm_upper(row) -> int:
-    return ceil_sqrt_fraction(Fraction(sum(x * x for x in row)))
+# square roots are enclosed in [s, s + 1] / _SQRT_SCALE
+_SQRT_SCALE = 1 << 24
+
+
+def _sqrt_floor_scaled(dist2: tuple[int, int]) -> int:
+    """floor(_SQRT_SCALE * sqrt(num / den)) for dist2 = (num, den), num >= 0."""
+    num, den = dist2
+    return isqrt(num * _SQRT_SCALE * _SQRT_SCALE // den)
 
 
 def _reduce_mod_one(x: Fraction) -> Fraction:
@@ -127,59 +137,65 @@ def _grid_points(basis: Mat, n: int, steps: int):
         yield tuple(_reduce_mod_one(x) for x in point)
 
 
-def _geometry(h: Subtorus) -> _SubtorusGeometry:
-    return _SubtorusGeometry(h, annihilator(h).basis)
+def _geometry(h: Subtorus, res: Fraction) -> _SubtorusGeometry:
+    return _SubtorusGeometry(h.ambient_dim, h.basis, annihilator(h).basis, res)
 
 
-def _directional_sup(
-    src_geom: _SubtorusGeometry, geom: _SubtorusGeometry, resolution: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Interval [lo, hi] for sup over the source of the distance to the target."""
-    src = src_geom.h
-    if contains(geom.h, src):
-        return Fraction(0), Fraction(0)
-    lip = src_geom.lip
-    if lip == 0:
-        steps = 1
-        mesh = Fraction(0)
-    else:
-        steps = max(1, ceil_fraction(Fraction(lip) / (2 * resolution)))
-        mesh = Fraction(lip, 2 * steps)
-    if geom.r == 1:
-        best2 = _grid_max_dist2_hyperplane(src.basis, geom, steps)
-    else:
-        best2 = Fraction(0)
-        for point in _grid_points(src.basis, src.ambient_dim, steps):
-            d2 = geom.dist2(point)
-            if d2 > best2:
-                best2 = d2
-    lo, hi = _sqrt_interval(best2)
-    return lo, hi + mesh
+def _grid_max_dist2(
+    src: _SubtorusGeometry, tgt: _SubtorusGeometry
+) -> tuple[int, int] | None:
+    """Maximum of dist^2 to the target over the source's grid, as an exact
+    (numerator, denominator) pair; None when the source lies in the target.
+
+    The target's lattice is saturated, so it contains the source exactly when
+    every annihilator row of the target is orthogonal to every source row."""
+    if all(sum(a * b for a, b in zip(g, row)) == 0 for g in tgt.ann for row in src.basis):
+        return None
+    if tgt.r == 1:
+        return _grid_max_dist2_hyperplane(src.basis, tgt.ann[0], src.steps)
+    best2 = Fraction(0)
+    for point in _grid_points(src.basis, src.n, src.steps):
+        d2 = tgt.dist2(point)
+        if d2 > best2:
+            best2 = d2
+    return best2.numerator, best2.denominator
 
 
-def _grid_max_dist2_hyperplane(basis: Mat, geom: _SubtorusGeometry, steps: int) -> Fraction:
-    """Exact grid maximum of dist^2 to a codimension-1 target, no loop needed.
+def _grid_max_dist2_hyperplane(basis: Mat, gamma, steps: int) -> tuple[int, int]:
+    """Exact grid maximum of dist^2 to the hyperplane ker(gamma), no loop needed.
 
     At grid points t = j/steps the character value gamma . p runs over the
     subgroup of (1/steps)Z/Z generated by the integers gamma . b_i, so the
-    farthest fractional part is the subgroup element nearest to 1/2.
+    farthest fractional part is the subgroup element nearest to 1/2.  The
+    subgroup is (g/steps)Z/Z with g | steps, and that element is
+    floor(steps / 2g) * g / steps: no other one is farther from the integers.
     """
-    from math import gcd
-
-    gamma = geom.ann[0]
     g = steps
     for row in basis:
-        c = sum(a * b for a, b in zip(gamma, row))
-        g = gcd(g, c % steps)
-    if g == 0:
-        return Fraction(0)
-    m1 = (steps // (2 * g)) * g
-    candidates = [m1]
-    if m1 + g < steps:
-        candidates.append(m1 + g)
-    maxmin = max(min(m, steps - m) for m in candidates)
-    gram = sum(x * x for x in gamma)
-    return Fraction(maxmin, steps) ** 2 / gram
+        g = gcd(g, sum(a * b for a, b in zip(gamma, row)) % steps)
+    m = (steps // (2 * g)) * g
+    return m * m, steps * steps * sum(x * x for x in gamma)
+
+
+def _directional_sup(
+    src: _SubtorusGeometry, tgt: _SubtorusGeometry
+) -> tuple[Fraction, Fraction]:
+    """Interval [lo, hi] for sup over the source of the distance to the target."""
+    dist2 = _grid_max_dist2(src, tgt)
+    if dist2 is None:
+        return Fraction(0), Fraction(0)
+    s = _sqrt_floor_scaled(dist2)
+    hi = Fraction(s + 1, _SQRT_SCALE) if dist2[0] else Fraction(0)
+    return Fraction(s, _SQRT_SCALE), hi + Fraction(src.lip, 2 * src.steps)
+
+
+def _lower_scaled(g1: _SubtorusGeometry, g2: _SubtorusGeometry) -> int:
+    """The lower end of the Hausdorff estimate, times _SQRT_SCALE: the larger
+    of the two directional lower ends."""
+    return max(
+        0 if d is None else _sqrt_floor_scaled(d)
+        for d in (_grid_max_dist2(g1, g2), _grid_max_dist2(g2, g1))
+    )
 
 
 def hausdorff_distance(h1: Subtorus, h2: Subtorus, resolution) -> MetricEstimate:
@@ -193,14 +209,9 @@ def hausdorff_distance(h1: Subtorus, h2: Subtorus, resolution) -> MetricEstimate
         raise ValueError("resolution must be positive")
     if h1.ambient_dim != h2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return _hausdorff(_geometry(h1), _geometry(h2), res)
-
-
-def _hausdorff(
-    g1: _SubtorusGeometry, g2: _SubtorusGeometry, res: Fraction
-) -> MetricEstimate:
-    lo1, hi1 = _directional_sup(g1, g2, res)
-    lo2, hi2 = _directional_sup(g2, g1, res)
+    g1, g2 = _geometry(h1, res), _geometry(h2, res)
+    lo1, hi1 = _directional_sup(g1, g2)
+    lo2, hi2 = _directional_sup(g2, g1)
     lo = max(lo1, lo2)
     hi = max(hi1, hi2)
     return MetricEstimate(value=(lo + hi) / 2, error_bound=(hi - lo) / 2, resolution=res)
@@ -260,33 +271,37 @@ def isolation_radius_lower_bound(
     dimension >= dim(h) whose annihilator basis has sup norm <= the cap.
 
     The bound is relative to the enumeration cap: subtori with larger
-    annihilators are not inspected.
+    annihilators are not inspected.  Each candidate is the lower end of its
+    hausdorff_distance estimate from h, from the same routines.
     """
     if h.dim == 0 or h.is_full():
         raise ValueError("isolation applies to proper nontrivial subtori")
     if dual_norm_bound < 1:
         raise ValueError("dual norm bound must be >= 1")
     res = Fraction(resolution)
+    if res <= 0:
+        raise ValueError("resolution must be positive")
     n = h.ambient_dim
-    r_max = n - h.dim
-    h_geom = _geometry(h)
-    best: Fraction | None = None
+    h_geom = _geometry(h, res)
+    best: int | None = None
     nearest = None
     count = 0
-    for rank in range(0, r_max + 1):
+    for rank in range(0, n - h.dim + 1):
         for ann_rows in enumerate_hnf_lattices(n, rank, dual_norm_bound):
-            if saturate_rows(ann_rows, n) != ann_rows:
+            # a canonical HNF basis is saturated exactly when it is the
+            # annihilator of its own kernel; one row needs only its gcd
+            if ann_rows == h_geom.ann or rank == 1 and gcd(*ann_rows[0]) != 1:
                 continue
-            cand = subtorus_from_annihilator(n, ann_rows)
-            if cand == h:
+            basis = annihilator_rows(ann_rows, n)
+            if rank != 1 and annihilator_rows(basis, n) != ann_rows:
                 continue
             count += 1
-            # ann_rows is saturated and in canonical HNF, so it is the
-            # annihilator basis of cand
-            est = _hausdorff(h_geom, _SubtorusGeometry(cand, ann_rows), res)
-            lower = est.lower
+            lower = _lower_scaled(h_geom, _SubtorusGeometry(n, basis, ann_rows, res))
             if best is None or lower < best:
                 best = lower
-                nearest = cand
+                nearest = ann_rows
     assert best is not None
-    return IsolationReport(h, dual_norm_bound, res, count, best, nearest)
+    return IsolationReport(
+        h, dual_norm_bound, res, count, Fraction(best, _SQRT_SCALE),
+        subtorus_from_annihilator(n, nearest),
+    )

@@ -133,7 +133,7 @@ def _check_member_report(t, tinv, s, gamma, report, failures, idx, growth_checks
         if report.rigorous:
             _fail(failures, f"member {idx}: rigor claimed without growth evidence")
         return
-    for p in check_growth_certificate(m_rows, pv, growth, w, growth_checks):
+    for p in check_growth_certificate(m_rows, pv, growth, w, growth_checks, g):
         _fail(failures, f"member {idx}: growth certificate: {p}")
     # members are hyperplanes, so the annihilator floor is the growth floor
     if report.min_exterior_norm is not None and (

@@ -328,3 +328,172 @@ def saturation_lift(w, kdim, inner_gamma):
         rows.append(tuple(sum(y[i] * w[i][j] for i in range(n)) for j in range(n)))
     lifted = Subtorus(n, Lattice(n, saturate_rows(tuple(rows), n)))
     return hyperplane_to_covector(lifted).entries
+
+
+class _ReferenceGeometry:
+    """The Fraction-based subtorus geometry of the isolation scan as first
+    written: annihilator basis, Lipschitz bound and Gram inverse."""
+
+    def __init__(self, h, ann):
+        from tordyn.intmat import rational_inverse
+
+        self.h = h
+        self.ann = ann
+        self.r = len(ann)
+        self.lip = sum(_reference_row_norm_upper(row) for row in h.basis)
+        if self.r:
+            gram = [
+                [Fraction(sum(x * y for x, y in zip(r1, r2))) for r2 in ann]
+                for r1 in ann
+            ]
+            self.ginv = rational_inverse(gram)
+            self.trace_g = sum(gram[i][i] for i in range(self.r))
+
+    def dist2(self, point):
+        from tordyn.growth import ceil_fraction, ceil_sqrt_fraction
+
+        if self.r == 0:
+            return Fraction(0)
+        y0 = [sum(Fraction(a) * p for a, p in zip(row, point)) for row in self.ann]
+        z0 = [-ceil_fraction(y - Fraction(1, 2)) for y in y0]
+        best = self._form([y + z for y, z in zip(y0, z0)])
+        radius2 = best * self.trace_g
+        rad = ceil_sqrt_fraction(radius2)
+        ranges = []
+        for y in y0:
+            lo = ceil_fraction(-y - rad)
+            hi = -ceil_fraction(-(-y + rad))
+            ranges.append(range(lo, hi + 1))
+        for z in product(*ranges):
+            val = self._form([y + zz for y, zz in zip(y0, z)])
+            if val < best:
+                best = val
+        return best
+
+    def _form(self, u):
+        return sum(
+            u[i] * self.ginv[i][j] * u[j] for i in range(self.r) for j in range(self.r)
+        )
+
+
+def _reference_row_norm_upper(row):
+    from tordyn.growth import ceil_sqrt_fraction
+
+    return ceil_sqrt_fraction(Fraction(sum(x * x for x in row)))
+
+
+def _reference_sqrt_interval(x, scale=1 << 24):
+    from math import isqrt
+
+    if x == 0:
+        return Fraction(0), Fraction(0)
+    num = x.numerator * scale * scale
+    s = isqrt(num // x.denominator)
+    lo = Fraction(s, scale)
+    while lo * lo > x:
+        s -= 1
+        lo = Fraction(s, scale)
+    return lo, Fraction(s + 1, scale)
+
+
+def _reference_grid_points(basis, n, steps):
+    k = len(basis)
+    if k == 0:
+        yield tuple(Fraction(0) for _ in range(n))
+        return
+    for combo in product(range(steps), repeat=k):
+        point = [Fraction(0)] * n
+        for ti, row in zip(combo, basis):
+            t = Fraction(ti, steps)
+            for j, b in enumerate(row):
+                point[j] += t * b
+        yield tuple(x - (x.numerator // x.denominator) for x in point)
+
+
+def _reference_grid_max_dist2_hyperplane(basis, geom, steps):
+    from math import gcd
+
+    gamma = geom.ann[0]
+    g = steps
+    for row in basis:
+        c = sum(a * b for a, b in zip(gamma, row))
+        g = gcd(g, c % steps)
+    if g == 0:
+        return Fraction(0)
+    m1 = (steps // (2 * g)) * g
+    candidates = [m1]
+    if m1 + g < steps:
+        candidates.append(m1 + g)
+    maxmin = max(min(m, steps - m) for m in candidates)
+    gram = sum(x * x for x in gamma)
+    return Fraction(maxmin, steps) ** 2 / gram
+
+
+def _reference_directional_sup(src_geom, geom, resolution):
+    from tordyn.growth import ceil_fraction
+    from tordyn.subtori import contains
+
+    src = src_geom.h
+    if contains(geom.h, src):
+        return Fraction(0), Fraction(0)
+    lip = src_geom.lip
+    if lip == 0:
+        steps = 1
+        mesh = Fraction(0)
+    else:
+        steps = max(1, ceil_fraction(Fraction(lip) / (2 * resolution)))
+        mesh = Fraction(lip, 2 * steps)
+    if geom.r == 1:
+        best2 = _reference_grid_max_dist2_hyperplane(src.basis, geom, steps)
+    else:
+        best2 = Fraction(0)
+        for point in _reference_grid_points(src.basis, src.ambient_dim, steps):
+            d2 = geom.dist2(point)
+            if d2 > best2:
+                best2 = d2
+    lo, hi = _reference_sqrt_interval(best2)
+    return lo, hi + mesh
+
+
+def reference_hausdorff(h1, h2, res):
+    """(value, error_bound) of the Hausdorff estimate by the reference path."""
+    from tordyn.subtori import annihilator
+
+    g1 = _ReferenceGeometry(h1, annihilator(h1).basis)
+    g2 = _ReferenceGeometry(h2, annihilator(h2).basis)
+    lo1, hi1 = _reference_directional_sup(g1, g2, res)
+    lo2, hi2 = _reference_directional_sup(g2, g1, res)
+    lo, hi = max(lo1, lo2), max(hi1, hi2)
+    return (lo + hi) / 2, (hi - lo) / 2
+
+
+def reference_isolation(h, dual_norm_bound, resolution):
+    """The isolation scan as first written: each candidate is saturated by
+    saturate_rows, built by subtorus_from_annihilator and measured by the
+    Fraction-based geometry above, three kernel computations apiece."""
+    from tordyn.lattices import saturate_rows
+    from tordyn.metric import IsolationReport, enumerate_hnf_lattices
+    from tordyn.subtori import annihilator, subtorus_from_annihilator
+
+    res = Fraction(resolution)
+    n = h.ambient_dim
+    h_geom = _ReferenceGeometry(h, annihilator(h).basis)
+    best = nearest = None
+    count = 0
+    for rank in range(0, n - h.dim + 1):
+        for ann_rows in enumerate_hnf_lattices(n, rank, dual_norm_bound):
+            if saturate_rows(ann_rows, n) != ann_rows:
+                continue
+            cand = subtorus_from_annihilator(n, ann_rows)
+            if cand == h:
+                continue
+            count += 1
+            geom = _ReferenceGeometry(cand, ann_rows)
+            lo1, hi1 = _reference_directional_sup(h_geom, geom, res)
+            lo2, hi2 = _reference_directional_sup(geom, h_geom, res)
+            lo, hi = max(lo1, lo2), max(hi1, hi2)
+            lower = (lo + hi) / 2 - (hi - lo) / 2
+            if best is None or lower < best:
+                best = lower
+                nearest = cand
+    return IsolationReport(h, dual_norm_bound, res, count, best, nearest)

@@ -246,6 +246,16 @@ def test_isolation_command(capsys):
     assert env["result"]["bound"] > 0
 
 
+@pytest.mark.parametrize("resolution", ["0", "-1/12"])
+def test_isolation_rejects_nonpositive_resolution(resolution, capsys):
+    job = {"subtorus": {"ambient_dim": 2, "basis": [[1, 0]]}}
+    code, env, err = run_cli(
+        ["isolation", "--budget-norm", "3", f"--resolution={resolution}"], job, capsys
+    )
+    assert code == EXIT_INVALID
+    assert "resolution must be positive" in err
+
+
 def test_group_finite_command(capsys):
     code, env, _ = run_cli(
         ["group-finite"], {"matrices": [[[0, -1], [1, 0]]]}, capsys

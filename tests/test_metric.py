@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tordyn.lattices
+from oracles import reference_hausdorff, reference_isolation
 from tordyn.metric import (
     MetricEstimate,
     enumerate_hnf_lattices,
@@ -11,7 +14,12 @@ from tordyn.metric import (
     isolation_radius_lower_bound,
 )
 from tordyn.lattices import saturate_rows
-from tordyn.subtori import Subtorus, subtorus_from_annihilator
+from tordyn.subtori import (
+    PrimitiveCovector,
+    Subtorus,
+    covector_to_hyperplane,
+    subtorus_from_annihilator,
+)
 
 RES = Fraction(1, 50)
 
@@ -152,3 +160,78 @@ def test_isolation_is_the_minimum_of_pairwise_distances(h):
                 best, nearest = lower, cand
     rep = isolation_radius_lower_bound(h, 2, res)
     assert (rep.bound, rep.nearest, rep.candidates) == (best, nearest, count)
+
+
+def _primitive(n, draw):
+    entries = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+    return PrimitiveCovector.from_entries(entries).entries
+
+
+@st.composite
+def _isolation_jobs(draw):
+    """A hyperplane of T^2..T^5 at cap 1 or 2 and a fine resolution, or a
+    line in T^3 at cap 1 and a coarse one."""
+    if draw(st.booleans()):
+        h = covector_to_hyperplane(PrimitiveCovector(_primitive(draw(st.integers(2, 5)), draw)))
+        res = draw(st.sampled_from([Fraction(1, 12), Fraction(1, 50)]))
+        return h, draw(st.integers(1, 2)), res
+    return Subtorus.from_generators(3, [_primitive(3, draw)]), 1, Fraction(1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_isolation_jobs())
+def test_isolation_matches_the_reference_scan(job):
+    assert isolation_radius_lower_bound(*job) == reference_isolation(*job)
+
+
+@pytest.mark.parametrize(
+    "h, cap, res",
+    [
+        (covector_to_hyperplane(PrimitiveCovector((0, 0, 0, 0, 1))), 2, Fraction(1, 12)),
+        (Subtorus.from_generators(4, [(1, 0, 1, 0), (0, 1, 0, -1)]), 1, Fraction(2, 3)),
+        # cap 2 brings unsaturated rank-2 annihilators, 2/5 a mesh that
+        # does not divide the Lipschitz bounds
+        (Subtorus.from_generators(3, [(1, 2, -1)]), 2, Fraction(2, 5)),
+    ],
+)
+def test_isolation_matches_the_reference_scan_on_fixed_subtori(h, cap, res):
+    assert isolation_radius_lower_bound(h, cap, res) == reference_isolation(h, cap, res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gens=st.lists(
+        st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=0, max_size=3
+    ),
+    other=st.lists(
+        st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=0, max_size=3
+    ),
+    res=st.sampled_from([Fraction(1, 2), Fraction(2, 3)]),
+)
+def test_distance_matches_the_reference_estimate(gens, other, res):
+    h1 = Subtorus.from_generators(3, gens)
+    h2 = Subtorus.from_generators(3, other)
+    est = hausdorff_distance(h1, h2, res)
+    assert (est.value, est.error_bound) == reference_hausdorff(h1, h2, res)
+
+
+def test_isolation_scan_makes_one_kernel_call_per_hyperplane_candidate(monkeypatch):
+    calls = []
+    kernel = tordyn.lattices.left_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(tordyn.lattices, "left_kernel", counted)
+    h = covector_to_hyperplane(PrimitiveCovector((0, 0, 0, 0, 1)))
+    rep = isolation_radius_lower_bound(h, 2, Fraction(1, 12))
+    # every candidate but the full torus is a saturated rank-1 annihilator
+    assert rep.candidates == 1441
+    assert len(calls) <= rep.candidates + 3
+
+
+@pytest.mark.parametrize("res", [0, Fraction(-1, 12)])
+def test_isolation_rejects_nonpositive_resolution(res):
+    with pytest.raises(ValueError):
+        isolation_radius_lower_bound(Subtorus.from_generators(2, [(1, 0)]), 2, res)
