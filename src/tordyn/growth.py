@@ -41,13 +41,21 @@ evidence is checked once per (annihilator, window, directions without their
 norm floors), and each orbit's norm floors against its own transfer
 constant.  Floating point appears only as a hint source for picking q, mu, nu
 in the producer, which searches; the checker only re-runs the exact tests.
+The hints come from float approximations of the roots z of the annihilator,
+found once per growth_evidence call (float_roots, an Aberth-Ehrlich
+iteration): the backward direction reads 1/z, level 2 the pairwise products
+z_i z_j, and a q-step cone the q-th powers, which are the roots of the
+recurrences above.  A bad hint can only make the search miss a cone; every
+cone it proposes is still checked exactly by cone_is_invariant.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import combinations
+from math import exp, isfinite, isqrt, lcm, log, pi
 
 from .intmat import Mat, Vec, mat_vec, rational_inverse, transpose
 from .lattices import left_kernel
@@ -58,6 +66,7 @@ from .polynomials import (
     neg,
     normalize,
     root_power_poly,
+    squarefree_decomposition,
     strip_cyclotomic_factors,
 )
 
@@ -213,16 +222,81 @@ def _cone_bounds(b: tuple[int, ...], mu: Fraction, nu: Fraction) -> tuple[Fracti
     return lb, ub
 
 
-def _root_hints(p: Poly) -> tuple[float, float] | None:
-    """(dominant modulus if it is a single positive real root, second modulus)."""
-    import numpy as np
+def float_roots(p: Poly) -> list[complex]:
+    """Approximate complex roots, with multiplicity, of the monic integer p
+    with nonzero constant term; none when the coefficients or the iterates
+    leave the float range.  Each squarefree part of p has simple roots, which
+    the Aberth-Ehrlich iteration finds to full precision; a root of
+    multiplicity m is then repeated m times, exactly."""
+    roots: list[complex] = []
+    for part, mult in squarefree_decomposition(p):
+        found = _aberth_roots(part)
+        if not found:
+            return []
+        roots += found * mult
+    return roots
 
+
+def _aberth_roots(p: Poly) -> list[complex]:
+    """Aberth-Ehrlich iteration for the roots of the monic p with nonzero
+    constant term.  The start points lie on the circles of the Newton
+    polygon of log |coefficient| (Bini 1996): an edge from degree i to degree
+    j puts j - i points on the circle of radius |p_i / p_j|^(1/(j - i)), so
+    roots of very different sizes each start near their own modulus."""
     try:
-        coeffs = [float(c) for c in reversed(p)]
+        a = [float(c) for c in p]
     except OverflowError:
-        return None
-    roots = np.roots(coeffs)
+        return []
+    n = len(a) - 1
+    hull: list[tuple[int, float]] = []
+    for i, c in enumerate(a):
+        if c:
+            pt = (i, log(abs(c)))
+            # keep the upper hull: drop a last point on or below the new chord
+            while len(hull) >= 2 and (
+                (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])
+                <= (pt[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])
+            ):
+                hull.pop()
+            hull.append(pt)
+    z: list[complex] = []
+    for (i, li), (j, lj) in zip(hull, hull[1:]):
+        radius = exp((li - lj) / (j - i))
+        for m in range(j - i):
+            z.append(radius * cmath.exp(2j * pi * (m / (j - i) + i / n) + 0.4j))
+    size = [abs(c) for c in a]
+    done = [False] * n
+    for _ in range(200):
+        for k in range(n):
+            if done[k]:
+                continue
+            x = z[k]
+            val, der, bound, r = a[n], 0j, size[n], abs(x)
+            for c, sc in zip(a[n - 1::-1], size[n - 1::-1]):
+                der = der * x + val
+                val = val * x + c
+                bound = bound * r + sc
+            if not (cmath.isfinite(val) and cmath.isfinite(der)):
+                return []
+            # |p(x)| within the rounding error of evaluating it: x is a root
+            # of a polynomial within float precision of p
+            if abs(val) <= 4 * n * 2.0**-52 * bound:
+                done[k] = True
+                continue
+            pull = sum(1 / (x - y) for m, y in enumerate(z) if m != k and y != x)
+            ratio = val / der if der else val  # off a critical point, any step
+            denom = 1 - ratio * pull
+            z[k] = x - (ratio / denom if denom else ratio)
+        if all(done):
+            break
+    return z
+
+
+def _root_hints(roots: list[complex]) -> tuple[float, float] | None:
+    """(dominant modulus if it is a single positive real root, second modulus)."""
     mods = sorted((abs(z) for z in roots), reverse=True)
+    if not mods or not isfinite(mods[0]):
+        return None
     top = mods[0]
     candidates = [z for z in roots if abs(abs(z) - top) < 1e-9 * max(1.0, top)]
     if len(candidates) != 1:
@@ -232,6 +306,15 @@ def _root_hints(p: Poly) -> tuple[float, float] | None:
         return None
     second = mods[1] if len(mods) > 1 else 0.0
     return top, second
+
+
+def _powered_hints(roots: list[complex], q: int) -> tuple[float, float] | None:
+    """_root_hints of the q-th powers of the roots: the roots of
+    root_power_poly(p, q) for the p that has the given roots."""
+    try:
+        return _root_hints([z**q for z in roots])
+    except OverflowError:
+        return None
 
 
 def direction_sequence(
@@ -294,21 +377,24 @@ def norm_floor(floor_seq: int, level: int, transfer: Fraction) -> int:
 def _try_cone_direction(
     seq: dict[int, int],
     rec_poly: Poly,
+    roots: list[complex],
     cover_from: int,
     max_index: int,
 ) -> tuple[int, Fraction, Fraction, tuple[ConeEntry, ...], int] | None:
-    """Search for (q, mu, nu, entries, floor) certifying seq(j) growth for j > cover_from."""
+    """Search for (q, mu, nu, entries, floor) certifying seq(j) growth for
+    j > cover_from; roots are float approximations of the roots of rec_poly,
+    the only hint source."""
     dd = len(rec_poly) - 1
     for q in CONE_POWER_STEPS:
         if cover_from + 1 + q * dd > max_index:
             continue
-        qpoly = root_power_poly(rec_poly, q)
-        hints = _root_hints(qpoly)
+        hints = _powered_hints(roots, q)
         if hints is None:
             continue
         rho, second = hints
         if rho <= 1.0001 or second >= rho * 0.999:
             continue
+        qpoly = root_power_poly(rec_poly, q)
         pair = _pick_cone_ratios(qpoly, rho, second)
         if pair is None:
             continue
@@ -454,16 +540,21 @@ def _try_polynomial_direction(
 def derive_direction(
     vals: dict[int, int],
     g: Poly,
+    roots: list[complex],
     direction: str,
     window: int,
 ) -> DirectionCertificate:
     """Evidence for one direction, with floor_norm 0: the search depends only
-    on the annihilator's impulse values and the window."""
+    on the annihilator's impulse values and the window.  roots approximate
+    the roots of g; the backward recurrence has their inverses as roots and
+    the Hankel recurrence their pairwise products."""
+    if direction == "backward":
+        roots = [1 / z for z in roots]
     # level 1 cone on the raw sequence, then the polynomial path for
     # root-of-unity spectra, then a level 2 cone on Hankel determinants
     # (dominant complex pair)
     seq, g_dir, cover_from = direction_sequence(vals, g, direction, 1, window)
-    res = _try_cone_direction(seq, g_dir, cover_from, max(seq))
+    res = _try_cone_direction(seq, g_dir, roots, cover_from, max(seq))
     if res is not None:
         q, mu, nu, entries, floor = res
         return DirectionCertificate(direction, "cone", 1, q, mu, nu, entries, floor)
@@ -474,7 +565,8 @@ def derive_direction(
     hankel = direction_sequence(vals, g, direction, 2, window)
     if hankel is not None:
         hseq, hpoly, cover_from = hankel
-        res = _try_cone_direction(hseq, hpoly, cover_from, max(hseq, default=0))
+        pairs = [y * z for y, z in combinations(roots, 2)]
+        res = _try_cone_direction(hseq, hpoly, pairs, cover_from, max(hseq, default=0))
         if res is not None:
             q, mu, nu, entries, floor = res
             return DirectionCertificate(direction, "cone", 2, q, mu, nu, entries, floor)
@@ -492,7 +584,9 @@ def growth_evidence(g: Poly, window: int) -> tuple[DirectionCertificate, Directi
     d = len(g) - 1
     span = window + 2 + 24 * (d * d + d + 2)
     vals = impulse_values(g, -span, span)
-    return derive_direction(vals, g, "forward", window), derive_direction(vals, g, "backward", window)
+    roots = float_roots(g)
+    return (derive_direction(vals, g, roots, "forward", window),
+            derive_direction(vals, g, roots, "backward", window))
 
 
 def growth_certificate(

@@ -247,7 +247,8 @@ def enumerate_hnf_lattices(n: int, rank: int, bound: int) -> list[Mat]:
             rows_choices.append(choices)
         for rows in product(*rows_choices):
             cand = tuple(rows)
-            if hnf_basis(cand, n) == cand:
+            # one row with a positive pivot is already canonical
+            if rank == 1 or hnf_basis(cand, n) == cand:
                 out.append(cand)
     return out
 

@@ -365,3 +365,61 @@ def test_certify_nonexpansive_finite_order_branch(capsys):
     assert len(res["fixed_subtori"]) >= 2
     code, env2, _ = run_cli(["verify"], {"certificate": res}, capsys)
     assert code == EXIT_OK and env2["result"]["ok"] is True
+
+
+_NO_HEAVY_IMPORTS = """
+import json, os, sys
+from tordyn.cli import main
+
+work = sys.argv[1]
+def run(command, payload, *args):
+    job, out = os.path.join(work, "job.json"), os.path.join(work, "out.json")
+    with open(job, "w") as fh:
+        json.dump(payload, fh)
+    code = main([command, "--input", job, "--output", out, *args])
+    with open(out) as fh:
+        return code, json.load(fh)["result"]
+
+codes = []
+code, cert = run("disjoint-family", {"matrix": [[0, 1, 0], [0, 0, 1], [1, 1, 0]]}, "--count", "3")
+codes.append(code)
+cat_rotation = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+code, classified = run("classify", {"matrix": cat_rotation})
+codes.append(code)
+code, verdict = run("verify", {"certificate": cert})
+codes.append(code)
+print(json.dumps({"codes": codes, "reducible": classified["invariant_rational_subspaces"]["exists"],
+                  "ok": verdict["ok"],
+                  "loaded": sorted(m for m in ("numpy", "sympy") if m in sys.modules)}))
+"""
+
+
+def test_cli_jobs_import_neither_numpy_nor_sympy(tmp_path):
+    # a family of the x^3 - x - 1 companion, classify of the reducible cat +
+    # rotation (which factors its characteristic polynomial) and verify
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_HEAVY_IMPORTS, str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report == {"codes": [EXIT_OK] * 3, "reducible": True, "ok": True, "loaded": []}
+
+
+def test_no_module_imports_numpy_or_sympy():
+    import ast
+
+    package = Path(__file__).resolve().parents[1] / "src" / "tordyn"
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("numpy", "sympy"), f"{path.name} imports {name}"

@@ -244,3 +244,107 @@ def test_random_n3_words_certify_and_hold():
         if cert.min_exterior_norm is not None:
             brute = brute_min_norm_outside_window(s, (0, 0, 1), 16, 180)
             assert brute >= cert.min_exterior_norm
+
+
+def _numpy_hints(p):
+    """The hint rule applied to numpy.roots of p itself: what the cone
+    search read before it took its hints from the annihilator's roots."""
+    import numpy as np
+
+    from tordyn.growth import _root_hints
+
+    return _root_hints([complex(z) for z in np.roots([float(c) for c in reversed(p)])])
+
+
+def _usable(hints):
+    return hints is not None and hints[0] > 1.0001 and hints[1] < 0.999 * hints[0]
+
+
+def _hint_mismatches(g):
+    """Every (direction, level, q) at which the hints from the roots of g and
+    from numpy.roots(root_power_poly(...)) disagree on usability or, where
+    floats determine it, on the picked (mu, nu).
+
+    A q-step polynomial with a coefficient beyond the float range is
+    skipped: numpy cannot take it, so the old search had no hint there.
+    Picks are compared where the q-step polynomial is squarefree and rho is
+    below 2^22.  numpy splits an m-fold root by about eps^(1/m), which moves
+    the second modulus by up to 1e-4 (the roots of g repeat a multiple root
+    exactly).  Above 2^22, 256 * nu exceeds 2^32, and a relative error of
+    1e-15 in rho, within both methods' precision, moves the rounded nu."""
+    from itertools import combinations
+
+    from tordyn.growth import (
+        CONE_POWER_STEPS,
+        _pick_cone_ratios,
+        _powered_hints,
+        float_roots,
+    )
+    from tordyn.polynomials import exterior_square_poly, root_power_poly, squarefree_decomposition
+
+    roots = float_roots(g)
+    out = []
+    for direction in ("forward", "backward"):
+        rec = g if direction == "forward" else reciprocal_monic(g)
+        rr = roots if direction == "forward" else [1 / z for z in roots]
+        levels = [(1, rec, rr)]
+        if len(g) - 1 >= 3:
+            levels.append((2, exterior_square_poly(rec), [a * b for a, b in combinations(rr, 2)]))
+        for level, rec_l, rr_l in levels:
+            for q in CONE_POWER_STEPS:
+                qpoly = root_power_poly(rec_l, q)
+                try:
+                    [float(c) for c in qpoly]
+                except OverflowError:
+                    continue
+                old, new = _numpy_hints(qpoly), _powered_hints(rr_l, q)
+                if _usable(old) != _usable(new):
+                    out.append((direction, level, q, "usability", old, new))
+                elif (_usable(old) and old[0] < 2**22
+                      and squarefree_decomposition(qpoly) == [(qpoly, 1)]
+                      and _pick_cone_ratios(qpoly, *old) != _pick_cone_ratios(qpoly, *new)):
+                    out.append((direction, level, q, "pick", old, new))
+    return out
+
+
+def test_root_hints_agree_with_numpy_on_a_seeded_sample():
+    from tordyn.polynomials import is_squarefree_product_of_cyclotomics
+
+    rng = random.Random(2031)
+    checked = 0
+    while checked < 200:
+        d = rng.randint(2, 6)
+        g = (rng.choice((1, -1)), *(rng.randint(-3, 3) for _ in range(d - 1)), 1)
+        if is_squarefree_product_of_cyclotomics(g):
+            continue  # a periodic orbit: no growth evidence is searched
+        checked += 1
+        assert _hint_mismatches(g) == [], g
+
+
+@pytest.mark.parametrize("g", [
+    (1, 2, -1, -2, 1),  # (x^2 - x - 1)^2: level 2 has the simple root phi^2 = phi * phi
+    (1, 2, 1, -2, -2, 0, 1),  # (x^3 - x - 1)^2
+])
+def test_root_hints_agree_with_numpy_on_repeated_roots(g):
+    # a double root found as two nearby floats would make their product, a
+    # simple root of the Hankel recurrence, complex
+    assert _hint_mismatches(g) == []
+
+
+@pytest.mark.parametrize("g", [
+    (1, -1, -10**10, 1),  # x^3 - 10^10 x^2 - x + 1: roots near 1e10 and +-1e-5
+    # x^5 - 10^10 x^3 + 1: roots near +-1e5 and of modulus 4.6e-4; its level 2
+    # polynomials at q = 16 and 24 leave the float range
+    (1, 0, 0, -10**10, 0, 1),
+])
+def test_float_roots_of_widely_spread_moduli(g):
+    import numpy as np
+
+    from tordyn.growth import float_roots
+
+    ref = [complex(z) for z in np.roots([float(c) for c in reversed(g)])]
+    for z in float_roots(g):
+        nearest = min(ref, key=lambda r: abs(r - z))
+        assert abs(nearest - z) <= 1e-9 * abs(nearest)
+        ref.remove(nearest)
+    assert _hint_mismatches(g) == []

@@ -110,6 +110,26 @@ def test_enumerate_hnf_lattices():
         assert max(abs(x) for row in b for x in row) <= 2
 
 
+def test_rank_one_enumeration_needs_no_canonicity_filter():
+    # one row with a positive pivot is its own HNF, so the enumerator skips
+    # the check at rank 1: its output must be every such row, all canonical
+    from itertools import product
+
+    from tordyn.lattices import hnf_basis
+
+    for n in range(1, 5):
+        for bound in range(1, 4):
+            lats = enumerate_hnf_lattices(n, 1, bound)
+            assert lats == [b for b in lats if hnf_basis(b, n) == b]
+            rows = [(row,) for row in product(range(-bound, bound + 1), repeat=n)
+                    if any(row) and next(x for x in row if x) > 0]
+            assert sorted(lats) == sorted(rows)
+    # rank 2 keeps the filter: two rows with positive pivots need not be reduced
+    for n in (2, 3):
+        for bound in (1, 2):
+            assert all(hnf_basis(b, n) == b for b in enumerate_hnf_lattices(n, 2, bound))
+
+
 def test_isolation_examples():
     h10 = Subtorus.from_generators(2, [(1, 0)])
     rep = isolation_radius_lower_bound(h10, 5, Fraction(1, 100))

@@ -1,4 +1,7 @@
 import random
+import time
+from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +17,9 @@ from tordyn.polynomials import (
     exterior_square_poly,
     is_squarefree_product_of_cyclotomics,
     mul,
+    normalize,
     power_poly,
+    primitive_part,
     rational_factors,
     reciprocal,
     root_power_poly,
@@ -106,6 +111,91 @@ def test_rational_root_oracle_agreement():
         p = mul((-r, 1), cof)
         facts = rational_factors(p)
         assert any(f == (-r, 1) or f == (r, -1) for f, _ in facts) or (-r, 1) == cof
+
+
+def _sympy_factors(p):
+    """sympy's factor_list over Z, in the form rational_factors returns."""
+    from sympy import Poly as SymPoly, Symbol, ZZ
+
+    _, factors = SymPoly(list(reversed(p)), Symbol("x"), domain=ZZ).factor_list()
+    out = [(primitive_part(normalize(reversed([int(c) for c in f.all_coeffs()]))), int(e))
+           for f, e in factors]
+    return sorted(out, key=lambda fe: (len(fe[0]), fe[0]))
+
+
+def _monic_up_to_sign_factor():
+    return st.integers(1, 4).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.integers(-10**6, 10**6), min_size=d, max_size=d),
+            st.sampled_from((1, -1)),
+        ).map(lambda parts: (*parts[0], parts[1]))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.tuples(_monic_up_to_sign_factor(), st.integers(1, 3)),
+                      min_size=1, max_size=4))
+def test_rational_factors_match_sympy_on_products(parts):
+    p = (1,)
+    for f, e in parts:
+        if len(p) - 1 + e * (len(f) - 1) <= 10:
+            p = mul(p, power_poly(f, e))
+    if len(p) < 2:
+        p = parts[0][0]
+    assert rational_factors(p) == _sympy_factors(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(orders=st.lists(st.integers(1, 30), min_size=1, max_size=4))
+def test_rational_factors_match_sympy_on_cyclotomic_products(orders):
+    p = reduce(mul, (cyclotomic(m) for m in orders))
+    assert rational_factors(p) == _sympy_factors(p)
+
+
+def _bench_matrices():
+    """The matrices of the benchmark workloads, up to conjugation: the cat
+    map, companions, the finite-order, shear and block matrices, the
+    hyperoctahedral and SL_2(Z) generators, and every companion the seeded
+    family-spread sample can draw (cubics and quartics with coefficients in
+    [-2, 2] and constant term +-1)."""
+    polys = [(-1, -1, 0, 1), (-1, -1, 0, 0, 0, 1), (1, 2, -1, 0, 0, 1),
+             (1, 1, 2, 1, 1, 1, 1), (1, -1, 1, -1, -2, 0, 1)]
+    for d in (3, 4):
+        for const in (1, -1):
+            for mid in product(range(-2, 3), repeat=d - 1):
+                polys.append((const, *mid, 1))
+    mats = [_companion(p) for p in polys]
+    mats += [((2, 1), (1, 1)), ((0, 0, -1), (1, 0, 0), (0, 1, 0)), ((1, 1), (0, 1)),
+             ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
+             ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)),
+             ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0)),
+             ((0, -1), (1, 0)), ((0, -1), (1, 1))]
+    for n in (4, 5):
+        mats.append(tuple(tuple(1 if (i, j) in ((0, 1), (1, 0)) or (i == j and i > 1) else 0
+                                for j in range(n)) for i in range(n)))
+        mats.append(tuple(tuple(1 if j == (i + 1) % n else 0 for j in range(n)) for i in range(n)))
+        mats.append(tuple(tuple((-1 if i == 0 else 1) if i == j else 0 for j in range(n))
+                          for i in range(n)))
+    return mats
+
+
+def test_rational_factors_match_sympy_on_bench_characteristic_polynomials():
+    for m in _bench_matrices():
+        p = char_poly(m)
+        assert rational_factors(p) == _sympy_factors(p), m
+
+
+@pytest.mark.parametrize("p", [
+    (1, 0, 0, 0, 1),  # x^4 + 1
+    (1, 0, -10, 0, 1),  # minimal polynomial of sqrt 2 + sqrt 3
+    (576, 0, -960, 0, 352, 0, -40, 0, 1),  # of sqrt 2 + sqrt 3 + sqrt 5
+])
+def test_irreducible_polynomial_split_mod_every_prime_is_fast(p):
+    # each splits into factors of degree <= 2 mod every prime, so irreducibility
+    # is only decided when no subset of the lifted factors divides
+    started = time.perf_counter()
+    assert rational_factors(p) == [(p, 1)]
+    assert time.perf_counter() - started < 1
 
 
 def test_distinct_cyclotomic_divisors():
