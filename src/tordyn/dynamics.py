@@ -30,7 +30,6 @@ from .intmat import (
     Vec,
     char_poly,
     compound_matrix,
-    cyclic_powers,
     det,
     evaluate_poly_at_matrix,
     identity,
@@ -408,16 +407,25 @@ class GroupReport:
 
 
 def group_is_finite(generators, cap: int = 20000) -> GroupReport:
-    """Breadth-first closure of the generated subgroup.
+    """Decide whether the generators span a finite subgroup G of GL_n(Z).
 
-    Finite when the closure stabilizes within cap elements; infinite as soon
-    as an element of infinite order appears; inconclusive when the cap is hit
-    with every element so far of finite order.
+    By Minkowski's lemma the congruence kernel Gamma(3) of GL_n(Z) -> GL_n(Z/3)
+    is torsion-free, so a finite G meets it only in Id: reduction mod 3 is
+    injective on G.  An infinite G cannot be injective there, because
+    GL_n(Z/3) is finite.  So G is finite exactly when no two of its elements
+    agree mod 3.
 
-    Each element's order is decided exactly before it is inserted.  One power
-    walk (`cyclic_powers`) decides the whole cyclic subgroup it generates: its
-    powers all have finite order and lie in the group, so they wait in
-    `finite` and need no walk of their own when the closure reaches them.
+    The closure is breadth first from Id, multiplying on the right by the
+    distinct generators only, with no inverses: a finite submonoid of a group
+    is a subgroup (a^j = a^k with j < k gives a^(k-j) = Id), so when the
+    products close up they are all of G.  `seen` maps each element's entries
+    mod 3 to the element.  A new product b whose residues are already there
+    with another matrix a proves G infinite, with witness b a^-1: it is in
+    Gamma(3) and is not Id, so it has infinite order.  A closure that ends
+    without such a collision is G, returned sorted.  `cap` bounds the number
+    of distinct elements (the identity included) before the answer is
+    inconclusive; at n <= 3 the default exceeds |GL_n(Z/3)| (48 and 11232),
+    so the default always decides.
     """
     gens = [g if isinstance(g, UnimodularMatrix) else UnimodularMatrix(g) for g in generators]
     if not gens:
@@ -427,29 +435,29 @@ def group_is_finite(generators, cap: int = 20000) -> GroupReport:
         raise ValueError("generators must share one dimension")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    step = [g.rows for g in gens] + [inverse_unimodular(g.rows) for g in gens]
-    seen: dict[Mat, None] = {identity(n): None}
-    # elements known to have finite order that are not yet in seen
-    finite: set[Mat] = set()
-    frontier = [identity(n)]
+    step = list(dict.fromkeys(g.rows for g in gens))
+    eye = identity(n)
+    seen: dict[tuple[int, ...], Mat] = {_residues_mod_3(eye): eye}
+    frontier = [eye]
     while frontier:
         new_frontier = []
         for a in frontier:
             for s in step:
                 b = mat_mul(a, s)
-                if b in seen:
+                key = _residues_mod_3(b)
+                c = seen.get(key)
+                if c is not None:
+                    if c != b:
+                        return GroupReport("infinite", None, None, mat_mul(b, inverse_unimodular(c)))
                     continue
-                if b in finite:
-                    finite.remove(b)
-                else:
-                    powers = cyclic_powers(b)
-                    if powers is None:
-                        return GroupReport("infinite", None, None, b)
-                    finite.update(p for p in powers[1:] if p not in seen)
-                seen[b] = None
+                seen[key] = b
                 if len(seen) > cap:
                     return GroupReport("inconclusive", None, None, None)
                 new_frontier.append(b)
         frontier = new_frontier
-    elements = tuple(sorted(seen))
+    elements = tuple(sorted(seen.values()))
     return GroupReport("finite", len(elements), elements, None)
+
+
+def _residues_mod_3(a: Mat) -> tuple[int, ...]:
+    return tuple([x % 3 for row in a for x in row])

@@ -253,21 +253,6 @@ def order_bound(a: Mat) -> int | None:
     return lcm(*orders) if orders else 1
 
 
-def cyclic_powers(a: Mat) -> list[Mat] | None:
-    """[a, a^2, ..., a^k = Id] for the order k of the square matrix a, or None
-    when no power of a is the identity; the walk stops at order_bound(a)."""
-    bound = order_bound(a)
-    if bound is None:
-        return None
-    eye = identity(len(a))
-    powers = [a]
-    while powers[-1] != eye:
-        if len(powers) == bound:
-            return None
-        powers.append(mat_mul(powers[-1], a))
-    return powers
-
-
 def _prime_factors(n: int) -> list[int]:
     """The distinct primes dividing n >= 1, in increasing order."""
     out = []

@@ -252,8 +252,11 @@ def test_criterion_8_group_finiteness():
     rep = group_is_finite([SHEAR])
     assert rep.status == "infinite"
     assert rep.witness is not None and matrix_order(UnimodularMatrix(rep.witness)) is None
+    # the witness lies in the congruence kernel mod 3 and is not the identity
+    w = np.array(rep.witness)
+    assert (w % 3 == np.eye(2, dtype=int)).all() and (w != np.eye(2, dtype=int)).any()
     report(8, "group closures: rotation gives order 4, rotation+swap order 8, "
-              "shear is infinite with witness", started, 2)
+              "shear is infinite with a witness in Gamma(3)", started, 2)
 
 
 def test_criterion_9_certificate_integrity():

@@ -269,6 +269,16 @@ def test_group_finite_command(capsys):
     assert env["result"]["status"] == "infinite"
 
 
+def test_group_finite_cat_map_witness_is_congruent_to_identity(capsys):
+    code, env, _ = run_cli(["group-finite"], {"matrices": [[[2, 1], [1, 1]]]}, capsys)
+    assert code == EXIT_OK
+    result = env["result"]
+    assert result["status"] == "infinite" and result["elements"] is None
+    w = result["witness"]
+    assert w != [[1, 0], [0, 1]]
+    assert all((x - (i == j)) % 3 == 0 for i, row in enumerate(w) for j, x in enumerate(row))
+
+
 def test_determinism_modulo_timing(capsys):
     job = {"matrix": [[2, 1], [1, 1]]}
     _, env1, _ = run_cli(["classify"], job, capsys)

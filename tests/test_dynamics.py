@@ -389,8 +389,63 @@ def test_group_is_finite_matches_reference_closure():
     for gens, cap, status in cases:
         rep = group_is_finite(gens, cap=cap)
         assert rep.status == status
-        assert (rep.status, rep.order, rep.elements, rep.witness) == \
-            reference_group_closure(gens, cap)
+        assert (rep.status, rep.order, rep.elements) == reference_group_closure(gens, cap)[:3]
+        if status == "infinite":
+            assert_in_gamma_3(rep.witness)
+
+
+def assert_in_gamma_3(w):
+    """w is a nontrivial element of the congruence kernel mod 3, so of
+    infinite order."""
+    n = len(w)
+    assert all((x - (i == j)) % 3 == 0 for i, row in enumerate(w) for j, x in enumerate(row))
+    assert w != identity(n)
+    assert matrix_order(UnimodularMatrix(w)) is None
+
+
+def test_group_is_finite_agrees_with_reference_in_low_dimension():
+    rng = random.Random(47)
+    s_mat, st_mat = ROT.rows, ((0, -1), (1, 1))
+    for n in (2, 3):
+        signed = list(signed_permutation_matrices(n))
+        # ST has order 6 and is no signed permutation; the others have infinite order
+        extra = [SHEAR.rows, CAT.rows, st_mat] if n == 2 else [
+            ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
+            block_diag(CAT.rows, ((1,),)),
+            block_diag(st_mat, ((1,),)),
+        ]
+        for _ in range(12):
+            gens = rng.sample(signed, rng.randint(1, 3))
+            if rng.random() < 0.4:
+                gens.append(rng.choice(extra))
+            rep = group_is_finite(gens)
+            ref = reference_group_closure(gens)
+            assert rep.status == ref[0] and rep.status != "inconclusive"
+            assert (rep.order, rep.elements) == ref[1:3]
+            if rep.status == "infinite":
+                assert_in_gamma_3(rep.witness)
+    # S and S T, embedded in GL_3(Z): each of finite order, together infinite
+    gens = [block_diag(s_mat, ((1,),)), block_diag(st_mat, ((1,),))]
+    rep = group_is_finite(gens)
+    assert rep.status == reference_group_closure(gens)[0] == "infinite"
+    assert_in_gamma_3(rep.witness)
+
+
+def test_group_is_finite_ignores_repeated_and_self_inverse_generators():
+    swap = ((0, 1), (1, 0))
+    rep = group_is_finite([swap, swap, ROT.rows])
+    assert rep.status == "finite" and rep.order == 8
+    assert rep.elements == group_is_finite([swap, ROT.rows]).elements
+    assert rep.elements == reference_group_closure([swap, swap, ROT.rows])[2]
+    # the identity as a generator, and a generator that is its own inverse
+    assert group_is_finite([swap, identity(2)]).elements == tuple(sorted((swap, identity(2))))
+
+
+def test_group_inconclusive_before_first_collision_at_tiny_cap():
+    # Id, SHEAR, SHEAR^2 are distinct mod 3; SHEAR^3 would be the collision
+    assert group_is_finite([SHEAR], cap=2).status == "inconclusive"
+    rep = group_is_finite([SHEAR], cap=3)
+    assert rep.status == "infinite" and rep.witness == ((1, 3), (0, 1))
 
 
 def test_orbit_scan_agreement_with_reports():
