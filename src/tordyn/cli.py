@@ -82,9 +82,14 @@ class VerifyFailed(Exception):
 
 
 def _int_param(params: dict, key: str, default: int) -> int:
-    """An explicit value, 0 included, is passed on; only absence means default."""
+    """An explicit value, 0 included, is passed on; only absence means default.
+    Only an exact integer is accepted: no float, bool or string."""
     value = params.get(key)
-    return default if value is None else int(value)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"parameter {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _budget(params: dict) -> Budget:
@@ -100,9 +105,12 @@ def _resolution(params: dict) -> Fraction:
     raw = params.get("resolution")
     if raw is None:
         return Fraction(1, 100)
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+        raise ParseError(f"bad resolution {raw!r}")
     try:
         return Fraction(raw) if not isinstance(raw, float) else Fraction(raw).limit_denominator(10**9)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        # a non-finite float (JSON 1e400 reads as inf) is no resolution
         raise ParseError(f"bad resolution {raw!r}") from exc
 
 

@@ -130,16 +130,18 @@ def orbit_is_periodic(t: UnimodularMatrix, h: Subtorus) -> bool:
     return is_squarefree_product_of_cyclotomics(g)
 
 
-def periodic_orbit_period(t: UnimodularMatrix, h: Subtorus, g: Poly) -> int:
-    """Minimal period of the periodic orbit of h, whose annihilator data has
-    the minimal annihilator g (a squarefree product of cyclotomics)."""
+def periodic_orbit_period(m: Mat, v: Vec, g: Poly) -> int:
+    """Least p with canonicalize(M^p v) = v, for the orbit data (M, v) of a
+    subtorus H whose minimal annihilator g is a squarefree product of
+    cyclotomics: the Plucker vector v determines the saturated lattice, so
+    this is the least p with T^p H = H."""
     orders = cyclotomic_orders_if_product(g)
     assert orders is not None
     cap = lcm(*orders) if orders else 1
-    cur = h
+    cur = v
     for p in range(1, cap + 1):
-        cur = act(t, cur)
-        if cur == h:
+        cur = mat_vec(m, cur)
+        if canonicalize_covector(cur) == v:
             return p
     raise AssertionError("periodic orbit must return within the order bound")
 
@@ -197,19 +199,18 @@ def covector_window_set(t: UnimodularMatrix, s: Mat, gamma: Vec, radius: int) ->
 class OrbitBuilder:
     """The orbit report of one subtorus, built once and widened in place.
 
-    The orbit dichotomy is decided once, from one call to
-    annihilator_orbit_data: a periodic orbit gets its period, an injective
-    one its minimal annihilator and transfer constant.  `widen` extends the
-    window from its two ends, so no `act` step runs twice, and takes the
-    growth evidence of the annihilator at the new radius from `evidence`
-    (growth.growth_evidence, or a table that orbits with one annihilator
-    share); only the norm floors are computed per orbit.
+    The orbit dichotomy is decided once, from the orbit data (M, v) the
+    caller passes: annihilator_orbit_data of the subtorus, or (S, gamma) with
+    S = T^-T for the hyperplane gamma annihilates.  A periodic orbit gets its
+    period, an injective one its minimal annihilator and transfer constant.
+    `widen` extends the window from its two ends, so no `act` step runs
+    twice, and takes the growth evidence of the annihilator at the new radius
+    from `evidence` (growth.growth_evidence, or a table that orbits with one
+    annihilator share); only the norm floors are computed per orbit.
     """
 
-    def __init__(self, t: UnimodularMatrix, tinv: UnimodularMatrix, s: Mat, h: Subtorus):
-        """tinv is T^-1 and s the rows of S = T^-T."""
-        if t.n != h.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
+    def __init__(self, t: UnimodularMatrix, tinv: UnimodularMatrix, h: Subtorus, m: Mat, v: Vec):
+        """tinv is T^-1, and (m, v) the orbit data of h."""
         self.t, self.tinv, self.h = t, tinv, h
         self.window: tuple[tuple[int, Subtorus], ...] = ((0, h),)
         self.period: int | None = 1
@@ -218,14 +219,13 @@ class OrbitBuilder:
         self.growth: GrowthCertificate | None = None
         if h.dim in (0, h.ambient_dim):
             return
-        m, pv = annihilator_orbit_data(s, h)
-        g = minimal_annihilator(m, pv)
+        g = minimal_annihilator(m, v)
         if is_squarefree_product_of_cyclotomics(g):
-            self.period = periodic_orbit_period(t, h, g)
+            self.period = periodic_orbit_period(m, v, g)
         else:
             self.period = None
             self.annihilator = g
-            self.transfer = transfer_constant(cyclic_basis(m, pv, len(g) - 1))
+            self.transfer = transfer_constant(cyclic_basis(m, v, len(g) - 1))
 
     @property
     def radius(self) -> int:
@@ -269,8 +269,10 @@ def orbit(
     """
     if window_radius < 1:
         raise ValueError("window radius must be >= 1")
+    if t.n != h.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
     tinv = t.inv()
-    builder = OrbitBuilder(t, tinv, transpose(tinv.rows), h)
+    builder = OrbitBuilder(t, tinv, h, *annihilator_orbit_data(transpose(tinv.rows), h))
     builder.widen(window_radius, growth_evidence)
     return builder.report()
 
@@ -353,8 +355,9 @@ def acts_distally_on_subp(t: UnimodularMatrix) -> DistalityVerdict:
     for gamma in iter_primitive_covectors(t.n):
         if not covector_orbit_is_periodic(radical, gamma):
             cov = PrimitiveCovector(gamma)
-            h = covector_to_hyperplane(cov)
-            return DistalityVerdict(False, None, h, cov, converges_to_full(t, h))
+            # the radical test has shown the covector orbit injective, which is
+            # exactly when the hyperplane orbit converges (converges_to_full)
+            return DistalityVerdict(False, None, covector_to_hyperplane(cov), cov, True)
     raise AssertionError("an infinite-order automorphism moves some covector")
 
 

@@ -194,8 +194,8 @@ class FamilyOrbits:
 
     def start(self, gamma: Vec, radius: int) -> OrbitBuilder:
         """The orbit of the hyperplane gamma annihilates, with a window of `radius`."""
-        builder = OrbitBuilder(self.t, self.tinv, self.s,
-                               covector_to_hyperplane(PrimitiveCovector(gamma)))
+        builder = OrbitBuilder(self.t, self.tinv,
+                               covector_to_hyperplane(PrimitiveCovector(gamma)), self.s, gamma)
         builder.widen(radius, self.evidence)
         return builder
 

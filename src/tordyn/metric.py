@@ -1,19 +1,19 @@
 """Certified Hausdorff distance estimates between subtori of the flat torus.
 
 The torus carries the quotient metric of the Euclidean norm on R^n.  The
-distance from a rational point to a subtorus is an exact closest-vector
-computation in annihilator coordinates, so grid sampling plus the 1-Lipschitz
-property of distance functions gives two-sided bounds: the true Hausdorff
-distance always lies in [value - error_bound, value + error_bound].
+distance from x to a hyperplane H_gamma is ||gamma . x||_{R/Z} / ||gamma||_2,
+and a character gamma that does not vanish on a subtorus takes every value
+mod 1 on it (the subtorus is connected), so the sup there is exactly
+1/(2 ||gamma||_2).  For targets of codimension >= 2 the distance from a
+rational point is an exact closest-vector computation in annihilator
+coordinates, so grid sampling plus the 1-Lipschitz property of distance
+functions gives two-sided bounds.  Either way the true Hausdorff distance lies
+in [value - error_bound, value + error_bound].
 
-hausdorff_distance and the isolation scan share one path.  A candidate of
-the scan costs one kernel (its subtorus basis, from its annihilator) plus a
-second one only when its annihilator has rank >= 2 (the saturation test; a
-single row is saturated when its gcd is 1).  Containment is a zero test of
-integer dot products, the Lipschitz bound an integer isqrt, and a
-codimension-1 target needs no Gram inverse: its grid maximum and the square
-root enclosure are integers, so a Fraction is made only for the bound that
-comes out.  The bounds are those of the Fraction arithmetic this replaces.
+hausdorff_distance and the isolation scan share one path.  A hyperplane's
+isolation radius is its distance to T^n, so it needs no scan.  A candidate of
+the scan costs one kernel, plus a second one only when its annihilator has
+rank >= 2 (the saturation test; a single row is saturated when its gcd is 1).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import product
 from math import gcd, isqrt
 
 from .growth import ceil_fraction, ceil_sqrt_fraction
-from .intmat import Mat, rational_inverse
+from .intmat import Mat, det, mat_mul, rational_inverse, transpose
 from .lattices import annihilator_rows, hnf_basis
 from .subtori import Subtorus, annihilator, subtorus_from_annihilator
 
@@ -141,18 +141,19 @@ def _geometry(h: Subtorus, res: Fraction) -> _SubtorusGeometry:
     return _SubtorusGeometry(h.ambient_dim, h.basis, annihilator(h).basis, res)
 
 
-def _grid_max_dist2(
-    src: _SubtorusGeometry, tgt: _SubtorusGeometry
-) -> tuple[int, int] | None:
-    """Maximum of dist^2 to the target over the source's grid, as an exact
-    (numerator, denominator) pair; None when the source lies in the target.
+def _max_dist2(src: _SubtorusGeometry, tgt: _SubtorusGeometry) -> tuple[int, int] | None:
+    """dist^2 to the target maximized over the source, as an exact (numerator,
+    denominator) pair: the true maximum for a codimension-1 target, the
+    maximum over the source's grid otherwise; None when the source lies in the
+    target.
 
     The target's lattice is saturated, so it contains the source exactly when
     every annihilator row of the target is orthogonal to every source row."""
     if all(sum(a * b for a, b in zip(g, row)) == 0 for g in tgt.ann for row in src.basis):
         return None
     if tgt.r == 1:
-        return _grid_max_dist2_hyperplane(src.basis, tgt.ann[0], src.steps)
+        # gamma takes every value mod 1 on the connected source (module docstring)
+        return 1, 4 * sum(x * x for x in tgt.ann[0])
     best2 = Fraction(0)
     for point in _grid_points(src.basis, src.n, src.steps):
         d2 = tgt.dist2(point)
@@ -161,32 +162,19 @@ def _grid_max_dist2(
     return best2.numerator, best2.denominator
 
 
-def _grid_max_dist2_hyperplane(basis: Mat, gamma, steps: int) -> tuple[int, int]:
-    """Exact grid maximum of dist^2 to the hyperplane ker(gamma), no loop needed.
-
-    At grid points t = j/steps the character value gamma . p runs over the
-    subgroup of (1/steps)Z/Z generated by the integers gamma . b_i, so the
-    farthest fractional part is the subgroup element nearest to 1/2.  The
-    subgroup is (g/steps)Z/Z with g | steps, and that element is
-    floor(steps / 2g) * g / steps: no other one is farther from the integers.
-    """
-    g = steps
-    for row in basis:
-        g = gcd(g, sum(a * b for a, b in zip(gamma, row)) % steps)
-    m = (steps // (2 * g)) * g
-    return m * m, steps * steps * sum(x * x for x in gamma)
-
-
 def _directional_sup(
     src: _SubtorusGeometry, tgt: _SubtorusGeometry
 ) -> tuple[Fraction, Fraction]:
     """Interval [lo, hi] for sup over the source of the distance to the target."""
-    dist2 = _grid_max_dist2(src, tgt)
+    dist2 = _max_dist2(src, tgt)
     if dist2 is None:
         return Fraction(0), Fraction(0)
     s = _sqrt_floor_scaled(dist2)
     hi = Fraction(s + 1, _SQRT_SCALE) if dist2[0] else Fraction(0)
-    return Fraction(s, _SQRT_SCALE), hi + Fraction(src.lip, 2 * src.steps)
+    if tgt.r > 1:
+        # what the grid misses: the mesh times the Lipschitz bound
+        hi += Fraction(src.lip, 2 * src.steps)
+    return Fraction(s, _SQRT_SCALE), hi
 
 
 def _lower_scaled(g1: _SubtorusGeometry, g2: _SubtorusGeometry) -> int:
@@ -194,15 +182,17 @@ def _lower_scaled(g1: _SubtorusGeometry, g2: _SubtorusGeometry) -> int:
     of the two directional lower ends."""
     return max(
         0 if d is None else _sqrt_floor_scaled(d)
-        for d in (_grid_max_dist2(g1, g2), _grid_max_dist2(g2, g1))
+        for d in (_max_dist2(g1, g2), _max_dist2(g2, g1))
     )
 
 
 def hausdorff_distance(h1: Subtorus, h2: Subtorus, resolution) -> MetricEstimate:
     """Certified approximation of the Hausdorff distance between two subtori.
 
-    resolution controls the sampling mesh; the certified error bound is at
-    most resolution plus the negligible width of the square-root enclosure.
+    resolution controls the sampling mesh toward targets of codimension >= 2;
+    the certified error bound is at most resolution plus the negligible width
+    of the square-root enclosure, and only that width when neither subtorus
+    has codimension >= 2 (two hyperplanes, or a hyperplane and T^n).
     """
     res = Fraction(resolution)
     if res <= 0:
@@ -271,9 +261,11 @@ def isolation_radius_lower_bound(
     """Positive lower bound on the distance from h to every other subtorus of
     dimension >= dim(h) whose annihilator basis has sup norm <= the cap.
 
-    The bound is relative to the enumeration cap: subtori with larger
-    annihilators are not inspected.  Each candidate is the lower end of its
-    hausdorff_distance estimate from h, from the same routines.
+    A hyperplane H_gamma is nearest to T^n, at 1/(2 ||gamma||_2), since
+    every other hyperplane H' has d(H_gamma, H') = max(that, d(H', T^n)); so
+    its bound holds at any cap.  Below codimension 1 the bound is relative to
+    the cap: subtori with larger annihilators are not inspected.  Each
+    candidate is the lower end of its hausdorff_distance estimate from h.
     """
     if h.dim == 0 or h.is_full():
         raise ValueError("isolation applies to proper nontrivial subtori")
@@ -283,6 +275,12 @@ def isolation_radius_lower_bound(
     if res <= 0:
         raise ValueError("resolution must be positive")
     n = h.ambient_dim
+    if h.dim == n - 1:
+        # ||gamma||_2^2 = det(B B^T) for the saturated basis B (Cauchy-Binet:
+        # its maximal minors are the entries of gamma up to sign), no kernel
+        norm2 = det(mat_mul(h.basis, transpose(h.basis)))
+        bound = Fraction(_sqrt_floor_scaled((1, 4 * norm2)), _SQRT_SCALE)
+        return IsolationReport(h, dual_norm_bound, res, 1, bound, subtorus_from_annihilator(n, ()))
     h_geom = _geometry(h, res)
     best: int | None = None
     nearest = None

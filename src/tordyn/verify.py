@@ -9,7 +9,7 @@ Each piece of evidence has one routine, which the producer calls to build it
 and the checker calls to recompute it: the orbit windows
 (`dynamics.widen_window`, which `dynamics.orbit_window` starts from the
 radius-0 window, and `dynamics.covector_window_set`); the orbit dichotomy and
-period (`dynamics.annihilator_orbit_data`, `growth.minimal_annihilator`,
+period, on a member's orbit data (S, gamma) (`growth.minimal_annihilator`,
 `dynamics.periodic_orbit_period`); growth (`growth.check_growth_certificate`,
 which shares with the producer the sequence of a direction and level, the
 cone-invariance and entry-chain tests and the norm-floor conversion); the
@@ -17,7 +17,8 @@ finite-order orbits
 (`families.periodic_covector_orbit`); the unipotent invariant sets
 (`families.invariant_set_for`); the quotient action and lift
 (`families.quotient_action`, `families.lift_member`); and the isolation bound
-(`metric.isolation_radius_lower_bound`).  Convergence to the full torus is
+(`metric.isolation_radius_lower_bound`, which for the hyperplane of the first
+member is the closed form 1/(2 ||gamma||_2)).  Convergence to the full torus is
 read off each orbit report's status, which `verify_family` has matched with
 the recomputed orbit dichotomy.
 
@@ -39,7 +40,9 @@ must come with its 2r + 1 entries, a cone power step is at most the number of
 entry indices the cone can use, the unipotent power is recomputed before any
 suborbit is walked, and an isolation report must have the producer's dual
 norm cap (`families.ISOLATION_CAP`) and resolution
-(`families.isolation_resolution`) before any subtorus is scanned.
+(`families.isolation_resolution`).  A hyperplane's bound does not depend on
+either, but the format stores them, and accepting only the producer's keeps
+one valid report per certificate.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from dataclasses import dataclass
 
 from .dynamics import (
     act,
-    annihilator_orbit_data,
     covector_window_set,
     periodic_orbit_period,
     widen_window,
@@ -115,14 +117,14 @@ def _check_member_report(t, tinv, s, gamma, report, failures, idx, growth_checks
         m = next(e[0] for e, r in zip(expected, report.window) if e != r)
         _fail(failures, f"member {idx}: window entry at exponent {m} does not match recomputation")
         return
-    m_rows, pv = annihilator_orbit_data(s, h)
-    g = minimal_annihilator(m_rows, pv)
+    # (S, gamma) is the hyperplane's orbit data, as in the producer
+    g = minimal_annihilator(s, gamma)
     periodic = is_squarefree_product_of_cyclotomics(g)
     if periodic != (report.status == "periodic"):
         _fail(failures, f"member {idx}: orbit status is wrong")
         return
     if periodic:
-        true_period = periodic_orbit_period(t, h, g)
+        true_period = periodic_orbit_period(s, gamma, g)
         if report.period != true_period:
             _fail(failures, f"member {idx}: period {report.period} but recomputed {true_period}")
         return
@@ -133,7 +135,7 @@ def _check_member_report(t, tinv, s, gamma, report, failures, idx, growth_checks
         if report.rigorous:
             _fail(failures, f"member {idx}: rigor claimed without growth evidence")
         return
-    for p in check_growth_certificate(m_rows, pv, growth, w, growth_checks, g):
+    for p in check_growth_certificate(s, gamma, growth, w, growth_checks, g):
         _fail(failures, f"member {idx}: growth certificate: {p}")
     # members are hyperplanes, so the annihilator floor is the growth floor
     if report.min_exterior_norm is not None and (
@@ -363,8 +365,8 @@ def verify_non_expansivity(cert: NonExpansivityCertificate) -> VerificationResul
                 PrimitiveCovector(cert.family.members[0])
             ):
                 _fail(failures, "isolation report is not about the first member")
-            # the cap and resolution set the scan's work, so only the
-            # producer's are accepted, and they are checked before the scan
+            # only the producer's cap and resolution are accepted, so each
+            # certificate has one valid isolation report
             elif iso.dual_norm_bound != ISOLATION_CAP or iso.resolution != resolution:
                 _fail(
                     failures,

@@ -16,6 +16,7 @@ from oracles import (
     direct_order_bound_12,
     first_repetition_is_injective,
     random_word,
+    reference_isolation,
 )
 from tordyn.dynamics import (
     act,
@@ -236,11 +237,20 @@ def test_criterion_7_isolation_lower_bound():
     assert rep.bound > 0
     assert rep.bound > rep.resolution  # margin exceeds the metric error bound
     assert rep.bound > Fraction(9, 100)
-    # frozen regression value from this grid oracle (resolution 1/100)
-    assert rep.bound >= Fraction(12, 25)
-    assert rep.candidates >= 40
-    report(7, f"isolation radius of the base hyperplane certified > {float(rep.bound):.3f} "
-              f"against {rep.candidates} candidates at dual norm <= 5", started, 30)
+    # H10 is the kernel of gamma = (0, 1): its isolation radius is exactly
+    # 1/(2 |gamma|) = 1/2, attained by the full torus, at any cap
+    assert rep.bound == Fraction(1, 2)
+    assert rep.nearest == Subtorus.full(2)
+    assert rep.candidates == 1
+    wide = isolation_radius_lower_bound(H10, 50, Fraction(1, 100))
+    assert (wide.bound, wide.nearest, wide.candidates) == (rep.bound, rep.nearest, 1)
+    # the grid scan of the reference oracle gives a lower bound below it
+    ref = reference_isolation(H10, 5, Fraction(1, 100))
+    assert Fraction(12, 25) <= ref.bound <= rep.bound
+    assert ref.candidates >= 40
+    report(7, f"isolation radius of the base hyperplane certified >= {float(rep.bound):.3f} "
+              f"at every dual norm cap (the reference scan gives {float(ref.bound):.3f} "
+              f"against {ref.candidates} candidates at dual norm <= 5)", started, 30)
 
 
 def test_criterion_8_group_finiteness():

@@ -167,6 +167,33 @@ def test_explicit_zero_is_rejected_not_defaulted(args, payload, capsys):
     assert "must be >= 1" in err or "need" in err
 
 
+@pytest.mark.parametrize(
+    "command, job",
+    [
+        ("disjoint-family", '{"matrix": [[2, 1], [1, 1]], "parameters": {"count": 2.5}}'),
+        ("disjoint-family", '{"matrix": [[2, 1], [1, 1]], "parameters": {"count": true}}'),
+        ("disjoint-family", '{"matrix": [[2, 1], [1, 1]], "parameters": {"count": 1e400}}'),
+        ("isolation", '{"subtorus": {"ambient_dim": 2, "basis": [[1, 0]]}, '
+                      '"parameters": {"resolution": 1e400}}'),
+    ],
+)
+def test_job_parameters_that_are_not_exact_or_finite_are_exit_2(command, job, capsys):
+    # JSON 1e400 reads as an infinite float; an integer parameter takes only
+    # an exact integer, and a resolution only a finite value
+    import io
+
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(job)
+    try:
+        code = main([command])
+    finally:
+        sys.stdin = stdin
+    out = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+
+
 def test_certify_nonexpansive(capsys):
     code, env, _ = run_cli(
         ["certify-nonexpansive", "--count", "5"], {"matrix": [[1, 1], [0, 1]]}, capsys
@@ -184,9 +211,10 @@ def test_verify_rejects_isolation_bound_display_exit_2(capsys):
     assert code == EXIT_OK
     cert = env["result"]
     exact = cert["isolation"]["bound_exact"]
-    assert round(cert["isolation"]["bound"], 2) == 0.48
+    # members[0] is (0, 1), whose hyperplane's isolation radius is exactly 1/2
+    assert exact == "1/2" and cert["isolation"]["bound"] == 0.5
     # the display must be the float of the exact bound, which alone is evidence
-    cert["isolation"]["bound"] = 0.5
+    cert["isolation"]["bound"] = 0.48
     code, env2, err = run_cli(["verify"], {"certificate": cert}, capsys)
     assert code == EXIT_INVALID
     assert env2 is None

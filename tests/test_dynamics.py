@@ -511,6 +511,48 @@ def test_exterior_power_annihilator_convention():
         assert lhs == rhs
 
 
+def test_hyperplane_orbit_data_is_the_dual_matrix_and_the_covector():
+    # family members and the checker pass (S, gamma) as a hyperplane's orbit data
+    from tordyn.dynamics import annihilator_orbit_data
+
+    rng = random.Random(66)
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        t = random_word(rng, n)
+        entries = [0] * n
+        while not any(entries):
+            entries = [rng.randint(-3, 3) for _ in range(n)]
+        gamma = PrimitiveCovector.from_entries(entries)
+        s = dual_matrix(t).rows
+        assert annihilator_orbit_data(s, covector_to_hyperplane(gamma)) == (s, gamma.entries)
+
+
+def test_period_walked_on_orbit_data_is_the_subtorus_period():
+    # canonicalize(M^p v) = v exactly when T^p H = H, for subtori of every
+    # dimension under finite-order maps (signed permutations, conjugated)
+    from tordyn.dynamics import annihilator_orbit_data, periodic_orbit_period
+    from tordyn.growth import minimal_annihilator
+
+    rng = random.Random(67)
+    checked = 0
+    while checked < 60:
+        n = rng.choice((2, 3, 4))
+        u = random_word(rng, n, max_len=4)
+        t = UnimodularMatrix(mat_mul(mat_mul(u.rows, rng.choice(list(signed_permutation_matrices(n)))), u.inv().rows))
+        h = Subtorus.from_generators(
+            n, [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n - 1))]
+        )
+        if h.dim in (0, n):
+            continue
+        checked += 1
+        m, v = annihilator_orbit_data(dual_matrix(t).rows, h)
+        g = minimal_annihilator(m, v)
+        brute, cur = 1, act(t, h)
+        while cur != h:
+            brute, cur = brute + 1, act(t, cur)
+        assert periodic_orbit_period(m, v, g) == brute
+
+
 def test_periodicity_decision_against_long_scans_n3():
     # the exact decision claims injectivity for all time; long scans corroborate
     rng = random.Random(65)
@@ -559,7 +601,7 @@ def test_widened_report_equals_orbit_at_final_radius(poly, steps, which):
     gamma = tuple(1 if j == which % d else 0 for j in range(d))
     h = covector_to_hyperplane(PrimitiveCovector(gamma))
     tinv = t.inv()
-    builder = OrbitBuilder(t, tinv, dual_matrix(t).rows, h)
+    builder = OrbitBuilder(t, tinv, h, dual_matrix(t).rows, gamma)
     acts = []
     original = dynamics.act
     dynamics.act = lambda *args: acts.append(args) or original(*args)
