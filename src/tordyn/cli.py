@@ -243,7 +243,7 @@ def _envelope(command: str, job: dict, result: dict, started: float, budget: Bud
             "max_candidates": budget.max_candidates,
         } if budget is not None else None,
         "budget_consumed": _consumed(result),
-        "timing_seconds": round(time.time() - started, 6),
+        "timing_seconds": round(time.perf_counter() - started, 6),
     }
 
 
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         job = _read_input(args.input)
     except (ParseError, OSError) as exc:

@@ -217,6 +217,12 @@ class Lattice:
         return Lattice(self.ambient_dim, saturate_rows(self.basis, self.ambient_dim))
 
     def is_saturated(self) -> bool:
+        # rank 0 is saturated; a full-rank lattice is saturated exactly when
+        # it is Z^n, whose canonical HNF basis is the identity
+        if self.rank == 0:
+            return True
+        if self.rank == self.ambient_dim:
+            return all(row[i] == 1 for i, row in enumerate(self.basis))
         return self.saturation() == self
 
 

@@ -2,8 +2,11 @@
 
 Encoding rules: matrices are row-major integer arrays, lattices are HNF basis
 rows, covectors are integer arrays, rationals are "p/q" strings in lowest
-terms, certificates are tagged by a "kind" field, and keys are emitted in
-sorted order so that serialized certificates diff cleanly.
+terms and certificates are tagged by a "kind" field.  Every report envelope is
+written in one compact canonical form (`canonical_json`): keys in sorted
+order, no insignificant whitespace, one trailing newline, so equal payloads
+give equal bytes.  `python -m json.tool` prints it indented for reading; the
+parsers take any JSON layout, so an indented certificate checks the same.
 
 Certificates are at format version 2 and carry only what the checker reads;
 any other version is rejected, as there is one parser.  parse_* functions are
@@ -52,7 +55,8 @@ class ParseError(ValueError):
 
 
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # no indent: only then does json use its C encoder
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _frac_str(x: Fraction) -> str:

@@ -345,6 +345,23 @@ def test_file_io(tmp_path, capsys):
     assert env["result"]["order"] == 4
 
 
+@pytest.mark.parametrize("indent", [None, 2])
+def test_certificate_file_verifies_compact_or_reindented(indent, tmp_path, capsys):
+    job = tmp_path / "job.json"
+    cert_out = tmp_path / "cert.json"
+    job.write_text('{"matrix": [[2, 1], [1, 1]]}')
+    assert main(["disjoint-family", "--count", "5", "--input", str(job), "--output", str(cert_out)]) == EXIT_OK
+    text = cert_out.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    cert = json.loads(text)["result"]
+    # indent 2 is the layout certificates were written in before the compact form
+    verify_job = tmp_path / "verify.json"
+    verify_job.write_text(json.dumps({"certificate": cert}, indent=indent))
+    verdict = tmp_path / "verdict.json"
+    assert main(["verify", "--input", str(verify_job), "--output", str(verdict)]) == EXIT_OK
+    assert json.loads(verdict.read_text())["result"] == {"ok": True, "failures": []}
+
+
 def test_classify_dimension_one(capsys):
     code, env, _ = run_cli(["classify"], {"matrix": [[-1]]}, capsys)
     assert code == EXIT_OK

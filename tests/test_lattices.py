@@ -136,6 +136,16 @@ def test_saturate_properties():
             assert in_integer_rowspan(sat, r) or not any(r)
 
 
+def test_is_saturated_agrees_with_saturation_at_every_rank():
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        k = rng.randint(0, n)
+        rows = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k))
+        lat = Lattice.from_rows(n, rows)
+        assert lat.is_saturated() == (lat.saturation() == lat)
+
+
 def test_membership_oracle_agreement():
     rng = random.Random(27)
     for _ in range(100):

@@ -13,7 +13,7 @@ from tordyn.metric import (
     hausdorff_distance,
     isolation_radius_lower_bound,
 )
-from tordyn.lattices import saturate_rows
+from tordyn.lattices import Lattice, saturate_rows
 from tordyn.subtori import (
     PrimitiveCovector,
     Subtorus,
@@ -314,6 +314,16 @@ def _count_kernel_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(tordyn.lattices, "left_kernel", counted)
     return calls
+
+
+def test_full_and_trivial_subtori_make_no_kernel_call(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    assert Subtorus.full(5).dim == 5
+    assert Subtorus.trivial(5).dim == 0
+    assert calls == []
+    # a full-rank lattice other than Z^n is still refused as a subtorus
+    with pytest.raises(ValueError, match="saturated"):
+        Subtorus(2, Lattice(2, ((1, 0), (0, 2))))
 
 
 def test_isolation_scan_makes_one_kernel_call_per_hyperplane_candidate(monkeypatch):

@@ -225,11 +225,46 @@ def test_metric_estimate_exact_fields():
     assert abs(data["value"] - num / den) < 1e-12
 
 
+# The golden certificate's payload as it stood when the file was written with
+# indent 2: the compact form changed its whitespace and nothing else.
+GOLDEN_PAYLOAD = {
+    "branch": "finite_order",
+    "complete": True,
+    "converges_to_full": None,
+    "explanation": None,
+    "family": None,
+    "fixed_subtori": [
+        {"ambient_dim": 2, "basis": [[1, 0]]},
+        {"ambient_dim": 2, "basis": [[1, 1]]},
+    ],
+    "format_version": 2,
+    "isolation": None,
+    "kind": "non_expansivity",
+    "matrix": [[0, -1], [1, 0]],
+    "order": 4,
+    "rigorous": True,
+}
+
+
 def test_golden_finite_order_certificate():
     cert = non_expansivity_certificate(ROT, 10)
     text = canonical_json(encode_non_expansivity(cert))
     golden = (DATA / "golden_finite_order_rotation.json").read_text()
     assert text == golden
+    assert json.loads(text) == GOLDEN_PAYLOAD
+
+
+def test_canonical_json_is_one_compact_line_that_reencodes_to_itself():
+    payloads = [
+        GOLDEN_PAYLOAD,
+        encode_family(disjoint_hyperplane_orbits(CAT, 5)),
+        {"z": [1, -2, {"b": None, "a": "1/3"}], "a": 0.25, "m": "é\n"},
+    ]
+    for payload in payloads:
+        text = canonical_json(payload)
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert ": " not in text and ", " not in text
+        assert canonical_json(json.loads(text)) == text
 
 
 def test_roundtrip_many_random_families():
