@@ -28,7 +28,6 @@ from .families import (
     disjoint_hyperplane_orbits,
     non_expansivity_certificate,
 )
-from .intmat import matrix_order
 from .metric import hausdorff_distance, isolation_radius_lower_bound
 from .serialization import (
     FORMAT_VERSION,
@@ -128,10 +127,9 @@ def run_job(job: dict) -> dict:
     if command == "classify":
         t = parse_unimodular(job.get("matrix"))
         verdict = acts_distally_on_subp(t)
-        order = matrix_order(t)
         return {
             "distal_on_subp": verdict.distal,
-            "order": order if order is not None else "infinite",
+            "order": verdict.order if verdict.order is not None else "infinite",
             "ergodic": is_ergodic(t),
             "distal_linear": is_distal_linear(t),
             "witness": encode_distality_verdict(verdict)["witness_covector"],
@@ -273,15 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tordyn",
         description="Exact dynamics of torus automorphisms on the space of subtori",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", default="-", help="input JSON file, or - for stdin")
-        p.add_argument("--output", default="-", help="output JSON file, or - for stdout")
-        p.add_argument("--budget-norm", type=int, default=None)
-        p.add_argument("--budget-window", type=int, default=None)
-        p.add_argument("--count", type=int, default=None)
-        p.add_argument("--resolution", default=None)
+    # every command takes the same options, so one parser serves them all
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--input", default="-", help="input JSON file, or - for stdin")
+    parser.add_argument("--output", default="-", help="output JSON file, or - for stdout")
+    parser.add_argument("--budget-norm", type=int, default=None)
+    parser.add_argument("--budget-window", type=int, default=None)
+    parser.add_argument("--count", type=int, default=None)
+    parser.add_argument("--resolution", default=None)
     return parser
 
 
@@ -300,7 +297,7 @@ def main(argv=None) -> int:
     job["command"] = args.command
     params = dict(job.get("parameters", {}))
     for key in ("budget_norm", "budget_window", "count", "resolution"):
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             params[key] = value
     job["parameters"] = params

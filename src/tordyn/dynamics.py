@@ -19,7 +19,6 @@ from math import lcm
 from .growth import (
     GrowthCertificate,
     cyclic_basis,
-    growth_certificate,
     growth_evidence,
     minimal_annihilator,
     transfer_constant,
@@ -37,6 +36,7 @@ from .intmat import (
     mat_mul,
     mat_vec,
     matrix_order,
+    order_bound,
     transpose,
 )
 from .lattices import (
@@ -206,7 +206,7 @@ class OrbitBuilder:
     `widen` extends the window from its two ends, so no `act` step runs
     twice, and takes the growth evidence of the annihilator at the new radius
     from `evidence` (growth.growth_evidence, or a table that orbits with one
-    annihilator share); only the norm floors are computed per orbit.
+    annihilator share); the transfer constant is the orbit's own.
     """
 
     def __init__(self, t: UnimodularMatrix, tinv: UnimodularMatrix, h: Subtorus, m: Mat, v: Vec):
@@ -236,8 +236,8 @@ class OrbitBuilder:
         evidence of an injective orbit there."""
         self.window = widen_window(self.t, self.tinv, self.window, radius)
         if self.annihilator is not None:
-            self.growth = growth_certificate(
-                self.annihilator, evidence(self.annihilator, radius), self.transfer
+            self.growth = GrowthCertificate(
+                self.annihilator, self.transfer, *evidence(self.annihilator, radius)
             )
 
     @property
@@ -321,7 +321,7 @@ def covector_orbit_is_periodic(radical: Mat, gamma: Vec) -> bool:
 def is_distal_linear(t: UnimodularMatrix) -> bool:
     """Distality of the linear action on R^n: every eigenvalue on the unit
     circle, which for integer matrices forces roots of unity."""
-    return cyclotomic_orders_if_product(char_poly(t.rows)) is not None
+    return order_bound(t.rows) is not None
 
 
 def is_ergodic(t: UnimodularMatrix) -> bool:

@@ -8,8 +8,8 @@ Family construction dispatches on the structure of the automorphism:
 * infinite order but all eigenvalues roots of unity: some power is unipotent,
   and orbits on the dual side are separated by exact invariants (the class of
   a covector modulo the sublattice its own difference orbit spans).  A
-  T-orbit is the union of m interleaved T^m-orbits, so each member carries
-  the set of invariants of its m translates and disjointness of those sets is
+  T-orbit is the union of m interleaved T^m-orbits, so each member has the
+  set of invariants of its m translates, and disjointness of those sets is
   the evidence.
 * an invariant proper rational subspace exists: recurse through the induced
   automorphism of the quotient torus and lift the family.
@@ -20,17 +20,19 @@ One build computes T^-1 and S = T^-T once (FamilyOrbits).  Each member's
 orbit report is built once and widened in place (dynamics.OrbitBuilder), and
 the growth evidence, which depends only on the annihilator and the window
 radius, is derived once per distinct pair in a table that lives as long as
-the build: only the transfer constant and the norm floors are a member's own.
+the build: only the transfer constant is a member's own.
 
-Every certificate is pure data; the verify module re-checks all evidence from
-scratch.
+Every certificate is pure data, and stores only what the verify module
+cannot recompute from the matrix and the members: the orbits of the
+finite-order branch, the invariant sets and power of the unipotent branch and
+the quotient action are recomputed there by the routines that build them
+here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .dynamics import (
     OrbitBuilder,
@@ -47,7 +49,6 @@ from .intmat import (
     Mat,
     UnimodularMatrix,
     Vec,
-    char_poly,
     identity,
     inverse_unimodular,
     is_unipotent,
@@ -56,6 +57,7 @@ from .intmat import (
     mat_sub,
     mat_vec,
     matrix_order,
+    order_bound,
     transpose,
 )
 from .lattices import (
@@ -63,11 +65,11 @@ from .lattices import (
     annihilator_rows,
     complete_to_unimodular,
     hnf_basis,
-    hnf_pivots,
+    reduce_mod_lattice,
     saturate_rows,
 )
-from .metric import IsolationReport, enumerate_hnf_lattices, isolation_radius_lower_bound
-from .polynomials import Poly, cyclotomic_orders_if_product
+from .metric import enumerate_hnf_lattices, hyperplane_isolation_bound
+from .polynomials import Poly
 from .subtori import (
     PrimitiveCovector,
     Subtorus,
@@ -109,40 +111,25 @@ class UnipotentInvariant:
 class QuotientEvidence:
     invariant_subtorus: Subtorus
     completion: Mat  # unimodular; first rows are the invariant lattice basis
-    quotient_matrix: Mat  # the induced automorphism downstairs
-    inner: "DisjointFamilyCertificate"
+    inner: "DisjointFamilyCertificate"  # for the induced automorphism downstairs
 
 
 @dataclass(frozen=True)
 class DisjointFamilyCertificate:
     matrix: Mat
     count: int
+    requested: int  # complete exactly when count == requested
     members: tuple[Vec, ...]  # canonical primitive covectors of the hyperplanes
     orbit_reports: tuple[OrbitReport, ...]
     branch: str
     rigorous: bool
     complete: bool
     explanation: str | None
-    # the evidence of the branch; the fields of the other branches are None
-    periodic_orbits: tuple[tuple[Vec, ...], ...] | None = None
-    unipotent_power: int | None = None
-    invariant_sets: tuple[tuple[UnipotentInvariant, ...], ...] | None = None
-    quotient: QuotientEvidence | None = None
+    quotient: QuotientEvidence | None = None  # the quotient branch's evidence
 
 
 class FamilyConstructionError(Exception):
     pass
-
-
-def reduce_mod_lattice(basis: Mat, v: Vec) -> Vec:
-    """Canonical coset representative of v modulo the HNF-basis lattice."""
-    w = list(v)
-    for row, p in zip(basis, hnf_pivots(basis)):
-        q = w[p] // row[p]
-        if q:
-            for t in range(p, len(w)):
-                w[t] -= q * row[t]
-    return tuple(w)
 
 
 def unipotent_invariant(s_rows: Mat, gamma: Vec) -> UnipotentInvariant:
@@ -229,7 +216,6 @@ def _periodic_family(
 ) -> DisjointFamilyCertificate:
     t, s = orbits.t, orbits.s
     members: list[Vec] = []
-    covector_orbits: list[tuple[Vec, ...]] = []
     taken: set[Vec] = set()
     for gamma in iter_primitive_covectors(t.n, budget.max_norm):
         if len(members) == k:
@@ -240,17 +226,16 @@ def _periodic_family(
         if taken.intersection(orbset):
             continue
         members.append(gamma)
-        covector_orbits.append(orbset)
         taken.update(orbset)
     complete = len(members) == k
     reports = orbits.reports(members, min(order, budget.max_window))
     return DisjointFamilyCertificate(
         matrix=t.rows,
         count=len(members),
+        requested=k,
         members=tuple(members),
         orbit_reports=reports,
         branch="finite_order",
-        periodic_orbits=tuple(covector_orbits),
         rigorous=True,
         complete=complete,
         explanation=None if complete else "candidate norm budget exhausted",
@@ -269,13 +254,6 @@ def invariant_set_for(s: Mat, gamma: Vec, power: int) -> tuple[UnipotentInvarian
     return tuple(sorted(out, key=lambda u: (u.difference_lattice, u.reduced)))
 
 
-def cyclotomic_power(t: UnimodularMatrix) -> int | None:
-    """The least power whose eigenvalues are all 1 when every eigenvalue is a
-    root of unity (the lcm of their orders), else None."""
-    orders = cyclotomic_orders_if_product(char_poly(t.rows))
-    return None if orders is None else lcm(*orders, 1)
-
-
 def _unipotent_power_family(
     orbits: FamilyOrbits,
     k: int,
@@ -283,7 +261,8 @@ def _unipotent_power_family(
     injective_only: bool,
 ) -> DisjointFamilyCertificate:
     t = orbits.t
-    power = cyclotomic_power(t)
+    # the lcm of the eigenvalues' orders, the least power whose eigenvalues are all 1
+    power = order_bound(t.rows)
     assert power is not None
     t_pow = t.power(power)
     if not is_unipotent(t_pow):
@@ -291,7 +270,6 @@ def _unipotent_power_family(
     if t_pow.is_identity():
         raise FamilyConstructionError("automorphism has finite order")
     members: list[Vec] = []
-    inv_sets: list[tuple[UnipotentInvariant, ...]] = []
     taken: set[UnipotentInvariant] = set()
     for gamma, periodic in _candidate_covectors(orbits, budget):
         if len(members) == k:
@@ -302,18 +280,16 @@ def _unipotent_power_family(
         if taken.intersection(iset):
             continue
         members.append(gamma)
-        inv_sets.append(iset)
         taken.update(iset)
     complete = len(members) == k
     reports = orbits.reports(members, min(budget.max_window, 2 * power + 4))
     return DisjointFamilyCertificate(
         matrix=t.rows,
         count=len(members),
+        requested=k,
         members=tuple(members),
         orbit_reports=reports,
         branch="unipotent_power",
-        unipotent_power=power,
-        invariant_sets=tuple(inv_sets),
         rigorous=True,
         complete=complete,
         explanation=None if complete else "candidate budget exhausted",
@@ -373,10 +349,11 @@ def _quotient_family(
     return DisjointFamilyCertificate(
         matrix=t.rows,
         count=len(members),
+        requested=k,
         members=members,
         orbit_reports=reports,
         branch="quotient",
-        quotient=QuotientEvidence(h_star, w, d_block, inner),
+        quotient=QuotientEvidence(h_star, w, inner),
         rigorous=inner.rigorous,
         complete=inner.complete and len(members) == k,
         explanation=inner.explanation,
@@ -440,6 +417,7 @@ def _greedy_family(
     return DisjointFamilyCertificate(
         matrix=orbits.t.rows,
         count=len(kept),
+        requested=k,
         members=tuple(kept),
         orbit_reports=tuple(builders[g].report() for g in kept),
         branch="irreducible_greedy",
@@ -473,7 +451,7 @@ def disjoint_hyperplane_orbits(
                 "finite-order automorphisms have no injective hyperplane orbits"
             )
         return _periodic_family(orbits, k, order, budget)
-    if cyclotomic_power(t) is not None:
+    if order_bound(t.rows) is not None:
         return _unipotent_power_family(orbits, k, budget, injective_only)
     report = invariant_rational_subspaces(t)
     if not report.exists:
@@ -560,20 +538,13 @@ class NonExpansivityCertificate:
     fixed: tuple[Subtorus, ...] | None = None
     family: DisjointFamilyCertificate | None = None
     converges: tuple[bool, ...] | None = None
-    isolation: IsolationReport | None = None
+    # the isolation bound of the first member's hyperplane
+    # (metric.hyperplane_isolation_bound), None for an empty family
+    isolation: Fraction | None = None
 
 
-# fixed hyperplanes listed for a finite-order automorphism, and the dual norm
-# cap of the isolation bound of the first member
+# fixed hyperplanes listed for a finite-order automorphism
 FIXED_COUNT = 2
-ISOLATION_CAP = 2
-
-
-def isolation_resolution(n: int) -> Fraction:
-    """Resolution of the isolation bound of the first member in T^n; with
-    ISOLATION_CAP it fixes the work of the bound, and the checker accepts
-    no other."""
-    return Fraction(1, 50) if n == 2 else Fraction(1, 12)
 
 
 def non_expansivity_certificate(
@@ -609,28 +580,20 @@ def non_expansivity_certificate(
     # a hyperplane orbit converges to the full torus exactly when it is
     # injective (dynamics.converges_to_full), which each orbit report decides
     conv = tuple(rep.status == "injective" for rep in family.orbit_reports)
-    resolution = isolation_resolution(t.n)
     iso = None
     if family.members:
-        iso = isolation_radius_lower_bound(
-            covector_to_hyperplane(PrimitiveCovector(family.members[0])),
-            ISOLATION_CAP,
-            resolution,
-        )
+        iso = hyperplane_isolation_bound(sum(x * x for x in family.members[0]))
     complete = family.complete and all(conv)
     reasons = [family.explanation] if family.explanation else []
-    if iso is not None and iso.bound <= 0:
-        reasons.append(
-            f"isolation bound {iso.bound} is not positive at dual norm cap "
-            f"{ISOLATION_CAP} and resolution {resolution}"
-        )
+    if iso is not None and iso <= 0:
+        reasons.append(f"isolation bound {iso} is not positive")
     return NonExpansivityCertificate(
         matrix=t.rows,
         branch="infinitely_many_orbits",
         family=family,
         converges=conv,
         isolation=iso,
-        rigorous=family.rigorous and (iso is None or iso.bound > 0),
+        rigorous=family.rigorous and (iso is None or iso > 0),
         complete=complete,
         explanation="; ".join(reasons) or None,
     )

@@ -23,13 +23,15 @@ re-computation:
   each residue class of t along step q = lcm of the orders is an exact
   polynomial, bounded below by elementary tail estimates.
 
-A certificate has two parts.  Everything but the norm floors depends only
-on the annihilator g and the window radius: the impulse values, and for each
+A certificate has two parts.  The direction evidence depends only on the
+annihilator g and the window radius: the impulse values, and for each
 direction the kind, level, q, mu, nu, entries and sequence floor
-(growth_evidence).  Only the transfer constant belongs to the orbit itself,
-and the norm floor of a direction is norm_floor(floor_seq, level, transfer)
-(growth_certificate).  derive_growth_certificate composes the two, and a
-family whose members share g and a window derives the first part once.
+(growth_evidence).  Only the transfer constant belongs to the orbit itself.
+Nothing else is stored: the norm floor of a direction is
+norm_floor(floor_seq, level, transfer), and the rigor and the exterior norm
+floor of a certificate are properties computed from the two parts.
+derive_growth_certificate composes them, and a family whose members share g
+and a window derives the direction evidence once.
 
 The producer and the checker (check_growth_certificate) share one routine for
 each step of the evidence: direction_sequence gives the sequence, recurrence
@@ -37,9 +39,8 @@ and covered index of a direction and level; cone_is_invariant and enters_cone
 test a cone and its entries; the cone and polynomial floors come from
 _cone_floor and _try_polynomial_direction; and norm_floor turns a sequence
 floor into a norm floor.  The checker splits the same way: the direction
-evidence is checked once per (annihilator, window, directions without their
-norm floors), and each orbit's norm floors against its own transfer
-constant.  Floating point appears only as a hint source for picking q, mu, nu
+evidence is checked once per (annihilator, window, directions), and each
+orbit's annihilator and transfer constant on their own.  Floating point appears only as a hint source for picking q, mu, nu
 in the producer, which searches; the checker only re-runs the exact tests.
 The hints come from float approximations of the roots z of the annihilator,
 found once per growth_evidence call (float_roots, an Aberth-Ehrlich
@@ -52,7 +53,7 @@ cone it proposes is still checked exactly by cone_is_invariant.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import exp, isfinite, isqrt, lcm, log, pi
@@ -190,7 +191,6 @@ class DirectionCertificate:
     nu: Fraction = Fraction(0)
     entries: tuple[ConeEntry, ...] = ()
     floor_seq: int = 0  # certified bound for the underlying sequence
-    floor_norm: int = 0  # implied bound on the ambient covector sup norm
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,18 @@ class GrowthCertificate:
     transfer: Fraction
     forward: DirectionCertificate
     backward: DirectionCertificate
-    rigorous: bool
-    min_exterior_norm: int | None
+
+    @property
+    def rigorous(self) -> bool:
+        return self.forward.kind != "window_only" and self.backward.kind != "window_only"
+
+    @property
+    def min_exterior_norm(self) -> int | None:
+        """The sup-norm floor of the orbit outside the window, when rigorous."""
+        if not self.rigorous:
+            return None
+        return min(norm_floor(dc.floor_seq, dc.level, self.transfer)
+                   for dc in (self.forward, self.backward))
 
 
 def _cone_bounds(b: tuple[int, ...], mu: Fraction, nu: Fraction) -> tuple[Fraction, Fraction]:
@@ -544,8 +554,8 @@ def derive_direction(
     direction: str,
     window: int,
 ) -> DirectionCertificate:
-    """Evidence for one direction, with floor_norm 0: the search depends only
-    on the annihilator's impulse values and the window.  roots approximate
+    """Evidence for one direction: the search depends only on the
+    annihilator's impulse values and the window.  roots approximate
     the roots of g; the backward recurrence has their inverses as roots and
     the Hankel recurrence their pairwise products."""
     if direction == "backward":
@@ -575,8 +585,7 @@ def derive_direction(
 
 def growth_evidence(g: Poly, window: int) -> tuple[DirectionCertificate, DirectionCertificate]:
     """The part of a growth certificate that depends only on the annihilator
-    g and the window radius: the forward and backward evidence, each with
-    floor_norm 0.
+    g and the window radius: the forward and backward evidence.
 
     g must not be a squarefree product of cyclotomics (a periodic orbit)."""
     if is_squarefree_product_of_cyclotomics(g):
@@ -589,19 +598,6 @@ def growth_evidence(g: Poly, window: int) -> tuple[DirectionCertificate, Directi
             derive_direction(vals, g, roots, "backward", window))
 
 
-def growth_certificate(
-    g: Poly, evidence: tuple[DirectionCertificate, DirectionCertificate], transfer: Fraction
-) -> GrowthCertificate:
-    """The growth certificate of one orbit: the shared evidence of its
-    annihilator and window, with the norm floors of its own transfer
-    constant."""
-    fwd, bwd = (replace(dc, floor_norm=norm_floor(dc.floor_seq, dc.level, transfer))
-                for dc in evidence)
-    rigorous = fwd.kind != "window_only" and bwd.kind != "window_only"
-    floor = min(fwd.floor_norm, bwd.floor_norm) if rigorous else None
-    return GrowthCertificate(g, transfer, fwd, bwd, rigorous, floor)
-
-
 def derive_growth_certificate(m: Mat, v: Vec, window: int) -> GrowthCertificate:
     """Produce a growth certificate for the orbit of v under M.
 
@@ -609,8 +605,8 @@ def derive_growth_certificate(m: Mat, v: Vec, window: int) -> GrowthCertificate:
     product of cyclotomics).
     """
     g = minimal_annihilator(m, v)
-    evidence = growth_evidence(g, window)
-    return growth_certificate(g, evidence, transfer_constant(cyclic_basis(m, v, len(g) - 1)))
+    transfer = transfer_constant(cyclic_basis(m, v, len(g) - 1))
+    return GrowthCertificate(g, transfer, *growth_evidence(g, window))
 
 
 def check_growth_certificate(
@@ -628,10 +624,12 @@ def check_growth_certificate(
     caller; otherwise it is recomputed here.
 
     The direction evidence is checked by check_growth_evidence, whose outcome
-    `evidence_checks` holds per (annihilator, window, directions without
-    their norm floors): the orbits of one certificate pass one dict, so
-    members that share all of these are checked once.  The annihilator, the
-    transfer constant and the norm floors are checked for every orbit."""
+    `evidence_checks` holds per (annihilator, window, directions): the orbits
+    of one certificate pass one dict, so members that share all of these are
+    checked once.  The annihilator and the transfer constant are checked for
+    every orbit.  A certificate without failures certifies the floors it
+    derives (min_exterior_norm): no stored sequence floor exceeds the
+    recomputed one, and norm_floor grows with it."""
     problems: list[str] = []
     for dc in (cert.forward, cert.backward):
         # a cone covers every residue mod q with an entry at an index in
@@ -649,101 +647,70 @@ def check_growth_certificate(
         return ["stored annihilator does not match the recomputed one"]
     if is_squarefree_product_of_cyclotomics(g):
         return ["orbit is periodic; growth certificate is vacuous"]
-    k = transfer_constant(cyclic_basis(m, v, len(g) - 1))
-    if k != cert.transfer:
+    if transfer_constant(cyclic_basis(m, v, len(g) - 1)) != cert.transfer:
         problems.append("transfer constant mismatch")
-    evidence = tuple(replace(dc, floor_norm=0) for dc in (cert.forward, cert.backward))
-    key = (g, window, evidence)
+    key = (g, window, cert.forward, cert.backward)
     if evidence_checks is None:
         evidence_checks = {}
     if key not in evidence_checks:
-        evidence_checks[key] = check_growth_evidence(g, evidence, window)
-    errs, seq_floors = evidence_checks[key]
-    problems.extend(errs)
-    floors = []
-    for dc, floor in zip((cert.forward, cert.backward), seq_floors):
-        # a direction whose evidence failed, or a window-only one, certifies 0
-        fnorm = 0 if floor is None else norm_floor(floor, dc.level, k)
-        if fnorm < dc.floor_norm:
-            problems.append(f"{dc.direction}: stored norm floor too large")
-            fnorm = 0
-        floors.append(fnorm)
-    if cert.rigorous:
-        if cert.forward.kind == "window_only" or cert.backward.kind == "window_only":
-            problems.append("certificate marked rigorous with window-only evidence")
-        elif cert.min_exterior_norm is None:
-            problems.append("rigorous certificate missing its exterior norm bound")
-    # a window-only direction certifies floor 0, so no positive bound passes
-    if cert.min_exterior_norm is not None and min(floors) < cert.min_exterior_norm:
-        problems.append("claimed exterior norm bound exceeds the certified floor")
-    return problems
+        evidence_checks[key] = check_growth_evidence(g, (cert.forward, cert.backward), window)
+    return problems + evidence_checks[key]
 
 
 def check_growth_evidence(
     g: Poly, evidence: tuple[DirectionCertificate, DirectionCertificate], window: int
-) -> tuple[list[str], tuple[int | None, int | None]]:
-    """Check the forward and backward evidence (floor_norm 0) of the
-    non-periodic annihilator g outside the window of radius `window`.
-
-    Returns the failures and, per direction, the recomputed sequence floor:
-    0 for window-only evidence, None for evidence that failed."""
+) -> list[str]:
+    """The failures of the forward and backward evidence of the non-periodic
+    annihilator g outside the window of radius `window`."""
     d = len(g) - 1
     q_max = max((dc.power_step for dc in evidence if dc.kind == "cone"), default=0)
     span = window + 2 + (q_max + 26) * (d * d + d + 2)
     vals = impulse_values(g, -span, span)
-    problems: list[str] = []
-    floors = []
-    for dc in evidence:
-        errs, floor = _check_direction(vals, g, dc, window)
-        problems.extend(errs)
-        floors.append(None if errs else floor)
-    return problems, tuple(floors)
+    return [p for dc in evidence for p in _check_direction(vals, g, dc, window)]
 
 
-def _check_direction(vals, g, dc: DirectionCertificate, window) -> tuple[list[str], int]:
-    """Failures of one direction's evidence and its recomputed sequence floor."""
+def _check_direction(vals, g, dc: DirectionCertificate, window) -> list[str]:
+    """Failures of one direction's evidence, whose sequence floor must not
+    exceed the recomputed one."""
     if dc.kind == "window_only":
         if dc != DirectionCertificate(dc.direction, "window_only"):
-            return [f"{dc.direction}: window-only evidence carries data"], 0
-        return [], 0
+            return [f"{dc.direction}: window-only evidence carries data"]
+        return []
     if dc.kind not in ("cone", "polynomial"):
-        return [f"unknown growth kind {dc.kind!r}"], 0
+        return [f"unknown growth kind {dc.kind!r}"]
     if (dc.kind == "polynomial") != (dc.level == 0):
-        return [f"{dc.direction}: level {dc.level} does not fit {dc.kind} evidence"], 0
+        return [f"{dc.direction}: level {dc.level} does not fit {dc.kind} evidence"]
     setup = direction_sequence(vals, g, dc.direction, dc.level, window)
     if setup is None:
-        return [f"{dc.direction}: no level {dc.level} evidence for this annihilator"], 0
+        return [f"{dc.direction}: no level {dc.level} evidence for this annihilator"]
     seq, rec, cover_from = setup
     if dc.kind == "polynomial":
         res = _try_polynomial_direction(seq, rec, cover_from, max(seq))
         if res is None:
-            return [f"{dc.direction}: polynomial evidence cannot be reproduced"], 0
+            return [f"{dc.direction}: polynomial evidence cannot be reproduced"]
         q, floor = res
         bare = DirectionCertificate(dc.direction, "polynomial", 0, q, floor_seq=dc.floor_seq)
         if dc != bare:
-            return [f"{dc.direction}: polynomial evidence has a wrong step or carries cone data"], 0
+            return [f"{dc.direction}: polynomial evidence has a wrong step or carries cone data"]
         if floor < dc.floor_seq:
-            return [f"{dc.direction}: stored polynomial floor too large"], 0
-    else:
-        problems = []
-        q = dc.power_step
-        if not cone_is_invariant(root_power_poly(rec, q), dc.mu, dc.nu):
-            problems.append(f"{dc.direction}: cone ratios out of range or not invariant")
-        dd = len(rec) - 1
-        for ent in dc.entries:
-            if ent.sign not in (1, -1):
-                problems.append(f"{dc.direction}: entry sign {ent.sign} for residue {ent.residue} is not +-1")
-            elif ent.start_index % q != ent.residue or ent.start_index > cover_from + 1:
-                problems.append(f"{dc.direction}: entry for residue {ent.residue} out of place")
-            elif not all(ent.start_index + q * i in seq for i in range(dd)):
-                problems.append(f"{dc.direction}: entry indices outside recomputed range")
-            elif not enters_cone(seq, q, dd, dc.mu, dc.nu, ent):
-                problems.append(f"{dc.direction}: entry for residue {ent.residue} does not enter the cone")
-        if {ent.residue for ent in dc.entries} != set(range(q)):
-            problems.append(f"{dc.direction}: cone entries do not cover all residues mod {q}")
-        if problems:
-            return problems, 0
-        floor = _cone_floor(seq, q, dc.mu, dc.entries, cover_from)
-        if floor < dc.floor_seq:
-            return [f"{dc.direction}: stored sequence floor too large"], 0
-    return [], floor
+            return [f"{dc.direction}: stored polynomial floor too large"]
+        return []
+    problems = []
+    q = dc.power_step
+    if not cone_is_invariant(root_power_poly(rec, q), dc.mu, dc.nu):
+        problems.append(f"{dc.direction}: cone ratios out of range or not invariant")
+    dd = len(rec) - 1
+    for ent in dc.entries:
+        if ent.sign not in (1, -1):
+            problems.append(f"{dc.direction}: entry sign {ent.sign} for residue {ent.residue} is not +-1")
+        elif ent.start_index % q != ent.residue or ent.start_index > cover_from + 1:
+            problems.append(f"{dc.direction}: entry for residue {ent.residue} out of place")
+        elif not all(ent.start_index + q * i in seq for i in range(dd)):
+            problems.append(f"{dc.direction}: entry indices outside recomputed range")
+        elif not enters_cone(seq, q, dd, dc.mu, dc.nu, ent):
+            problems.append(f"{dc.direction}: entry for residue {ent.residue} does not enter the cone")
+    if {ent.residue for ent in dc.entries} != set(range(q)):
+        problems.append(f"{dc.direction}: cone entries do not cover all residues mod {q}")
+    if not problems and _cone_floor(seq, q, dc.mu, dc.entries, cover_from) < dc.floor_seq:
+        problems.append(f"{dc.direction}: stored sequence floor too large")
+    return problems

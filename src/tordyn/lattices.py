@@ -154,18 +154,23 @@ def saturate_rows(rows, n: int) -> Mat:
     return annihilator_rows(ann, n)
 
 
-def contains_vector(basis: Mat, v: Vec) -> bool:
-    """Membership of v in the integer row span of a canonical HNF basis."""
+def reduce_mod_lattice(basis: Mat, v: Vec) -> Vec:
+    """Canonical coset representative of v modulo the lattice of a canonical
+    HNF basis."""
     w = list(v)
-    pivots = hnf_pivots(basis)
-    for row, p in zip(basis, pivots):
-        if w[p] % row[p]:
-            return False
+    for row, p in zip(basis, hnf_pivots(basis)):
         q = w[p] // row[p]
         if q:
             for t in range(p, len(w)):
                 w[t] -= q * row[t]
-    return all(x == 0 for x in w)
+    return tuple(w)
+
+
+def contains_vector(basis: Mat, v: Vec) -> bool:
+    """Membership of v in the integer row span of a canonical HNF basis: each
+    row leaves the pivot columns of the rows before it alone, so v is in the
+    lattice exactly when it reduces to 0."""
+    return not any(reduce_mod_lattice(basis, v))
 
 
 @dataclass(frozen=True)

@@ -243,6 +243,13 @@ def enumerate_hnf_lattices(n: int, rank: int, bound: int) -> list[Mat]:
     return out
 
 
+def hyperplane_isolation_bound(norm2: int) -> Fraction:
+    """The certified lower bound on the isolation radius 1/(2 ||gamma||_2) of
+    the hyperplane of a primitive covector gamma, from norm2 = ||gamma||_2^2:
+    the lower end of the square-root enclosure."""
+    return Fraction(_sqrt_floor_scaled((1, 4 * norm2)), _SQRT_SCALE)
+
+
 @dataclass(frozen=True)
 class IsolationReport:
     """Enumeration-capped isolation evidence for one subtorus."""
@@ -278,8 +285,7 @@ def isolation_radius_lower_bound(
     if h.dim == n - 1:
         # ||gamma||_2^2 = det(B B^T) for the saturated basis B (Cauchy-Binet:
         # its maximal minors are the entries of gamma up to sign), no kernel
-        norm2 = det(mat_mul(h.basis, transpose(h.basis)))
-        bound = Fraction(_sqrt_floor_scaled((1, 4 * norm2)), _SQRT_SCALE)
+        bound = hyperplane_isolation_bound(det(mat_mul(h.basis, transpose(h.basis))))
         return IsolationReport(h, dual_norm_bound, res, 1, bound, subtorus_from_annihilator(n, ()))
     h_geom = _geometry(h, res)
     best: int | None = None

@@ -8,8 +8,12 @@ order, no insignificant whitespace, one trailing newline, so equal payloads
 give equal bytes.  `python -m json.tool` prints it indented for reading; the
 parsers take any JSON layout, so an indented certificate checks the same.
 
-Certificates are at format version 2 and carry only what the checker reads;
-any other version is rejected, as there is one parser.  parse_* functions are
+Certificates are at format version 3 and store only what the checker reads
+and cannot recompute from the matrix and the members: no enumerated periodic
+orbit, unipotent power or invariant set, no quotient matrix besides the inner
+family's, no growth rigor flag or norm floor (growth.GrowthCertificate
+derives them) and, of the isolation bound, only its exact value.  Any other
+version is rejected, as there is one parser.  parse_* functions are
 strict, and every violation is a ParseError (exit 2): each object has exactly
 one key set (no missing key, no unknown key, no defaults); integers are exact,
 flags JSON booleans, rationals canonical, `explanation` a string or null, and
@@ -33,19 +37,14 @@ import json
 from fractions import Fraction
 
 from .dynamics import DistalityVerdict, GroupReport, InvariantSubspaceReport, OrbitReport
-from .families import (
-    DisjointFamilyCertificate,
-    NonExpansivityCertificate,
-    QuotientEvidence,
-    UnipotentInvariant,
-)
+from .families import DisjointFamilyCertificate, NonExpansivityCertificate, QuotientEvidence
 from .growth import ConeEntry, DirectionCertificate, GrowthCertificate
 from .intmat import Mat, UnimodularMatrix
 from .lattices import Lattice, is_canonical_hnf
 from .metric import IsolationReport, MetricEstimate
 from .subtori import PrimitiveCovector, Subtorus
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 TOOL_NAME = "tordyn"
 TOOL_VERSION = "0.1.0"
 
@@ -254,8 +253,6 @@ def encode_growth(g: GrowthCertificate) -> dict:
         "transfer": _frac_str(g.transfer),
         "forward": encode_direction(g.forward),
         "backward": encode_direction(g.backward),
-        "rigorous": g.rigorous,
-        "min_exterior_norm": g.min_exterior_norm,
     }
 
 
@@ -265,8 +262,6 @@ def parse_growth(data) -> GrowthCertificate:
         "transfer": _parse_frac,
         "forward": lambda x: parse_direction(x, "forward"),
         "backward": lambda x: parse_direction(x, "backward"),
-        "rigorous": _parse_bool,
-        "min_exterior_norm": _parse_optional_int,
     }))
 
 
@@ -283,7 +278,6 @@ def encode_direction(d: DirectionCertificate) -> dict:
             for e in d.entries
         ],
         "floor_seq": d.floor_seq,
-        "floor_norm": d.floor_norm,
     }
 
 
@@ -303,21 +297,6 @@ def parse_direction(data, direction: str) -> DirectionCertificate:
         "nu": _parse_frac,
         "entries": _tuple_of(_parse_cone_entry, "cone entries"),
         "floor_seq": _parse_int,
-        "floor_norm": _parse_int,
-    }))
-
-
-def encode_invariant(u: UnipotentInvariant) -> dict:
-    return {
-        "difference_lattice": _matrix_payload(u.difference_lattice),
-        "reduced": list(u.reduced),
-    }
-
-
-def parse_invariant(data) -> UnipotentInvariant:
-    return UnipotentInvariant(**_record(data, "unipotent invariant", {
-        "difference_lattice": _parse_matrix,
-        "reduced": _parse_vector,
     }))
 
 
@@ -327,13 +306,10 @@ def encode_family(c: DisjointFamilyCertificate) -> dict:
         "kind": "disjoint_family",
         "matrix": _matrix_payload(c.matrix),
         "count": c.count,
+        "requested": c.requested,
         "members": [list(m) for m in c.members],
         "orbit_reports": [encode_orbit_report(r) for r in c.orbit_reports],
         "branch": c.branch,
-        "periodic_orbits": _maybe(lambda orbs: [[list(v) for v in o] for o in orbs], c.periodic_orbits),
-        "unipotent_power": c.unipotent_power,
-        "invariant_sets": _maybe(lambda sets: [[encode_invariant(u) for u in s] for s in sets],
-                                 c.invariant_sets),
         "quotient": _maybe(encode_quotient, c.quotient),
         "rigorous": c.rigorous,
         "complete": c.complete,
@@ -345,7 +321,6 @@ def encode_quotient(q: QuotientEvidence) -> dict:
     return {
         "invariant_subtorus": encode_subtorus(q.invariant_subtorus),
         "completion": _matrix_payload(q.completion),
-        "quotient_matrix": _matrix_payload(q.quotient_matrix),
         "inner": encode_family(q.inner),
     }
 
@@ -354,7 +329,6 @@ def parse_quotient(data) -> QuotientEvidence:
     return QuotientEvidence(**_record(data, "quotient evidence", {
         "invariant_subtorus": parse_subtorus,
         "completion": _parse_matrix,
-        "quotient_matrix": _parse_matrix,
         "inner": parse_family,
     }))
 
@@ -369,8 +343,8 @@ def _check_header(data, kind: str) -> None:
 
 
 _FAMILY_EVIDENCE = {
-    "finite_order": ("periodic_orbits",),
-    "unipotent_power": ("unipotent_power", "invariant_sets"),
+    "finite_order": (),
+    "unipotent_power": (),
     "quotient": ("quotient",),
     "irreducible_greedy": (),
 }
@@ -383,16 +357,10 @@ def parse_family(data) -> DisjointFamilyCertificate:
         "kind": None,
         "matrix": lambda x: parse_unimodular(x).rows,
         "count": _parse_int,
+        "requested": _parse_int,
         "members": _tuple_of(lambda x: parse_covector(x).entries, "members"),
         "orbit_reports": _tuple_of(parse_orbit_report, "orbit reports"),
         "branch": _choice(*_FAMILY_EVIDENCE),
-        "periodic_orbits": _optional(
-            _tuple_of(_tuple_of(_parse_vector, "periodic orbit"), "periodic orbits")
-        ),
-        "unipotent_power": _parse_optional_int,
-        "invariant_sets": _optional(
-            _tuple_of(_tuple_of(parse_invariant, "invariant set"), "invariant sets")
-        ),
         "quotient": _optional(parse_quotient),
         "rigorous": _parse_bool,
         "complete": _parse_bool,
@@ -414,28 +382,8 @@ def encode_isolation(r: IsolationReport) -> dict:
     }
 
 
-def parse_isolation(data) -> IsolationReport:
-    # `bound` displays `bound_exact`, which alone is evidence, so it must be
-    # exactly its float
-    v = _record(data, "isolation report", {
-        "subtorus": parse_subtorus,
-        "dual_norm_bound": _parse_int,
-        "resolution": _parse_frac,
-        "candidates": _parse_int,
-        "bound": None,
-        "bound_exact": _parse_frac,
-        "nearest": _optional(parse_subtorus),
-    })
-    exact = v.pop("bound_exact")
-    shown = data["bound"]
-    try:
-        displays = not isinstance(shown, bool) and shown == float(exact)
-    except OverflowError:
-        displays = False
-    if not displays:
-        raise ParseError(f"isolation report bound: {shown!r} is not the float of bound_exact "
-                         f"{_frac_str(exact)}")
-    return IsolationReport(bound=exact, **v)
+def _parse_isolation_bound(data) -> Fraction:
+    return _record(data, "isolation bound", {"bound_exact": _parse_frac})["bound_exact"]
 
 
 def encode_non_expansivity(c: NonExpansivityCertificate) -> dict:
@@ -448,7 +396,7 @@ def encode_non_expansivity(c: NonExpansivityCertificate) -> dict:
         "fixed_subtori": _maybe(lambda fixed: [encode_subtorus(h) for h in fixed], c.fixed),
         "family": _maybe(encode_family, c.family),
         "converges_to_full": _maybe(list, c.converges),
-        "isolation": _maybe(encode_isolation, c.isolation),
+        "isolation": _maybe(lambda bound: {"bound_exact": _frac_str(bound)}, c.isolation),
         "rigorous": c.rigorous,
         "complete": c.complete,
         "explanation": c.explanation,
@@ -473,7 +421,7 @@ def parse_non_expansivity(data) -> NonExpansivityCertificate:
         "fixed_subtori": _optional(_tuple_of(parse_subtorus, "fixed subtori")),
         "family": _optional(parse_family),
         "converges_to_full": _optional(_tuple_of(_parse_bool, "convergence flags")),
-        "isolation": _optional(parse_isolation),
+        "isolation": _optional(_parse_isolation_bound),
         "rigorous": _parse_bool,
         "complete": _parse_bool,
         "explanation": _parse_explanation,

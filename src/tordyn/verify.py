@@ -1,9 +1,12 @@
 """Independent re-verification of emitted certificates.
 
 The checker never trusts the producer: it recomputes orbit windows, periods,
-invariants, growth floors and quotient data from the matrix and the members,
-and compares them with what the certificate claims.  Any discrepancy is
-reported with the offending member or pair named.
+growth floors, the finite-order orbits, the unipotent invariant sets, the
+quotient action and the isolation bound from the matrix and the members.
+What a certificate stores it compares with the recomputation; what it does
+not store (the orbits and invariant sets, whose disjointness is then checked
+on the recomputed sets, and the quotient matrix) it uses as recomputed.  Any
+discrepancy is reported with the offending member or pair named.
 
 Each piece of evidence has one routine, which the producer calls to build it
 and the checker calls to recompute it: the orbit windows
@@ -17,8 +20,8 @@ finite-order orbits
 (`families.periodic_covector_orbit`); the unipotent invariant sets
 (`families.invariant_set_for`); the quotient action and lift
 (`families.quotient_action`, `families.lift_member`); and the isolation bound
-(`metric.isolation_radius_lower_bound`, which for the hyperplane of the first
-member is the closed form 1/(2 ||gamma||_2)).  Convergence to the full torus is
+of the first member's hyperplane, the closed form 1/(2 ||gamma||_2)
+(`metric.hyperplane_isolation_bound`).  Convergence to the full torus is
 read off each orbit report's status, which `verify_family` has matched with
 the recomputed orbit dichotomy.
 
@@ -31,18 +34,17 @@ name it imports is public and comes from one of these modules.
 `verify_family` inverts the matrix once: T^-1 steps the windows backwards
 and S = T^-T carries the annihilator data and the covector windows.  Members
 that share everything the growth direction check reads (the annihilator, the
-window radius and both directions' evidence without their norm floors) are
-direction-checked once; each member's transfer constant and norm floors are
-checked on their own.
+window radius and both directions' evidence) are direction-checked once; each
+member's annihilator and transfer constant are checked on their own.  A
+member's floor and rigor claims are checked in one place,
+`_check_member_report`, against the floors its checked growth evidence
+derives.  A family is complete exactly when it has the number of members
+requested.
 
-The checker bounds its work by the size of the certificate: a window radius
-must come with its 2r + 1 entries, a cone power step is at most the number of
-entry indices the cone can use, the unipotent power is recomputed before any
-suborbit is walked, and an isolation report must have the producer's dual
-norm cap (`families.ISOLATION_CAP`) and resolution
-(`families.isolation_resolution`).  A hyperplane's bound does not depend on
-either, but the format stores them, and accepting only the producer's keeps
-one valid report per certificate.
+The checker bounds its work by the size of the certificate and the matrix: a
+window radius must come with its 2r + 1 entries, a cone power step is at most
+the number of entry indices the cone can use, and the finite order and the
+unipotent power that size the recomputed orbits come from the matrix alone.
 """
 
 from __future__ import annotations
@@ -56,12 +58,9 @@ from .dynamics import (
     widen_window,
 )
 from .families import (
-    ISOLATION_CAP,
     DisjointFamilyCertificate,
     NonExpansivityCertificate,
-    cyclotomic_power,
     invariant_set_for,
-    isolation_resolution,
     lift_member,
     periodic_covector_orbit,
     quotient_action,
@@ -73,9 +72,10 @@ from .intmat import (
     inverse_unimodular,
     is_unipotent,
     matrix_order,
+    order_bound,
     transpose,
 )
-from .metric import isolation_radius_lower_bound
+from .metric import hyperplane_isolation_bound
 from .polynomials import is_squarefree_product_of_cyclotomics
 from .subtori import (
     PrimitiveCovector,
@@ -135,12 +135,13 @@ def _check_member_report(t, tinv, s, gamma, report, failures, idx, growth_checks
         if report.rigorous:
             _fail(failures, f"member {idx}: rigor claimed without growth evidence")
         return
-    for p in check_growth_certificate(s, gamma, growth, w, growth_checks, g):
+    problems = check_growth_certificate(s, gamma, growth, w, growth_checks, g)
+    for p in problems:
         _fail(failures, f"member {idx}: growth certificate: {p}")
-    # members are hyperplanes, so the annihilator floor is the growth floor
-    if report.min_exterior_norm is not None and (
-        growth.min_exterior_norm is None or report.min_exterior_norm > growth.min_exterior_norm
-    ):
+    # only evidence without problems certifies the floor it derives; members
+    # are hyperplanes, so the annihilator floor is the growth floor
+    floor = None if problems else growth.min_exterior_norm
+    if report.min_exterior_norm is not None and (floor is None or report.min_exterior_norm > floor):
         _fail(failures, f"member {idx}: claimed exterior norm exceeds the growth floor")
     if report.rigorous and not growth.rigorous:
         _fail(failures, f"member {idx}: rigor claimed beyond the growth evidence")
@@ -173,6 +174,9 @@ def verify_family(cert: DisjointFamilyCertificate) -> VerificationResult:
     growth_checks: dict = {}
     for i, (g, rep) in enumerate(zip(cert.members, cert.orbit_reports)):
         _check_member_report(t, tinv, s, g, rep, failures, i, growth_checks)
+    if cert.complete != (cert.count == cert.requested):
+        _fail(failures, f"complete is {cert.complete} for {cert.count} of {cert.requested} "
+                        "requested members")
     checker = {
         "finite_order": _verify_periodic_branch,
         "unipotent_power": _verify_unipotent_branch,
@@ -186,28 +190,33 @@ def verify_family(cert: DisjointFamilyCertificate) -> VerificationResult:
     return VerificationResult(not failures, tuple(failures))
 
 
+def _check_disjoint(sets, what: str, failures) -> None:
+    """Fail every pair of members whose recomputed sets share an element."""
+    owner: dict = {}
+    clashes = set()
+    for j, items in enumerate(sets):
+        for x in items:
+            i = owner.setdefault(x, j)
+            if i != j:
+                clashes.add((i, j))
+    for i, j in sorted(clashes):
+        _fail(failures, f"members {i} and {j}: {what} intersect")
+
+
 def _verify_periodic_branch(t, s, cert, failures):
     order = matrix_order(t)
     if order is None:
         _fail(failures, "branch claims finite order but the matrix has infinite order")
         return
-    if cert.periodic_orbits is None or len(cert.periodic_orbits) != len(cert.members):
-        _fail(failures, "periodic branch needs one enumerated orbit per member")
-        return
-    for i, (g, orb) in enumerate(zip(cert.members, cert.periodic_orbits)):
-        if tuple(orb) != periodic_covector_orbit(s, g, order):
-            _fail(failures, f"member {i}: stored orbit does not match recomputation")
-    for i in range(len(cert.members)):
-        for j in range(i + 1, len(cert.members)):
-            if set(cert.periodic_orbits[i]).intersection(cert.periodic_orbits[j]):
-                _fail(failures, f"members {i} and {j}: periodic orbits intersect")
+    _check_disjoint([periodic_covector_orbit(s, g, order) for g in cert.members],
+                    "periodic orbits", failures)
 
 
 def _verify_unipotent_branch(t, s, cert, failures):
-    # the stored power must be the recomputed one, which also bounds the work
-    power = cyclotomic_power(t)
-    if power is None or cert.unipotent_power != power:
-        _fail(failures, f"unipotent power {cert.unipotent_power}, recomputed {power}")
+    # the power comes from the matrix, which also bounds the work
+    power = order_bound(t.rows)
+    if power is None:
+        _fail(failures, "some eigenvalue is not a root of unity")
         return
     tp = t.power(power)
     if not is_unipotent(tp):
@@ -216,17 +225,8 @@ def _verify_unipotent_branch(t, s, cert, failures):
     if tp.is_identity():
         _fail(failures, f"T^{power} is the identity; the finite-order branch applies")
         return
-    if cert.invariant_sets is None or len(cert.invariant_sets) != len(cert.members):
-        _fail(failures, "unipotent branch needs one invariant set per member")
-        return
-    for i, (g, stored) in enumerate(zip(cert.members, cert.invariant_sets)):
-        recomputed = invariant_set_for(s, g, power)
-        if tuple(stored) != recomputed:
-            _fail(failures, f"member {i}: invariant set does not match recomputation")
-    for i in range(len(cert.members)):
-        for j in range(i + 1, len(cert.members)):
-            if set(cert.invariant_sets[i]).intersection(cert.invariant_sets[j]):
-                _fail(failures, f"members {i} and {j}: invariant sets intersect")
+    _check_disjoint([invariant_set_for(s, g, power) for g in cert.members],
+                    "invariant sets", failures)
 
 
 def _verify_quotient_branch(t, s, cert, failures):
@@ -254,9 +254,6 @@ def _verify_quotient_branch(t, s, cert, failures):
     d_block = quotient_action(t, w, winv, kdim)
     if d_block is None:
         _fail(failures, "conjugated action does not preserve the flag")
-        return
-    if d_block != q.quotient_matrix:
-        _fail(failures, "stored quotient matrix does not match the conjugation")
         return
     if q.inner.matrix != transpose(d_block):
         _fail(failures, "inner certificate is for a different quotient automorphism")
@@ -356,28 +353,18 @@ def verify_non_expansivity(cert: NonExpansivityCertificate) -> VerificationResul
                     _fail(failures, f"member {i}: convergence claim is wrong")
         if cert.rigorous and not cert.family.rigorous:
             _fail(failures, "certificate claims rigor but the family does not")
-        iso = cert.isolation
-        if cert.family.members and iso is None:
+        if cert.complete != cert.family.complete:
+            _fail(failures, "complete flag differs from the family's")
+        members = cert.family.members
+        if members and cert.isolation is None:
             _fail(failures, "missing the isolation bound of the first member")
-        elif iso is not None:
-            resolution = isolation_resolution(t.n)
-            if not cert.family.members or iso.subtorus != covector_to_hyperplane(
-                PrimitiveCovector(cert.family.members[0])
+        elif cert.isolation is not None:
+            # verify_family has checked that the members are canonical covectors
+            if not members or cert.isolation != hyperplane_isolation_bound(
+                sum(x * x for x in members[0])
             ):
-                _fail(failures, "isolation report is not about the first member")
-            # only the producer's cap and resolution are accepted, so each
-            # certificate has one valid isolation report
-            elif iso.dual_norm_bound != ISOLATION_CAP or iso.resolution != resolution:
-                _fail(
-                    failures,
-                    f"isolation report has dual norm cap {iso.dual_norm_bound} and resolution "
-                    f"{iso.resolution}, not {ISOLATION_CAP} and {resolution}",
-                )
-            elif isolation_radius_lower_bound(
-                iso.subtorus, iso.dual_norm_bound, iso.resolution
-            ) != iso:
                 _fail(failures, "isolation bound does not match recomputation")
-            if cert.rigorous and iso.bound <= 0:
+            elif cert.rigorous and cert.isolation <= 0:
                 _fail(failures, "isolation bound is not positive")
     else:
         _fail(failures, f"unknown branch {cert.branch!r}")

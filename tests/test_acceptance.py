@@ -33,7 +33,7 @@ from tordyn.families import (
     non_expansivity_certificate,
     unipotent_invariant_pm,
 )
-from tordyn.intmat import UnimodularMatrix, inverse_unimodular, mat_vec, matrix_order
+from tordyn.intmat import UnimodularMatrix, inverse_unimodular, mat_vec, matrix_order, transpose
 from tordyn.metric import hausdorff_distance, isolation_radius_lower_bound
 from tordyn.serialization import (
     encode_family,
@@ -290,9 +290,13 @@ def test_criterion_9_certificate_integrity():
     bad = copy.deepcopy(families[2])
     bad["orbit_reports"][3]["window"] = bad["orbit_reports"][3]["window"][1:]
     tampered.append(bad)
-    # invariant forgery
-    bad = copy.deepcopy(families[1]); bad["invariant_sets"][0][0]["reduced"] = [7, 7]; tampered.append(bad)
-    bad = copy.deepcopy(families[1]); bad["invariant_sets"][2] = bad["invariant_sets"][1]; tampered.append(bad)
+    # unipotent forgeries: a member on another member's orbit, whose invariant
+    # sets the checker recomputes, and a partial family relabelled complete
+    s = transpose(inverse_unimodular(SHEAR.rows))
+    bad = copy.deepcopy(families[1])
+    bad["members"][2] = list(canonicalize_covector(mat_vec(s, tuple(bad["members"][1]))))
+    tampered.append(bad)
+    bad = copy.deepcopy(families[1]); bad["requested"] = 12; tampered.append(bad)
     # growth floor and count forgeries
     bad = copy.deepcopy(families[0]); bad["orbit_reports"][1]["min_exterior_norm"] = 10**9; tampered.append(bad)
     bad = copy.deepcopy(families[2]); bad["count"] = 12; tampered.append(bad)

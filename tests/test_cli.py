@@ -210,37 +210,33 @@ def test_verify_rejects_isolation_bound_display_exit_2(capsys):
     )
     assert code == EXIT_OK
     cert = env["result"]
-    exact = cert["isolation"]["bound_exact"]
-    # members[0] is (0, 1), whose hyperplane's isolation radius is exactly 1/2
-    assert exact == "1/2" and cert["isolation"]["bound"] == 0.5
-    # the display must be the float of the exact bound, which alone is evidence
-    cert["isolation"]["bound"] = 0.48
+    # members[0] is (0, 1), whose hyperplane's isolation radius is exactly 1/2;
+    # the exact bound alone is evidence, so format 3 stores no float display
+    assert cert["isolation"] == {"bound_exact": "1/2"}
+    cert["isolation"]["bound"] = 0.5
     code, env2, err = run_cli(["verify"], {"certificate": cert}, capsys)
     assert code == EXIT_INVALID
     assert env2 is None
-    assert f"bound_exact {exact}" in err
+    assert "unknown keys ['bound']" in err
 
 
 @pytest.mark.parametrize(
     "field, value",
     [("dual_norm_bound", 64), ("dual_norm_bound", 256), ("resolution", "1/1000")],
 )
-def test_verify_rejects_isolation_work_settings_before_the_scan_exit_4(field, value, capsys):
-    # the cap and the resolution set the checker's isolation work; a copy
-    # with other values is refused before any subtorus is scanned
-    import time
-
+def test_verify_rejects_isolation_work_settings_exit_2(field, value, capsys):
+    # a hyperplane's isolation bound depends on no cap and no resolution, so
+    # format 3 stores neither, and a copy that names one is not parsed
     code, env, _ = run_cli(
         ["certify-nonexpansive", "--count", "2"], {"matrix": [[2, 1], [1, 1]]}, capsys
     )
     assert code == EXIT_OK
     cert = env["result"]
     cert["isolation"][field] = value
-    started = time.perf_counter()
-    code, env2, _ = run_cli(["verify"], {"certificate": cert}, capsys)
-    assert time.perf_counter() - started < 1.0
-    assert code == EXIT_VERIFY_FAILED
-    assert any("isolation report has dual norm cap" in f for f in env2["result"]["failures"])
+    code, env2, err = run_cli(["verify"], {"certificate": cert}, capsys)
+    assert code == EXIT_INVALID
+    assert env2 is None
+    assert f"unknown keys ['{field}']" in err
 
 
 def test_inconclusive_budget_exit_3(capsys):
@@ -251,6 +247,30 @@ def test_inconclusive_budget_exit_3(capsys):
     )
     assert code == EXIT_INCONCLUSIVE
     assert env["result"]["complete"] is False
+
+
+def test_verify_rejects_relabelled_partial_family_exit_4(capsys):
+    code, env, _ = run_cli(
+        ["disjoint-family", "--count", "30", "--budget-norm", "1"],
+        {"matrix": [[2, 1], [1, 1]]},
+        capsys,
+    )
+    assert code == EXIT_INCONCLUSIVE
+    cert = env["result"]
+    assert (cert["count"], cert["requested"], cert["complete"]) == (2, 30, False)
+    code, _, _ = run_cli(["verify"], {"certificate": cert}, capsys)
+    assert code == EXIT_OK
+    cert.update(complete=True, explanation=None)
+    code, env2, _ = run_cli(["verify"], {"certificate": cert}, capsys)
+    assert code == EXIT_VERIFY_FAILED
+    assert "complete is True for 2 of 30 requested members" in env2["result"]["failures"]
+
+
+def test_unknown_command_is_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--count", "2"])
+    assert exc.value.code == EXIT_INVALID
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_distance_command(capsys):
@@ -387,6 +407,18 @@ def test_verify_rejects_v1_certificate_and_bare_job(capsys):
     old = dict(cert, format_version=1, pairwise=[], budget={"max_norm": 64})
     code, _, err = run_cli(["verify"], {"certificate": old}, capsys)
     assert code == EXIT_INVALID and "unknown format version 1" in err
+
+
+def test_verify_rejects_v2_certificate_exit_2(capsys):
+    code, env, _ = run_cli(["disjoint-family", "--count", "3"], {"matrix": [[2, 1], [1, 1]]}, capsys)
+    assert code == EXIT_OK
+    cert = env["result"]
+    assert cert["format_version"] == FORMAT_VERSION == 3
+    # format 2 had no `requested` and stored what format 3 recomputes
+    old = {k: v for k, v in cert.items() if k != "requested"}
+    old.update(format_version=2, periodic_orbits=None, unipotent_power=None, invariant_sets=None)
+    code, _, err = run_cli(["verify"], {"certificate": old}, capsys)
+    assert code == EXIT_INVALID and "unknown format version 2" in err
 
 
 def test_budget_consumed_summary(capsys):

@@ -173,8 +173,8 @@ def test_checker_rejects_mutations():
     cert = derive_growth_certificate(CAT_DUAL, (0, 1), 8)
     bad = replace(cert, annihilator=(1, -2, 1))
     assert check_growth_certificate(CAT_DUAL, (0, 1), bad, 8)
-    bad = replace(cert, min_exterior_norm=10**9)
-    assert check_growth_certificate(CAT_DUAL, (0, 1), bad, 8)
+    bad = replace(cert, transfer=cert.transfer / 2)
+    assert check_growth_certificate(CAT_DUAL, (0, 1), bad, 8) == ["transfer constant mismatch"]
     bad = replace(cert, forward=replace(cert.forward, floor_seq=10**12))
     assert check_growth_certificate(CAT_DUAL, (0, 1), bad, 8)
     bad = replace(cert, forward=replace(cert.forward, mu=cert.forward.nu * 2))
@@ -194,7 +194,7 @@ def test_checker_rejects_a_cone_that_is_not_invariant():
 
     honest = DirectionCertificate(
         "forward", "cone", 2, 2, Fraction(19, 16), Fraction(643, 256),
-        (ConeEntry(0, 6, -1), ConeEntry(1, 5, -1)), floor_seq=4, floor_norm=2,
+        (ConeEntry(0, 6, -1), ConeEntry(1, 5, -1)), floor_seq=4,
     )
     cert = replace(derive_growth_certificate(COMPANION_DUAL, (0, 0, 1), 20), forward=honest)
     assert check_growth_certificate(COMPANION_DUAL, (0, 0, 1), cert, 20) == []

@@ -11,6 +11,7 @@ from tordyn.metric import (
     MetricEstimate,
     enumerate_hnf_lattices,
     hausdorff_distance,
+    hyperplane_isolation_bound,
     isolation_radius_lower_bound,
 )
 from tordyn.lattices import Lattice, saturate_rows
@@ -360,6 +361,8 @@ def test_hyperplane_isolation_and_distances_are_exact(data):
         assert (rep.bound, rep.nearest, rep.candidates) == (
             _enclosure(_norm2(h1)), Subtorus.full(n), 1
         )
+    # the checker's closed form, from the covector, is the report's bound
+    assert hyperplane_isolation_bound(_norm2(h1)) == rep.bound
     # d_H(H, H') = max(1/(2 |gamma|), 1/(2 |gamma'|)) within 2^-23
     est = hausdorff_distance(h1, h2, res)
     exact2 = 0 if h1 == h2 else Fraction(1, 4 * min(_norm2(h1), _norm2(h2)))

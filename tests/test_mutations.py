@@ -126,7 +126,7 @@ def weaker_claim(certificate, path, kind, value) -> str | None:
     An accepted mutant must claim less than the original, or make a claim that
     the checker recomputes in full from other, equally valid evidence:
     * a `rigorous` or `complete` flag turned from true to false;
-    * a lower floor: `min_exterior_norm`, `floor_seq` or `floor_norm`;
+    * a lower floor: `min_exterior_norm` or `floor_seq`;
     * a cone entry moved to another index of its residue class (possible when
       the power step is 1): the checker re-verifies the cone chain there and
       recomputes the floor from it;
@@ -143,7 +143,7 @@ def weaker_claim(certificate, path, kind, value) -> str | None:
     old = _at(certificate, path)
     if key in ("rigorous", "complete") and old is True and value is False:
         return "flag withdrawn"
-    if key in ("min_exterior_norm", "floor_seq", "floor_norm") and value < old:
+    if key in ("min_exterior_norm", "floor_seq") and value < old:
         return "lower floor"
     if key == "start_index" and _at(certificate, path[:-3])["power_step"] == 1:
         return "cone entry moved within its residue class"
@@ -182,14 +182,13 @@ def test_single_field_mutation_claims_no_more(data):
 OBJECTS = {
     "disjoint-family certificate": ("irreducible_greedy", ()),
     "quotient evidence": ("quotient", ("quotient",)),
-    "unipotent invariant": ("unipotent_power", ("invariant_sets", 0, 0)),
     "orbit report": ("irreducible_greedy", ("orbit_reports", 0)),
     "growth certificate": ("irreducible_greedy", ("orbit_reports", 0, "growth")),
     "cone direction": ("irreducible_greedy", ("orbit_reports", 0, "growth", "forward")),
     "polynomial direction": ("unipotent_power", ("orbit_reports", 1, "growth", "forward")),
     "cone entry": ("irreducible_greedy", ("orbit_reports", 0, "growth", "forward", "entries", 0)),
     "non-expansivity certificate": ("non_expansivity_infinite", ()),
-    "isolation report": ("non_expansivity_infinite", ("isolation",)),
+    "isolation report": ("non_expansivity_infinite", ("isolation",)),  # only bound_exact
     "subtorus": ("non_expansivity_finite", ("fixed_subtori", 0)),
 }
 
@@ -222,8 +221,7 @@ def test_hostile_power_step_is_rejected_quickly(name, direction):
     growth = report["growth"]
     if direction == "window_only":
         growth["forward"].update(kind="window_only", level=0, power_step=0, mu="0/1", nu="0/1",
-                                 entries=[], floor_seq=0, floor_norm=0)
-        growth.update(rigorous=False, min_exterior_norm=None)
+                                 entries=[], floor_seq=0)
         report.update(rigorous=False, min_exterior_norm=None)
         certificate["rigorous"] = False
         direction = "forward"
@@ -243,10 +241,10 @@ def test_unknown_growth_key_is_rejected_quickly():
 
 
 def test_hostile_unipotent_power_is_rejected_quickly():
-    # the checker walks `unipotent_power` suborbits, so it must recompute the
-    # power before it trusts the stored one
+    # the checker recomputes the power from the matrix, so format 3 stores
+    # none, and a certificate that adds one is refused before any work
     certificate = copy.deepcopy(certificates()["unipotent_power"])
     certificate["unipotent_power"] = 10**6
     started = time.perf_counter()
-    assert exit_code(certificate) == 4
+    assert exit_code(certificate) == 2
     assert time.perf_counter() - started < 1

@@ -113,12 +113,12 @@ def cat_non_expansivity():
     [
         (("family", "orbit_reports", 0, "status"), "bogus"),
         (("family", "orbit_reports", 0, "rigorous"), "true"),
-        (("family", "orbit_reports", 0, "growth", "rigorous"), 0),
+        (("family", "orbit_reports", 0, "growth", "transfer"), 0),
         (("family", "orbit_reports", 0, "min_exterior_norm"), 3.5),
         (("family", "orbit_reports", 0, "period"), "2"),
         (("family", "rigorous"), "false"),
         (("family", "complete"), 1),
-        (("family", "unipotent_power"), True),
+        (("family", "requested"), True),
         (("converges_to_full", 0), "yes"),
         (("order",), 2.0),
         (("rigorous",), None),
@@ -226,7 +226,8 @@ def test_metric_estimate_exact_fields():
 
 
 # The golden certificate's payload as it stood when the file was written with
-# indent 2: the compact form changed its whitespace and nothing else.
+# indent 2: the compact form changed its whitespace and nothing else, and
+# format 3 its format_version and nothing else.
 GOLDEN_PAYLOAD = {
     "branch": "finite_order",
     "complete": True,
@@ -237,7 +238,7 @@ GOLDEN_PAYLOAD = {
         {"ambient_dim": 2, "basis": [[1, 0]]},
         {"ambient_dim": 2, "basis": [[1, 1]]},
     ],
-    "format_version": 2,
+    "format_version": 3,
     "isolation": None,
     "kind": "non_expansivity",
     "matrix": [[0, -1], [1, 0]],

@@ -105,20 +105,37 @@ def test_duplicate_exponent_window_forgery_rejected():
     assert any("member 3: window" in f for f in res.failures)
 
 
+def on_another_members_orbit(data, t):
+    """A copy of the family with its last member replaced by the image under
+    S = T^-T of the first member that S moves, with an honest orbit report:
+    only the disjointness of the orbits is then false."""
+    bad = copy.deepcopy(data)
+    s = dual_matrix(t).rows
+    i, g = next((i, canonicalize_covector(mat_vec(s, tuple(m))))
+                for i, m in enumerate(bad["members"])
+                if canonicalize_covector(mat_vec(s, tuple(m))) != tuple(m))
+    assert i != len(bad["members"]) - 1 and list(g) not in bad["members"]
+    w = bad["orbit_reports"][-1]["window_radius"]
+    bad["members"][-1] = list(g)
+    bad["orbit_reports"][-1] = encode_orbit_report(
+        orbit(t, covector_to_hyperplane(PrimitiveCovector(g)), w))
+    return bad, i
+
+
 def test_periodic_orbit_forgery_rejected():
+    # format 3 stores no orbits: the checker recomputes them from the members
     data = encode_family(disjoint_hyperplane_orbits(ROT, 2))
     accept(data)
-    bad = copy.deepcopy(data)
-    bad["periodic_orbits"][0] = bad["periodic_orbits"][0][:-1]
+    bad, i = on_another_members_orbit(data, ROT)
     res = reject(bad)
-    assert any("stored orbit" in f for f in res.failures)
+    assert res.failures == (f"members {i} and 1: periodic orbits intersect",)
 
 
 def test_invariant_forgery_rejected(shear_family):
-    bad = copy.deepcopy(shear_family)
-    bad["invariant_sets"][0][0]["reduced"] = [123, 456]
+    # format 3 stores no invariant sets: the checker recomputes them
+    bad, i = on_another_members_orbit(shear_family, SHEAR)
     res = reject(bad)
-    assert any("invariant" in f for f in res.failures)
+    assert res.failures == (f"members {i} and 7: invariant sets intersect",)
 
 
 def test_duplicated_member_rejected(cat_family):
@@ -199,9 +216,7 @@ def test_nonexpansivity_fixed_subtorus_duplication():
 def test_isolation_bound_forgery():
     data = encode_non_expansivity(non_expansivity_certificate(CAT, 4))
     bad = copy.deepcopy(data)
-    # the float display must follow the exact bound, or parsing rejects it
     bad["isolation"]["bound_exact"] = "999/1000"
-    bad["isolation"]["bound"] = 0.999
     res = reject(bad)
     assert any("isolation" in f for f in res.failures)
 
@@ -213,9 +228,12 @@ def test_quotient_matrix_forgery():
         pytest.skip("dispatch did not take the quotient branch")
     data = encode_family(fam)
     accept(data)
+    # format 3 stores the quotient action only as the inner family's matrix
     bad = copy.deepcopy(data)
-    bad["quotient"]["quotient_matrix"][0][0] += 1
-    reject(bad)
+    inner = bad["quotient"]["inner"]
+    inner["matrix"] = inner["matrix"][::-1]
+    res = reject(bad)
+    assert "inner certificate is for a different quotient automorphism" in res.failures
     bad = copy.deepcopy(data)
     bad["quotient"]["inner"]["members"][0] = [5, 3]
     reject(bad)
@@ -261,11 +279,10 @@ def test_verify_imports_public_names_of_its_trusted_base_only():
 
 def _shared_evidence(report):
     growth = report["growth"]
-    dirs = [{k: v for k, v in growth[d].items() if k != "floor_norm"} for d in ("forward", "backward")]
-    return growth["annihilator"], report["window_radius"], dirs
+    return growth["annihilator"], report["window_radius"], [growth["forward"], growth["backward"]]
 
 
-@pytest.mark.parametrize("forgery", ["floor_seq", "floor_norm", "entry"])
+@pytest.mark.parametrize("forgery", ["floor_seq", "power_step", "entry"])
 def test_forgery_in_one_of_two_members_sharing_evidence_names_that_member(cat_family, forgery):
     # the checker checks the direction evidence once for members that share
     # it; a forgery in the second member still fails the second member only
