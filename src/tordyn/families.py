@@ -11,10 +11,12 @@ Family construction dispatches on the structure of the automorphism:
   T-orbit is the union of m interleaved T^m-orbits, so each member has the
   set of invariants of its m translates, and disjointness of those sets is
   the evidence.
-* an invariant proper rational subspace exists: recurse through the induced
-  automorphism of the quotient torus and lift the family.
-* no invariant rational subspace: greedy selection of covectors by increasing
-  norm, certified by orbit windows plus norm-growth floors.
+* some eigenvalue off the unit circle: greedy selection of covectors by
+  increasing norm, certified by orbit windows plus norm-growth floors.  The
+  candidates lie in L = ker f(S), for S = T^-T and f the first irreducible
+  factor of the characteristic polynomial of S that is not cyclotomic, so
+  every member has the annihilator f, an injective orbit and the growth
+  evidence of f.  For irreducible T, f(S) = 0 and L = Z^n.
 
 One build computes T^-1 and S = T^-T once (FamilyOrbits).  Each member's
 orbit report is built once and widened in place (dynamics.OrbitBuilder), and
@@ -24,15 +26,15 @@ the build: only the transfer constant is a member's own.
 
 Every certificate is pure data, and stores only what the verify module
 cannot recompute from the matrix and the members: the orbits of the
-finite-order branch, the invariant sets and power of the unipotent branch and
-the quotient action are recomputed there by the routines that build them
-here.
+finite-order branch and the invariant sets and power of the unipotent branch
+are recomputed there by the routines that build them here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .dynamics import (
     OrbitBuilder,
@@ -42,17 +44,16 @@ from .dynamics import (
     covector_window_set,
     cyclotomic_radical_matrix,
     dual_matrix,
-    invariant_rational_subspaces,
 )
 from .growth import growth_evidence
 from .intmat import (
     Mat,
     UnimodularMatrix,
     Vec,
+    char_poly,
+    evaluate_poly_at_matrix,
     identity,
-    inverse_unimodular,
     is_unipotent,
-    mat_mul,
     mat_pow,
     mat_sub,
     mat_vec,
@@ -63,13 +64,12 @@ from .intmat import (
 from .lattices import (
     Lattice,
     annihilator_rows,
-    complete_to_unimodular,
     hnf_basis,
     reduce_mod_lattice,
     saturate_rows,
 )
 from .metric import enumerate_hnf_lattices, hyperplane_isolation_bound
-from .polynomials import Poly
+from .polynomials import Poly, is_squarefree_product_of_cyclotomics, rational_factors
 from .subtori import (
     PrimitiveCovector,
     Subtorus,
@@ -85,7 +85,10 @@ from .subtori import (
 @dataclass(frozen=True)
 class Budget:
     """Caps for every search; exhausting them yields partial results, never
-    wrong certificates."""
+    wrong certificates.  `max_norm` caps the sup norm of the coefficients c
+    of a candidate c B in the HNF basis B of the lattice searched: the
+    kernel lattice of the greedy, Z^n (B = I, so the covector's own norm)
+    everywhere else."""
 
     max_norm: int = 64
     max_window: int = 96
@@ -108,13 +111,6 @@ class UnipotentInvariant:
 
 
 @dataclass(frozen=True)
-class QuotientEvidence:
-    invariant_subtorus: Subtorus
-    completion: Mat  # unimodular; first rows are the invariant lattice basis
-    inner: "DisjointFamilyCertificate"  # for the induced automorphism downstairs
-
-
-@dataclass(frozen=True)
 class DisjointFamilyCertificate:
     matrix: Mat
     count: int
@@ -125,7 +121,6 @@ class DisjointFamilyCertificate:
     rigorous: bool
     complete: bool
     explanation: str | None
-    quotient: QuotientEvidence | None = None  # the quotient branch's evidence
 
 
 class FamilyConstructionError(Exception):
@@ -190,14 +185,23 @@ class FamilyOrbits:
         return tuple(self.start(gamma, radius).report() for gamma in members)
 
 
-def _candidate_covectors(orbits: FamilyOrbits, budget: Budget):
-    radical = cyclotomic_radical_matrix(orbits.s)
-    count = 0
-    for gamma in iter_primitive_covectors(orbits.t.n, budget.max_norm):
-        if count >= budget.max_candidates:
-            return
-        count += 1
-        yield gamma, covector_orbit_is_periodic(radical, gamma)
+def _candidate_covectors(basis: Mat, budget: Budget):
+    """The primitive covectors c B of the saturated lattice with basis rows B,
+    canonical, for the primitive c in (norm, lexicographic) order: at most
+    max_candidates of them, with norm(c) <= max_norm."""
+    columns = transpose(basis)
+    coefficients = iter_primitive_covectors(len(basis), budget.max_norm)
+    for c in islice(coefficients, budget.max_candidates):
+        yield canonicalize_covector(mat_vec(columns, c))
+
+
+def _kernel_lattice(s: Mat) -> Mat:
+    """HNF basis of L = ker f(S), for the first non-cyclotomic factor f in
+    rational_factors(char_poly(S)): every covector of L has the irreducible
+    annihilator f, so its orbit is injective.  L is saturated."""
+    f = next(f for f, _ in rational_factors(char_poly(s))
+             if not is_squarefree_product_of_cyclotomics(f))
+    return annihilator_rows(evaluate_poly_at_matrix(f, s), len(s))
 
 
 def periodic_covector_orbit(s: Mat, gamma: Vec, order: int) -> tuple[Vec, ...]:
@@ -269,12 +273,13 @@ def _unipotent_power_family(
         raise AssertionError("the cyclotomic-order power must be unipotent")
     if t_pow.is_identity():
         raise FamilyConstructionError("automorphism has finite order")
+    radical = cyclotomic_radical_matrix(orbits.s) if injective_only else None
     members: list[Vec] = []
     taken: set[UnipotentInvariant] = set()
-    for gamma, periodic in _candidate_covectors(orbits, budget):
+    for gamma in _candidate_covectors(identity(t.n), budget):
         if len(members) == k:
             break
-        if injective_only and periodic:
+        if injective_only and covector_orbit_is_periodic(radical, gamma):
             continue
         iset = invariant_set_for(orbits.s, gamma, power)
         if taken.intersection(iset):
@@ -308,64 +313,7 @@ def unipotent_family(t: UnimodularMatrix, k: int, budget: Budget = Budget()) -> 
     return _unipotent_power_family(FamilyOrbits(t), k, budget, injective_only=False)
 
 
-def quotient_action(t: UnimodularMatrix, w: Mat, winv: Mat, kdim: int) -> Mat | None:
-    """The action induced on the quotient coordinates of a unimodular w, with
-    inverse winv, whose first kdim rows span an invariant lattice: the
-    lower-right block of w T^T w^-1, or None if that conjugate does not
-    preserve the flag."""
-    m_prime = mat_mul(mat_mul(w, transpose(t.rows)), winv)
-    if any(x for row in m_prime[:kdim] for x in row[kdim:]):
-        return None
-    return tuple(row[kdim:] for row in m_prime[kdim:])
-
-
-def lift_member(winv: Mat, kdim: int, inner_gamma: Vec) -> Vec:
-    """The covector of the hyperplane that contains the invariant subtorus and
-    maps onto the quotient hyperplane inner_gamma: a covector c vanishes on the
-    rows y w with y in 0^kdim x ker(inner_gamma) exactly when w c lies in
-    0^kdim x Z inner_gamma, so c is w^-1 (0, inner_gamma)."""
-    return canonicalize_covector(mat_vec(winv, (0,) * kdim + tuple(inner_gamma)))
-
-
-def _quotient_family(
-    orbits: FamilyOrbits,
-    k: int,
-    budget: Budget,
-    injective_only: bool,
-    h_star: Subtorus,
-) -> DisjointFamilyCertificate:
-    t = orbits.t
-    if act(t, h_star) != h_star:
-        raise FamilyConstructionError("chosen subspace is not invariant")
-    kdim = h_star.dim
-    w = complete_to_unimodular(h_star.basis, t.n)
-    winv = inverse_unimodular(w)
-    d_block = quotient_action(t, w, winv, kdim)
-    if d_block is None:
-        raise FamilyConstructionError("subtorus is not invariant in quotient coordinates")
-    inner = disjoint_hyperplane_orbits(UnimodularMatrix(transpose(d_block)), k, budget, injective_only)
-    members = tuple(lift_member(winv, kdim, g) for g in inner.members)
-    reports = orbits.reports(members, min(budget.max_window, 16))
-    return DisjointFamilyCertificate(
-        matrix=t.rows,
-        count=len(members),
-        requested=k,
-        members=members,
-        orbit_reports=reports,
-        branch="quotient",
-        quotient=QuotientEvidence(h_star, w, inner),
-        rigorous=inner.rigorous,
-        complete=inner.complete and len(members) == k,
-        explanation=inner.explanation,
-    )
-
-
-def _greedy_family(
-    orbits: FamilyOrbits,
-    k: int,
-    budget: Budget,
-    injective_only: bool,
-) -> DisjointFamilyCertificate:
+def _greedy_family(orbits: FamilyOrbits, k: int, budget: Budget) -> DisjointFamilyCertificate:
     kept: list[Vec] = []
     builders: dict[Vec, OrbitBuilder] = {}
     window_sets: dict[Vec, frozenset[Vec]] = {}
@@ -379,11 +327,9 @@ def _greedy_family(
             w = builder.radius
             builder.widen(min(budget.max_window, w + max(12, w // 2)), orbits.evidence)
 
-    for gamma, periodic in _candidate_covectors(orbits, budget):
+    for gamma in _candidate_covectors(_kernel_lattice(orbits.s), budget):
         if len(kept) == k:
             break
-        if periodic:
-            continue  # greedy evidence machinery covers injective orbits only
         if any(gamma in window_sets[g] for g in kept):
             continue
         kept.append(gamma)
@@ -420,7 +366,7 @@ def _greedy_family(
         requested=k,
         members=tuple(kept),
         orbit_reports=tuple(builders[g].report() for g in kept),
-        branch="irreducible_greedy",
+        branch="greedy",
         rigorous=rigorous,
         complete=complete,
         explanation="; ".join(reasons) or None,
@@ -436,8 +382,8 @@ def disjoint_hyperplane_orbits(
     """k codimension-1 subtori with pairwise disjoint orbits, with evidence.
 
     Dispatches on the automorphism: finite order, root-of-unity spectrum,
-    invariant rational subspace (quotient recursion), or irreducible action
-    (greedy selection with growth floors).
+    or an eigenvalue off the unit circle (greedy selection in the kernel
+    lattice, with growth floors).
     """
     if t.n < 2:
         raise ValueError("needs ambient dimension >= 2")
@@ -453,18 +399,8 @@ def disjoint_hyperplane_orbits(
         return _periodic_family(orbits, k, order, budget)
     if order_bound(t.rows) is not None:
         return _unipotent_power_family(orbits, k, budget, injective_only)
-    report = invariant_rational_subspaces(t)
-    if not report.exists:
-        return _greedy_family(orbits, k, budget, injective_only)
-    witness = next((w for w in report.witnesses if w.dim <= t.n - 2), None)
-    if witness is None:
-        raise AssertionError(
-            "a reducible characteristic polynomial yields a witness of codimension >= 2"
-        )
-    try:
-        return _quotient_family(orbits, k, budget, injective_only, witness)
-    except FamilyConstructionError:
-        return _greedy_family(orbits, k, budget, injective_only)
+    # every candidate of the greedy has an injective orbit
+    return _greedy_family(orbits, k, budget)
 
 
 @dataclass(frozen=True)
@@ -558,23 +494,18 @@ def non_expansivity_certificate(
         raise ValueError("need orbit_count >= 1")
     order = matrix_order(t)
     if order is not None:
-        power = t.power(order)
-        assert power.is_identity()
-        fixed = []
-        for gamma in iter_primitive_covectors(t.n, budget.max_norm):
-            if len(fixed) == FIXED_COUNT:
-                break
-            h = covector_to_hyperplane(PrimitiveCovector(gamma))
-            assert act(power, h) == h
-            fixed.append(h)
+        # T^order is the identity and fixes every hyperplane; n >= 2 gives at
+        # least two of norm 1
+        fixed = tuple(covector_to_hyperplane(PrimitiveCovector(gamma))
+                      for gamma in islice(iter_primitive_covectors(t.n, 1), FIXED_COUNT))
         return NonExpansivityCertificate(
             matrix=t.rows,
             branch="finite_order",
             order=order,
-            fixed=tuple(fixed),
+            fixed=fixed,
             rigorous=True,
-            complete=len(fixed) >= 2,
-            explanation=None if len(fixed) >= 2 else "fewer than two fixed hyperplanes",
+            complete=True,
+            explanation=None,
         )
     family = disjoint_hyperplane_orbits(t, orbit_count, budget, injective_only=True)
     # a hyperplane orbit converges to the full torus exactly when it is

@@ -231,31 +231,6 @@ class Lattice:
         return self.saturation() == self
 
 
-def complete_to_unimodular(basis: Mat, n: int) -> Mat:
-    """Extend a saturated rank-k basis to a unimodular n x n matrix whose
-    first k rows are exactly the input rows.
-
-    With U @ basis^T = [H; 0] and H unimodular (that is saturation), the rows
-    of basis are H^T-combinations of the first k rows of inv(U)^T, so stacking
-    basis on the remaining rows of inv(U)^T stays unimodular.
-    """
-    from .intmat import det, identity, inverse_unimodular
-
-    if not basis:
-        return identity(n)
-    k = len(basis)
-    h, u = hnf_with_transform(transpose(basis))
-    if len(h) != k:
-        raise ValueError("basis rows are not linearly independent")
-    if det(h) not in (1, -1):
-        raise ValueError("basis is not saturated")
-    tail = transpose(inverse_unimodular(u))[k:]
-    result = basis + tail
-    if det(result) not in (1, -1):
-        raise AssertionError("completion failed to be unimodular")
-    return result
-
-
 def matrix_minimal_polynomial(a: Mat) -> Poly:
     """Minimal polynomial of an integer matrix, monic with integer coefficients."""
     n = len(a)

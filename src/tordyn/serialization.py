@@ -8,20 +8,20 @@ order, no insignificant whitespace, one trailing newline, so equal payloads
 give equal bytes.  `python -m json.tool` prints it indented for reading; the
 parsers take any JSON layout, so an indented certificate checks the same.
 
-Certificates are at format version 3 and store only what the checker reads
+Certificates are at format version 4 and store only what the checker reads
 and cannot recompute from the matrix and the members: no enumerated periodic
-orbit, unipotent power or invariant set, no quotient matrix besides the inner
-family's, no growth rigor flag or norm floor (growth.GrowthCertificate
-derives them) and, of the isolation bound, only its exact value.  Any other
-version is rejected, as there is one parser.  parse_* functions are
-strict, and every violation is a ParseError (exit 2): each object has exactly
-one key set (no missing key, no unknown key, no defaults); integers are exact,
-flags JSON booleans, rationals canonical, `explanation` a string or null, and
-tags (branch, status, direction, kind) one of their values; automorphism
-matrices have determinant +-1 and subtorus bases are canonical (rejected,
-never fixed); `period` is an integer >= 1 exactly for a periodic orbit
-report, which carries no growth evidence; and a certificate's branch decides
-which of its evidence fields are present and which are null.
+orbit, unipotent power or invariant set, no growth rigor flag or norm floor
+(growth.GrowthCertificate derives them) and, of the isolation bound, only its
+exact value.  Any other version is rejected, as there is one parser.
+parse_* functions are strict, and every violation is a ParseError (exit 2):
+each object has exactly one key set (no missing key, no unknown key, no
+defaults); integers are exact, flags JSON booleans, rationals canonical,
+`explanation` a string or null, and tags (branch, status, direction, kind)
+one of their values; automorphism matrices have determinant +-1 and subtorus
+bases are canonical (rejected, never fixed); `period` is an integer >= 1
+exactly for a periodic orbit report, which carries no growth evidence; and a
+non-expansivity certificate's branch decides which of its evidence fields
+are present and which are null.
 
 Orbit-window entries are the exception: each is an [m, basis] pair read as
 exact integers only (rows of one length), not as a subtorus.  The checker
@@ -37,14 +37,14 @@ import json
 from fractions import Fraction
 
 from .dynamics import DistalityVerdict, GroupReport, InvariantSubspaceReport, OrbitReport
-from .families import DisjointFamilyCertificate, NonExpansivityCertificate, QuotientEvidence
+from .families import DisjointFamilyCertificate, NonExpansivityCertificate
 from .growth import ConeEntry, DirectionCertificate, GrowthCertificate
 from .intmat import Mat, UnimodularMatrix
 from .lattices import Lattice, is_canonical_hnf
 from .metric import IsolationReport, MetricEstimate
 from .subtori import PrimitiveCovector, Subtorus
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 TOOL_NAME = "tordyn"
 TOOL_VERSION = "0.1.0"
 
@@ -310,27 +310,10 @@ def encode_family(c: DisjointFamilyCertificate) -> dict:
         "members": [list(m) for m in c.members],
         "orbit_reports": [encode_orbit_report(r) for r in c.orbit_reports],
         "branch": c.branch,
-        "quotient": _maybe(encode_quotient, c.quotient),
         "rigorous": c.rigorous,
         "complete": c.complete,
         "explanation": c.explanation,
     }
-
-
-def encode_quotient(q: QuotientEvidence) -> dict:
-    return {
-        "invariant_subtorus": encode_subtorus(q.invariant_subtorus),
-        "completion": _matrix_payload(q.completion),
-        "inner": encode_family(q.inner),
-    }
-
-
-def parse_quotient(data) -> QuotientEvidence:
-    return QuotientEvidence(**_record(data, "quotient evidence", {
-        "invariant_subtorus": parse_subtorus,
-        "completion": _parse_matrix,
-        "inner": parse_family,
-    }))
 
 
 def _check_header(data, kind: str) -> None:
@@ -340,14 +323,6 @@ def _check_header(data, kind: str) -> None:
         raise ParseError(f"unknown format version {data.get('format_version')!r}")
     if data.get("kind") != kind:
         raise ParseError(f"not a {kind} certificate")
-
-
-_FAMILY_EVIDENCE = {
-    "finite_order": (),
-    "unipotent_power": (),
-    "quotient": ("quotient",),
-    "irreducible_greedy": (),
-}
 
 
 def parse_family(data) -> DisjointFamilyCertificate:
@@ -360,13 +335,11 @@ def parse_family(data) -> DisjointFamilyCertificate:
         "requested": _parse_int,
         "members": _tuple_of(lambda x: parse_covector(x).entries, "members"),
         "orbit_reports": _tuple_of(parse_orbit_report, "orbit reports"),
-        "branch": _choice(*_FAMILY_EVIDENCE),
-        "quotient": _optional(parse_quotient),
+        "branch": _choice("finite_order", "unipotent_power", "greedy"),
         "rigorous": _parse_bool,
         "complete": _parse_bool,
         "explanation": _parse_explanation,
     })
-    _branch_evidence(v, _FAMILY_EVIDENCE)
     return DisjointFamilyCertificate(**v)
 
 

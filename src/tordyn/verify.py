@@ -1,12 +1,13 @@
 """Independent re-verification of emitted certificates.
 
 The checker never trusts the producer: it recomputes orbit windows, periods,
-growth floors, the finite-order orbits, the unipotent invariant sets, the
-quotient action and the isolation bound from the matrix and the members.
-What a certificate stores it compares with the recomputation; what it does
-not store (the orbits and invariant sets, whose disjointness is then checked
-on the recomputed sets, and the quotient matrix) it uses as recomputed.  Any
-discrepancy is reported with the offending member or pair named.
+growth floors, the finite-order orbits, the unipotent invariant sets and the
+isolation bound from the matrix and the members.  What a certificate stores
+it compares with the recomputation; what it does not store (the orbits and
+invariant sets, whose disjointness is then checked on the recomputed sets) it
+uses as recomputed.  Any discrepancy is reported with the offending member or
+pair named.  The greedy branch's check reads only the members and their
+reports, not how the producer chose them.
 
 Each piece of evidence has one routine, which the producer calls to build it
 and the checker calls to recompute it: the orbit windows
@@ -16,11 +17,9 @@ period, on a member's orbit data (S, gamma) (`growth.minimal_annihilator`,
 `dynamics.periodic_orbit_period`); growth (`growth.check_growth_certificate`,
 which shares with the producer the sequence of a direction and level, the
 cone-invariance and entry-chain tests and the norm-floor conversion); the
-finite-order orbits
-(`families.periodic_covector_orbit`); the unipotent invariant sets
-(`families.invariant_set_for`); the quotient action and lift
-(`families.quotient_action`, `families.lift_member`); and the isolation bound
-of the first member's hyperplane, the closed form 1/(2 ||gamma||_2)
+finite-order orbits (`families.periodic_covector_orbit`); the unipotent
+invariant sets (`families.invariant_set_for`); and the isolation bound of the
+first member's hyperplane, the closed form 1/(2 ||gamma||_2)
 (`metric.hyperplane_isolation_bound`).  Convergence to the full torus is
 read off each orbit report's status, which `verify_family` has matched with
 the recomputed orbit dichotomy.
@@ -39,7 +38,8 @@ member's annihilator and transfer constant are checked on their own.  A
 member's floor and rigor claims are checked in one place,
 `_check_member_report`, against the floors its checked growth evidence
 derives.  A family is complete exactly when it has the number of members
-requested.
+requested, and a finite-order non-expansivity certificate, whose two fixed
+subtori are all it claims, must be complete.
 
 The checker bounds its work by the size of the certificate and the matrix: a
 window radius must come with its 2r + 1 entries, a cone power step is at most
@@ -61,15 +61,11 @@ from .families import (
     DisjointFamilyCertificate,
     NonExpansivityCertificate,
     invariant_set_for,
-    lift_member,
     periodic_covector_orbit,
-    quotient_action,
 )
 from .growth import check_growth_certificate, minimal_annihilator
 from .intmat import (
     UnimodularMatrix,
-    det,
-    inverse_unimodular,
     is_unipotent,
     matrix_order,
     order_bound,
@@ -180,8 +176,7 @@ def verify_family(cert: DisjointFamilyCertificate) -> VerificationResult:
     checker = {
         "finite_order": _verify_periodic_branch,
         "unipotent_power": _verify_unipotent_branch,
-        "quotient": _verify_quotient_branch,
-        "irreducible_greedy": _verify_greedy_branch,
+        "greedy": _verify_greedy_branch,
     }.get(cert.branch)
     if checker is None:
         _fail(failures, f"unknown branch {cert.branch!r}")
@@ -227,48 +222,6 @@ def _verify_unipotent_branch(t, s, cert, failures):
         return
     _check_disjoint([invariant_set_for(s, g, power) for g in cert.members],
                     "invariant sets", failures)
-
-
-def _verify_quotient_branch(t, s, cert, failures):
-    q = cert.quotient
-    if q is None:
-        _fail(failures, "quotient branch needs quotient evidence")
-        return
-    n = t.n
-    h_star = q.invariant_subtorus
-    kdim = h_star.dim
-    if not 0 < kdim <= n - 2:
-        _fail(failures, "invariant subtorus must have codimension at least 2")
-        return
-    if act(t, h_star) != h_star:
-        _fail(failures, "the quotient subtorus is not invariant")
-        return
-    w = q.completion
-    if len(w) != n or det(w) not in (1, -1):
-        _fail(failures, "completion matrix is not unimodular")
-        return
-    if tuple(w[:kdim]) != h_star.basis:
-        _fail(failures, "completion does not start with the invariant basis")
-        return
-    winv = inverse_unimodular(w)
-    d_block = quotient_action(t, w, winv, kdim)
-    if d_block is None:
-        _fail(failures, "conjugated action does not preserve the flag")
-        return
-    if q.inner.matrix != transpose(d_block):
-        _fail(failures, "inner certificate is for a different quotient automorphism")
-        return
-    inner_result = verify_family(q.inner)
-    for f in inner_result.failures:
-        _fail(failures, f"quotient interior: {f}")
-    if cert.rigorous and not q.inner.rigorous:
-        _fail(failures, "certificate claims rigor but the quotient family does not")
-    if len(q.inner.members) != len(cert.members):
-        _fail(failures, "member count differs from the quotient family")
-        return
-    for i, inner_gamma in enumerate(q.inner.members):
-        if lift_member(winv, kdim, inner_gamma) != cert.members[i]:
-            _fail(failures, f"member {i}: does not lift the quotient member")
 
 
 def _verify_greedy_branch(t, s, cert, failures):
@@ -320,6 +273,8 @@ def verify_non_expansivity(cert: NonExpansivityCertificate) -> VerificationResul
         if cert.fixed is None or len(cert.fixed) < 2:
             _fail(failures, "need at least two fixed subtori")
         else:
+            if not cert.complete:
+                _fail(failures, "complete is false beside two fixed subtori")
             if len(set(cert.fixed)) != len(cert.fixed):
                 _fail(failures, "fixed subtori are not distinct")
             if order is not None:

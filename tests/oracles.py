@@ -307,29 +307,6 @@ def first_repetition_is_injective(s_rows, gamma, window):
     return len(set(values)) == len(values)
 
 
-def saturation_lift(w, kdim, inner_gamma):
-    """Covector of the hyperplane spanned by the first kdim rows of the
-    unimodular w and the rows y w, y in 0^kdim x (the hyperplane of T^(n-kdim)
-    that inner_gamma annihilates): the rows are built, saturated and turned
-    back into a covector through a kernel, as the quotient lift once did."""
-    from tordyn.lattices import Lattice, saturate_rows
-    from tordyn.subtori import (
-        PrimitiveCovector,
-        Subtorus,
-        covector_to_hyperplane,
-        hyperplane_to_covector,
-    )
-
-    n = len(w)
-    inner_h = covector_to_hyperplane(PrimitiveCovector(inner_gamma))
-    rows = list(w[:kdim])
-    for r in inner_h.basis:
-        y = (0,) * kdim + tuple(r)
-        rows.append(tuple(sum(y[i] * w[i][j] for i in range(n)) for j in range(n)))
-    lifted = Subtorus(n, Lattice(n, saturate_rows(tuple(rows), n)))
-    return hyperplane_to_covector(lifted).entries
-
-
 class _ReferenceGeometry:
     """The Fraction-based subtorus geometry of the isolation scan as first
     written: annihilator basis, Lipschitz bound and Gram inverse."""

@@ -413,12 +413,21 @@ def test_verify_rejects_v2_certificate_exit_2(capsys):
     code, env, _ = run_cli(["disjoint-family", "--count", "3"], {"matrix": [[2, 1], [1, 1]]}, capsys)
     assert code == EXIT_OK
     cert = env["result"]
-    assert cert["format_version"] == FORMAT_VERSION == 3
+    assert cert["format_version"] == FORMAT_VERSION == 4
     # format 2 had no `requested` and stored what format 3 recomputes
     old = {k: v for k, v in cert.items() if k != "requested"}
     old.update(format_version=2, periodic_orbits=None, unipotent_power=None, invariant_sets=None)
     code, _, err = run_cli(["verify"], {"certificate": old}, capsys)
     assert code == EXIT_INVALID and "unknown format version 2" in err
+
+
+def test_verify_rejects_v3_certificate_exit_2(capsys):
+    code, env, _ = run_cli(["disjoint-family", "--count", "3"], {"matrix": [[2, 1], [1, 1]]}, capsys)
+    assert code == EXIT_OK
+    # format 3 had the family key `quotient` and the branch `irreducible_greedy`
+    old = dict(env["result"], format_version=3, quotient=None, branch="irreducible_greedy")
+    code, _, err = run_cli(["verify"], {"certificate": old}, capsys)
+    assert code == EXIT_INVALID and "unknown format version 3" in err
 
 
 def test_budget_consumed_summary(capsys):

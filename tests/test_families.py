@@ -1,24 +1,31 @@
 import random
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import covector_orbit_scan, random_word, saturation_lift
+from oracles import covector_orbit_scan, random_word
+from tordyn.cli import run_job
 from tordyn.dynamics import act, converges_to_full, dual_matrix, orbit, orbit_is_periodic
 from tordyn.families import (
     Budget,
     FamilyConstructionError,
     disjoint_hyperplane_orbits,
     fixed_subtori,
-    lift_member,
     invariant_set_for,
     non_expansivity_certificate,
     unipotent_family,
     unipotent_invariant,
     unipotent_invariant_pm,
 )
-from tordyn.intmat import UnimodularMatrix, inverse_unimodular, mat_vec, transpose
+from tordyn.intmat import (
+    UnimodularMatrix,
+    evaluate_poly_at_matrix,
+    inverse_unimodular,
+    mat_vec,
+    transpose,
+)
 from tordyn.lattices import reduce_mod_lattice
 from tordyn.metric import hausdorff_distance
 from tordyn.subtori import (
@@ -161,11 +168,12 @@ def test_disjoint_family_shear():
 
 
 def test_disjoint_family_quotient_branch():
-    # block triangular with an invariant line and a hyperbolic quotient
+    # block triangular with an invariant line and a hyperbolic quotient: the
+    # greedy picks its members in the kernel of x^2 - 3x + 1 at S
     t = UnimodularMatrix(((1, 1, 0), (0, 2, 1), (0, 1, 1)))
     fam = disjoint_hyperplane_orbits(t, 4)
     assert fam.count == 4
-    assert fam.branch in ("quotient", "irreducible_greedy")
+    assert fam.branch == "greedy"
     res = verify_certificate(fam)
     assert res.ok, res.failures
     for i in range(4):
@@ -173,16 +181,65 @@ def test_disjoint_family_quotient_branch():
             assert brute_force_orbits_disjoint(t, fam.members[i], fam.members[j], 120)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_lift_member_matches_the_saturation_lift(data):
-    n = data.draw(st.integers(3, 5), label="n")
-    kdim = data.draw(st.integers(1, n - 2), label="kdim")
-    w = random_word(data.draw(st.randoms(use_true_random=False)), n).rows
-    inner = data.draw(st.lists(st.integers(-6, 6), min_size=n - kdim, max_size=n - kdim)
-                      .filter(any), label="inner covector")
-    gamma = canonicalize_covector(inner)
-    assert lift_member(inverse_unimodular(w), kdim, gamma) == saturation_lift(w, kdim, gamma)
+def companion(coeffs):
+    """Companion matrix of the monic polynomial with these coefficients,
+    highest degree first."""
+    n = len(coeffs) - 1
+    rows = [tuple(int(j == i + 1) for j in range(n)) for i in range(n - 1)]
+    return tuple(rows) + (tuple(-c for c in reversed(coeffs[1:])),)
+
+
+def block_sum(a, b, sign=1):
+    """a (+) sign * b, block-aligned."""
+    n, m = len(a), len(b)
+    return tuple(tuple(r) + (0,) * m for r in a) + tuple((0,) * n + tuple(sign * x for x in r) for r in b)
+
+
+# Reducible inputs on which a greedy over all of Z^n loses rigor, with f, the
+# first non-cyclotomic factor of the characteristic polynomial of S = T^-T
+# (ascending coefficients): here the one of the first block.  In the first,
+# every covector outside a block's kernel has four dominant roots of one
+# modulus.
+REDUCIBLE_INPUTS = {
+    "(x^3-x-1) + -(x^3-x-1)": (block_sum(companion((1, 0, -1, -1)), companion((1, 0, -1, -1)), -1),
+                               (-1, 0, 1, 1)),
+    "(x^3-2x^2-1) + (x^3+x+1)": (block_sum(companion((1, -2, 0, -1)), companion((1, 0, 1, 1))),
+                                 (-1, 2, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCIBLE_INPUTS))
+def test_reducible_greedy_picks_members_in_one_kernel_lattice(name):
+    rows, f = REDUCIBLE_INPUTS[name]
+    t = UnimodularMatrix(rows)
+    f_at_s = evaluate_poly_at_matrix(f, dual_matrix(t).rows)
+    rows = [list(r) for r in rows]
+    for k in (4, 8):
+        # run_job raises Inconclusive (exit 3) when incomplete, VerifyFailed (exit 4)
+        cert = run_job({"command": "disjoint-family", "matrix": rows, "parameters": {"count": k}})
+        assert cert["branch"] == "greedy" and cert["rigorous"] and cert["complete"]
+        run_job({"command": "verify", "certificate": cert})
+        members = [tuple(g) for g in cert["members"]]
+        assert all(not any(mat_vec(f_at_s, g)) for g in members)
+        for g1, g2 in combinations(members, 2):
+            assert brute_force_orbits_disjoint(t, g1, g2, 120)
+    cert = run_job({"command": "certify-nonexpansive", "matrix": rows, "parameters": {"count": 4}})
+    assert cert["rigorous"] and cert["complete"]
+    run_job({"command": "verify", "certificate": cert})
+
+
+# irreducible polynomials, highest degree first, cyclotomic or not
+BLOCKS = ((1, 1), (1, -1), (1, 0, 1), (1, 1, 1), (1, -1, -1), (1, -3, 1),
+          (1, 0, -1, -1), (1, 0, 1, 1), (1, -2, 0, -1), (1, 1, 0, -1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(BLOCKS), st.sampled_from(BLOCKS), st.sampled_from((1, -1)))
+def test_block_sums_of_two_companions_give_complete_families(a, b, sign):
+    fam = disjoint_hyperplane_orbits(UnimodularMatrix(block_sum(companion(a), companion(b), sign)), 3)
+    assert fam.complete
+    res = verify_certificate(fam)
+    assert res.ok, res.failures
 
 
 def test_greedy_selection_is_stable_under_k():

@@ -7,7 +7,6 @@ from tordyn.intmat import det, identity, mat_mul
 from tordyn.lattices import (
     Lattice,
     annihilator_rows,
-    complete_to_unimodular,
     contains_vector,
     hnf_basis,
     hnf_pivots,
@@ -163,18 +162,6 @@ def test_lattice_class_roundtrip_and_equality():
     assert a == b
     with pytest.raises(ValueError):
         Lattice(2, ((2, 4), (1, 2)))  # not canonical
-
-
-def test_complete_to_unimodular():
-    rng = random.Random(28)
-    for _ in range(80):
-        n = rng.randint(1, 4)
-        k = rng.randint(0, n)
-        rows = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(k))
-        sat = saturate_rows(rows, n)
-        w = complete_to_unimodular(sat, n)
-        assert det(w) in (1, -1)
-        assert w[: len(sat)] == sat
 
 
 def test_matrix_minimal_polynomial():

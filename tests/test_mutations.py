@@ -9,15 +9,18 @@ mutant that is accepted must fall in one of the classes of `weaker_claim`.
 """
 
 import copy
+import re
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tordyn.cli import VerifyFailed, run_job
 from tordyn.families import disjoint_hyperplane_orbits, non_expansivity_certificate
-from tordyn.intmat import UnimodularMatrix
+from tordyn.intmat import UnimodularMatrix, mat_vec, transpose
+from tordyn.lattices import saturate_rows
 from tordyn.serialization import (
     ParseError,
     encode_family,
@@ -34,8 +37,8 @@ REDUCIBLE = UnimodularMatrix(((1, 1, 0), (0, 2, 1), (0, 1, 1)))
 NAMES = (
     "finite_order",
     "unipotent_power",
-    "quotient",
-    "irreducible_greedy",
+    "greedy",
+    "greedy_reducible",
     "non_expansivity_finite",
     "non_expansivity_infinite",
 )
@@ -48,13 +51,13 @@ def certificates() -> dict:
     certs = {
         "finite_order": encode_family(disjoint_hyperplane_orbits(ROT, 2)),
         "unipotent_power": encode_family(disjoint_hyperplane_orbits(SHEAR, 2)),
-        "quotient": encode_family(disjoint_hyperplane_orbits(REDUCIBLE, 2)),
-        "irreducible_greedy": encode_family(disjoint_hyperplane_orbits(CAT, 2)),
+        "greedy": encode_family(disjoint_hyperplane_orbits(CAT, 2)),
+        "greedy_reducible": encode_family(disjoint_hyperplane_orbits(REDUCIBLE, 2)),
         "non_expansivity_finite": encode_non_expansivity(non_expansivity_certificate(ROT, 2)),
         "non_expansivity_infinite": encode_non_expansivity(non_expansivity_certificate(CAT, 2)),
     }
     for name in NAMES[:4]:
-        assert certs[name]["branch"] == name
+        assert certs[name]["branch"] == name.removesuffix("_reducible")
     return certs
 
 
@@ -132,10 +135,10 @@ def weaker_claim(certificate, path, kind, value) -> str | None:
       recomputes the floor from it;
     * another fixed subtorus: for a finite-order automorphism every subtorus
       is fixed by T^order, which the checker re-verifies;
-    * another completion of the invariant basis, or another automorphism with
-      the same invariant subtorus and the same quotient action: every member of
-      a quotient family contains the invariant subtorus, so its orbit depends
-      only on the quotient action, and the checker recomputes both.
+    * another automorphism of a family that acts as the original does on the
+      members' orbit lattice (`same_action_on_members`): every orbit, window
+      and growth certificate of a member is the same under both, and the
+      checker recomputes all of them from the new matrix.
     """
     if kind != "change":
         return None
@@ -149,11 +152,24 @@ def weaker_claim(certificate, path, kind, value) -> str | None:
         return "cone entry moved within its residue class"
     if path[0] == "fixed_subtori":
         return "another fixed subtorus"
-    if path[:2] == ("quotient", "completion"):
-        return "another completion of the invariant basis"
-    if path[0] == "matrix" and certificate.get("branch") == "quotient":
-        return "another automorphism with the same quotient action"
+    if path[0] == "matrix" and "members" in certificate and same_action_on_members(
+        certificate, mutate(certificate, path, kind, value)["matrix"]
+    ):
+        return "another automorphism with the same action on the members"
     return None
+
+
+def same_action_on_members(certificate, matrix) -> bool:
+    """Whether T'^T agrees with T^T on the saturated lattice L spanned by the
+    orbits of the members under T^T.  L is invariant under T^T and its
+    inverse S, so then S' and S agree on L as well, and each member has the
+    same covector orbit under both."""
+    tt, tt_new = transpose(certificate["matrix"]), transpose(matrix)
+    n = len(tt)
+    rows = [tuple(g) for g in certificate["members"]]
+    for _ in range(n):
+        rows += [mat_vec(tt, r) for r in rows[-len(certificate["members"]):]]
+    return all(mat_vec(tt, b) == mat_vec(tt_new, b) for b in saturate_rows(tuple(rows), n))
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -180,13 +196,12 @@ def test_single_field_mutation_claims_no_more(data):
 
 # one encoded object of each kind, as (certificate, path to the object)
 OBJECTS = {
-    "disjoint-family certificate": ("irreducible_greedy", ()),
-    "quotient evidence": ("quotient", ("quotient",)),
-    "orbit report": ("irreducible_greedy", ("orbit_reports", 0)),
-    "growth certificate": ("irreducible_greedy", ("orbit_reports", 0, "growth")),
-    "cone direction": ("irreducible_greedy", ("orbit_reports", 0, "growth", "forward")),
+    "disjoint-family certificate": ("greedy", ()),
+    "orbit report": ("greedy", ("orbit_reports", 0)),
+    "growth certificate": ("greedy", ("orbit_reports", 0, "growth")),
+    "cone direction": ("greedy", ("orbit_reports", 0, "growth", "forward")),
     "polynomial direction": ("unipotent_power", ("orbit_reports", 1, "growth", "forward")),
-    "cone entry": ("irreducible_greedy", ("orbit_reports", 0, "growth", "forward", "entries", 0)),
+    "cone entry": ("greedy", ("orbit_reports", 0, "growth", "forward", "entries", 0)),
     "non-expansivity certificate": ("non_expansivity_infinite", ()),
     "isolation report": ("non_expansivity_infinite", ("isolation",)),  # only bound_exact
     "subtorus": ("non_expansivity_finite", ("fixed_subtori", 0)),
@@ -207,12 +222,54 @@ def test_encoders_emit_exactly_the_parsed_key_set(what):
         parse_certificate(mutate(certificate, path + ("unexpected",), "add", 0))
 
 
+# the rows of the README's key-set table, by the object of OBJECTS each names;
+# both growth directions have the row "growth direction"
+README_ROWS = {
+    "disjoint family": ("disjoint-family certificate",),
+    "orbit report": ("orbit report",),
+    "growth": ("growth certificate",),
+    "growth direction": ("cone direction", "polynomial direction"),
+    "cone entry": ("cone entry",),
+    "non-expansivity": ("non-expansivity certificate",),
+    "isolation": ("isolation report",),
+    "subtorus": ("subtorus",),
+}
+
+
+def readme_key_table() -> dict[str, list[str]]:
+    """The `| object | keys |` table of README.md, as {object: keys}."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text[text.index("| object | keys |"):].split("\n\n")[0].splitlines()[2:]
+    rows = {}
+    for line in table:
+        what, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[what] = re.findall(r"`([^`]+)`", keys)
+    return rows
+
+
+def test_readme_key_table_matches_the_encoders():
+    rows = readme_key_table()
+    assert rows.keys() == README_ROWS.keys()
+    assert {o for objects in README_ROWS.values() for o in objects} == OBJECTS.keys()
+    for what, keys in rows.items():
+        assert len(set(keys)) == len(keys), what
+        for obj in README_ROWS[what]:
+            name, path = OBJECTS[obj]
+            assert set(_at(certificates()[name], path)) == set(keys), (what, obj)
+
+
+def test_finite_order_non_expansivity_must_be_complete():
+    certificate = copy.deepcopy(certificates()["non_expansivity_finite"])
+    certificate["complete"] = False
+    assert exit_code(certificate) == 4
+
+
 @pytest.mark.parametrize(
     "name, direction",
     [
-        ("irreducible_greedy", "forward"),  # cone
+        ("greedy", "forward"),  # cone
         ("unipotent_power", "backward"),  # polynomial
-        ("irreducible_greedy", "window_only"),
+        ("greedy", "window_only"),
     ],
 )
 def test_hostile_power_step_is_rejected_quickly(name, direction):
@@ -233,7 +290,7 @@ def test_hostile_power_step_is_rejected_quickly(name, direction):
 
 
 def test_unknown_growth_key_is_rejected_quickly():
-    certificate = copy.deepcopy(certificates()["irreducible_greedy"])
+    certificate = copy.deepcopy(certificates()["greedy"])
     certificate["orbit_reports"][0]["growth"]["window_radius"] = 10**9
     started = time.perf_counter()
     assert exit_code(certificate) == 2

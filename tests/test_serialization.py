@@ -227,7 +227,7 @@ def test_metric_estimate_exact_fields():
 
 # The golden certificate's payload as it stood when the file was written with
 # indent 2: the compact form changed its whitespace and nothing else, and
-# format 3 its format_version and nothing else.
+# formats 3 and 4 its format_version and nothing else.
 GOLDEN_PAYLOAD = {
     "branch": "finite_order",
     "complete": True,
@@ -238,7 +238,7 @@ GOLDEN_PAYLOAD = {
         {"ambient_dim": 2, "basis": [[1, 0]]},
         {"ambient_dim": 2, "basis": [[1, 1]]},
     ],
-    "format_version": 3,
+    "format_version": 4,
     "isolation": None,
     "kind": "non_expansivity",
     "matrix": [[0, -1], [1, 0]],
