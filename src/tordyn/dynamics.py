@@ -42,9 +42,9 @@ from .intmat import (
 from .lattices import (
     Lattice,
     annihilator_rows,
-    hnf_basis,
     matrix_minimal_polynomial,
     saturate_rows,
+    trusted_hnf_basis,
 )
 from .polynomials import (
     Poly,
@@ -63,6 +63,7 @@ from .subtori import (
     canonicalize_covector,
     covector_to_hyperplane,
     iter_primitive_covectors,
+    trusted_canonicalize_covector,
 )
 
 
@@ -71,9 +72,10 @@ def act(t: UnimodularMatrix, h: Subtorus) -> Subtorus:
     if t.n != h.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     # a unimodular map sends a saturated lattice onto a saturated lattice, so
-    # the HNF of the image is already the canonical basis of the image
-    rows = tuple(mat_vec(t.rows, r) for r in h.basis)
-    return _trusted_subtorus(h.ambient_dim, hnf_basis(rows, h.ambient_dim))
+    # the HNF of the image is already the canonical basis of the image; the
+    # rows of t and h were validated when t and h were built
+    rows = [mat_vec(t.rows, r) for r in h.basis]
+    return _trusted_subtorus(h.ambient_dim, trusted_hnf_basis(rows))
 
 
 def dual_matrix(t: UnimodularMatrix) -> UnimodularMatrix:
@@ -92,7 +94,7 @@ def plucker_vector(basis: Mat, n: int) -> Vec:
     for cols in combinations(range(n), k):
         sub = tuple(tuple(row[j] for j in cols) for row in basis)
         coords.append(det(sub))
-    return canonicalize_covector(coords)
+    return trusted_canonicalize_covector(tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def periodic_orbit_period(m: Mat, v: Vec, g: Poly) -> int:
     cur = v
     for p in range(1, cap + 1):
         cur = mat_vec(m, cur)
-        if canonicalize_covector(cur) == v:
+        if trusted_canonicalize_covector(cur) == v:
             return p
     raise AssertionError("periodic orbit must return within the order bound")
 
@@ -192,7 +194,7 @@ def covector_window_set(t: UnimodularMatrix, s: Mat, gamma: Vec, radius: int) ->
         cur = gamma
         for _ in range(radius):
             cur = mat_vec(step, cur)
-            out.add(canonicalize_covector(cur))
+            out.add(trusted_canonicalize_covector(cur))
     return frozenset(out)
 
 

@@ -64,21 +64,21 @@ from .intmat import (
 from .lattices import (
     Lattice,
     annihilator_rows,
-    hnf_basis,
     reduce_mod_lattice,
     saturate_rows,
+    trusted_hnf_basis,
 )
 from .metric import enumerate_hnf_lattices, hyperplane_isolation_bound
 from .polynomials import Poly, is_squarefree_product_of_cyclotomics, rational_factors
 from .subtori import (
     PrimitiveCovector,
     Subtorus,
-    canonicalize_covector,
     covector_norm_inf,
     covector_to_hyperplane,
     iter_primitive_covectors,
     primitive_covectors,
     subtorus_from_annihilator,
+    trusted_canonicalize_covector,
 )
 
 
@@ -142,7 +142,7 @@ def unipotent_invariant(s_rows: Mat, gamma: Vec) -> UnipotentInvariant:
         cur = mat_vec(nmat, cur)
         if len(rows) > n:
             raise ValueError("matrix is not unipotent")
-    p = hnf_basis(tuple(rows), n)
+    p = trusted_hnf_basis(rows)
     return UnipotentInvariant(p, reduce_mod_lattice(p, gamma))
 
 
@@ -192,7 +192,7 @@ def _candidate_covectors(basis: Mat, budget: Budget):
     columns = transpose(basis)
     coefficients = iter_primitive_covectors(len(basis), budget.max_norm)
     for c in islice(coefficients, budget.max_candidates):
-        yield canonicalize_covector(mat_vec(columns, c))
+        yield trusted_canonicalize_covector(mat_vec(columns, c))
 
 
 def _kernel_lattice(s: Mat) -> Mat:
@@ -210,7 +210,7 @@ def periodic_covector_orbit(s: Mat, gamma: Vec, order: int) -> tuple[Vec, ...]:
     orb = set()
     cur = gamma
     for _ in range(order):
-        orb.add(canonicalize_covector(cur))
+        orb.add(trusted_canonicalize_covector(cur))
         cur = mat_vec(s, cur)
     return tuple(sorted(orb))
 
@@ -253,7 +253,7 @@ def invariant_set_for(s: Mat, gamma: Vec, power: int) -> tuple[UnipotentInvarian
     out = []
     cur = gamma
     for _ in range(power):
-        out.append(unipotent_invariant_pm(s_pow, canonicalize_covector(cur)))
+        out.append(unipotent_invariant_pm(s_pow, trusted_canonicalize_covector(cur)))
         cur = mat_vec(s, cur)
     return tuple(sorted(out, key=lambda u: (u.difference_lattice, u.reduced)))
 

@@ -57,8 +57,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import exp, isfinite, isqrt, lcm, log, pi
+from operator import mul
 
-from .intmat import Mat, Vec, mat_vec, rational_inverse, transpose
+from .intmat import Mat, Vec, det, mat_vec
 from .lattices import left_kernel
 from .polynomials import (
     Poly,
@@ -146,16 +147,30 @@ def reciprocal_monic(g: Poly) -> Poly:
 def transfer_constant(basis: Mat) -> Fraction:
     """Exact K with  |coords|_inf <= K * |coords @ basis|_inf  for all coords.
 
-    Pseudo-inverse bound: coords = (coords @ basis) @ basis^T (basis basis^T)^-1.
+    Pseudo-inverse bound: coords = (coords @ basis) @ P with P = B^T G^-1,
+    B = basis and G = B B^T, and K is the largest column sum of |P|.  As
+    G^-1 = adj(G) / det(G), that is an integer quotient:
+    K = max_j sum_i |(B^T adj G)_ij| / |det G|, the cofactors of G by
+    Bareiss determinants.  A basis of deficient rank has det G = 0 and is
+    rejected.
     """
     d = len(basis)
-    bt = transpose(basis)
-    gram = [[Fraction(sum(x * y for x, y in zip(r1, r2))) for r2 in basis] for r1 in basis]
-    ginv = rational_inverse(gram)
-    # pseudo-inverse P = basis^T @ ginv, shape n x d
-    p = [[sum(Fraction(bt[i][a]) * ginv[a][j] for a in range(d)) for j in range(d)]
-         for i in range(len(bt))]
-    return max(sum(abs(p[i][j]) for i in range(len(p))) for j in range(d))
+    gram = [[sum(map(mul, r1, r2)) for r2 in basis] for r1 in basis]
+    g = det(gram)
+    if g == 0:
+        raise ValueError("matrix is singular")
+    # adj(G)[a][j] is the (j, a) cofactor of G
+    adj = [[(-1) ** (a + j) * det(_minor(gram, j, a)) for j in range(d)] for a in range(d)]
+    return Fraction(
+        max(sum(abs(sum(map(mul, col, adj_col))) for col in zip(*basis))
+            for adj_col in zip(*adj)),
+        abs(g),
+    )
+
+
+def _minor(m: list[list[int]], i: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """m without row i and column j."""
+    return tuple(tuple(x for c, x in enumerate(row) if c != j) for r, row in enumerate(m) if r != i)
 
 
 def ceil_fraction(x: Fraction) -> int:

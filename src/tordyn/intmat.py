@@ -54,7 +54,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
     """Matrix times column vector."""
-    return tuple(sum(map(mul, row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmat import Mat, Vec, as_matrix, transpose
+from .intmat import Mat, Vec, as_matrix, identity, transpose
 from .polynomials import Poly, normalize as poly_normalize
 
 
@@ -75,13 +75,21 @@ def _canonicalize(basis: list[list[int]], pivots: list[int]) -> Mat:
 
 
 def hnf_basis(rows, n: int | None = None) -> Mat:
-    """Canonical HNF basis of the integer row span. Zero rows are dropped."""
+    """Canonical HNF basis of the integer row span. Zero rows are dropped.
+
+    Validates its input; trusted_hnf_basis is the kernel behind it."""
     m = as_matrix(rows)
     if m and n is not None and len(m[0]) != n:
         raise ValueError("row length does not match ambient dimension")
+    return trusted_hnf_basis(m)
+
+
+def trusted_hnf_basis(rows) -> Mat:
+    """hnf_basis without the checks: the caller guarantees that rows are
+    sequences of Python ints, all of one length."""
     basis: list[list[int]] = []
     pivots: list[int] = []
-    for r in m:
+    for r in rows:
         _echelon_insert(basis, pivots, list(r))
     return _canonicalize(basis, pivots)
 
@@ -101,7 +109,7 @@ def is_canonical_hnf(rows: Mat) -> bool:
         return False
     if not m:
         return True
-    return hnf_basis(m, len(m[0])) == m
+    return trusted_hnf_basis(m) == m
 
 
 def hnf_with_transform(rows) -> tuple[Mat, Mat]:
@@ -136,14 +144,13 @@ def left_kernel(m_rows, nrows: int) -> Mat:
     if nrows == 0:
         return ()
     h, u = hnf_with_transform(m)
-    kern = u[len(h):]
-    return hnf_basis(kern, nrows)
+    return trusted_hnf_basis(u[len(h):])
 
 
 def annihilator_rows(basis: Mat, n: int) -> Mat:
     """Basis of {g in Z^n : g . v = 0 for every row v}."""
     if not basis:
-        return hnf_basis(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
+        return identity(n)
     return left_kernel(transpose(basis), n)
 
 
@@ -187,7 +194,7 @@ class Lattice:
         object.__setattr__(self, "basis", b)
         if b and len(b[0]) != self.ambient_dim:
             raise ValueError("basis rows must have ambient length")
-        if hnf_basis(b, self.ambient_dim) != b:
+        if trusted_hnf_basis(b) != b:
             raise ValueError("basis is not in canonical HNF")
 
     @classmethod
@@ -200,8 +207,6 @@ class Lattice:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Lattice":
-        from .intmat import identity
-
         return cls(ambient_dim, identity(ambient_dim))
 
     @property
@@ -234,7 +239,7 @@ class Lattice:
 def matrix_minimal_polynomial(a: Mat) -> Poly:
     """Minimal polynomial of an integer matrix, monic with integer coefficients."""
     n = len(a)
-    from .intmat import identity, mat_mul
+    from .intmat import mat_mul
 
     powers = [identity(n)]
     for _ in range(n):

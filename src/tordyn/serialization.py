@@ -144,11 +144,14 @@ _parse_optional_int = _optional(_parse_int)
 
 
 def _parse_vector(data, what: str = "vector") -> tuple[int, ...]:
-    return tuple(_parse_int(x) for x in _array(data, what))
+    # one type test per entry; only an entry that fails it goes through
+    # _parse_int, for its error
+    return tuple([x if type(x) is int else _parse_int(x) for x in _array(data, what)])
 
 
 def _parse_matrix(data, what: str = "matrix") -> Mat:
-    rows = tuple(_parse_vector(row, f"{what} row") for row in _array(data, what))
+    row_what = f"{what} row"
+    rows = tuple([_parse_vector(row, row_what) for row in _array(data, what)])
     if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError(f"invalid {what}: ragged rows")
     return rows

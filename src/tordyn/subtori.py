@@ -68,9 +68,12 @@ def _trusted_subtorus(ambient_dim: int, basis: Mat) -> Subtorus:
     """Build a Subtorus without re-validating it.
 
     The caller guarantees that basis is the canonical HNF basis of a saturated
-    sublattice of Z^ambient_dim.  Only act (a unimodular image of a saturated
-    lattice is saturated) and subtorus_from_annihilator (a kernel lattice is
-    saturated) may rely on this; outside input goes through Subtorus.
+    sublattice of Z^ambient_dim.  Two callers rely on this: act, whose basis
+    is trusted_hnf_basis of the image rows of a validated subtorus under a
+    validated UnimodularMatrix (a unimodular image of a saturated lattice is
+    saturated), and subtorus_from_annihilator (a kernel lattice is
+    saturated).  Outside input is validated where it enters, by Subtorus and
+    Lattice, and never reaches this function unchecked.
     """
     lattice = object.__new__(Lattice)
     object.__setattr__(lattice, "ambient_dim", ambient_dim)
@@ -97,14 +100,28 @@ def contains(h1: Subtorus, h2: Subtorus) -> bool:
 
 
 def canonicalize_covector(entries) -> Vec:
-    """Divide by the gcd and make the first nonzero entry positive."""
-    v = as_vector(entries)
+    """Divide by the gcd and make the first nonzero entry positive.
+
+    Validates its input; trusted_canonicalize_covector is the kernel behind
+    it."""
+    return trusted_canonicalize_covector(as_vector(entries))
+
+
+def trusted_canonicalize_covector(v: Vec) -> Vec:
+    """canonicalize_covector without the checks: the caller guarantees that v
+    is a tuple of Python ints, such as a mat_vec image.  A v that is already
+    canonical is returned as it is."""
     g = gcd(*v)
     if g == 0:
         raise ValueError("zero covector")
-    if next(x for x in v if x != 0) < 0:
+    for x in v:
+        if x:
+            break
+    if x < 0:
         g = -g
-    return tuple(x // g for x in v)
+    if g == 1:
+        return v
+    return tuple([x // g for x in v])
 
 
 @dataclass(frozen=True)
@@ -115,7 +132,7 @@ class PrimitiveCovector:
 
     def __post_init__(self):
         v = as_vector(self.entries)
-        if canonicalize_covector(v) != v:
+        if trusted_canonicalize_covector(v) != v:
             raise ValueError("covector is not primitive with canonical sign")
         object.__setattr__(self, "entries", v)
 

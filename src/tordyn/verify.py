@@ -28,7 +28,14 @@ Trusted base: the exact arithmetic of `intmat`, `polynomials` (including the
 Newton power-sum routines behind the q-step and Hankel recurrences) and
 `lattices`; the subtorus and covector code of `subtori`; and the shared
 routines of `dynamics`, `growth`, `metric` and `families` named above.  Every
-name it imports is public and comes from one of these modules.
+name it imports is public and comes from one of these modules.  Input is
+validated once, where it enters: the matrix by `UnimodularMatrix` and each
+member by `canonicalize_covector` and `PrimitiveCovector`, after the parser
+has read every integer exactly.  The recomputation then runs on kernels that
+take these trusted ints and check nothing again:
+`lattices.trusted_hnf_basis` behind every `act` step of a window,
+`subtori.trusted_canonicalize_covector` behind the covector walks, and the
+integer quotient of `growth.transfer_constant`.
 
 `verify_family` inverts the matrix once: T^-1 steps the windows backwards
 and S = T^-T carries the annihilator data and the covector windows.  Members

@@ -111,6 +111,30 @@ def rational_rank(rows):
     return rank
 
 
+def pseudo_inverse_transfer_constant(basis):
+    """max_j sum_i |P_ij| for the pseudo-inverse P = B^T (B B^T)^-1 of a
+    full-rank basis B, by Fraction Gauss-Jordan on [G | I] with G = B B^T;
+    ValueError when G is singular."""
+    d = len(basis)
+    work = [[Fraction(sum(x * y for x, y in zip(r1, r2))) for r2 in basis]
+            + [Fraction(int(i == j)) for j in range(d)] for i, r1 in enumerate(basis)]
+    for col in range(d):
+        sel = next((r for r in range(col, d) if work[r][col] != 0), None)
+        if sel is None:
+            raise ValueError("Gram matrix is singular")
+        work[col], work[sel] = work[sel], work[col]
+        pv = work[col][col]
+        work[col] = [x / pv for x in work[col]]
+        for r in range(d):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    ginv = [row[d:] for row in work]
+    n = len(basis[0])
+    p = [[sum(basis[a][i] * ginv[a][j] for a in range(d)) for j in range(d)] for i in range(n)]
+    return max(sum(abs(p[i][j]) for i in range(n)) for j in range(d))
+
+
 def poly_mul(p, q):
     if not p or not q:
         return ()

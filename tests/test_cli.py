@@ -150,6 +150,79 @@ def test_verify_rejects_non_integer_window_entry_exit_2(bad, slot, capsys):
     assert env is None
 
 
+def _set_entry(cert, slot, value):
+    if slot == "window basis":
+        cert["orbit_reports"][0]["window"][1][1][0][0] = value
+    elif slot == "member":
+        cert["members"][1][0] = value
+    else:
+        cert["matrix"][0][1] = value
+
+
+_ENTRY_CONTEXT = {
+    "window basis": "orbit_reports: orbit report window",
+    "member": "members",
+    "matrix": "matrix",
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None], ids=["true", "float", "string", "null"])
+@pytest.mark.parametrize("slot", list(_ENTRY_CONTEXT))
+def test_verify_non_integer_entry_names_it_exit_2(bad, slot, capsys):
+    # the one-pass integer parser gives each entry the message it had when
+    # every entry went through the full integer check
+    cert = _cat_certificate(capsys)
+    _set_entry(cert, slot, bad)
+    code, env, err = run_cli(["verify"], {"certificate": cert}, capsys)
+    assert code == EXIT_INVALID
+    assert env is None
+    assert err == (f"error: disjoint-family certificate {_ENTRY_CONTEXT[slot]}: "
+                   f"expected an exact integer, got {bad!r}\n")
+
+
+@pytest.mark.parametrize("slot", ["window basis", "member"])
+def test_verify_reads_a_huge_entry_as_an_integer_exit_4(slot, capsys):
+    # 2^70 parses as the exact integer it is, so the certificate reaches the
+    # checker, whose recomputed window it does not match
+    cert = _cat_certificate(capsys)
+    _set_entry(cert, slot, 2**70)
+    code, env, err = run_cli(["verify"], {"certificate": cert}, capsys)
+    assert code == EXIT_VERIFY_FAILED
+    assert err == ""
+    assert "window entry at exponent" in env["result"]["failures"][0]
+
+
+def test_job_matrix_with_a_huge_entry_parses_exactly(capsys):
+    code, env, _ = run_cli(["classify"], {"matrix": [[1, 2**70], [0, 1]]}, capsys)
+    assert code == EXIT_OK
+    assert env["input"]["matrix"] == [[1, 2**70], [0, 1]]
+    assert env["result"]["order"] == "infinite"
+
+
+def test_golden_greedy_certificate_written_byte_for_byte(capsys):
+    # a cat-map greedy family with windows and cone growth evidence; the CLI
+    # writes the certificate inside its envelope, whose keys are sorted
+    import io
+
+    golden = (Path(__file__).parent / "data" / "golden_greedy_cat_k4.json").read_text()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps({"matrix": [[2, 1], [1, 1]]}))
+    try:
+        code = main(["disjoint-family", "--count", "4"])
+    finally:
+        sys.stdin = stdin
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert golden.endswith("}\n") and golden.count("\n") == 1
+    assert f'"result":{golden[:-1]},' in out
+    cert = json.loads(golden)
+    assert cert["branch"] == "greedy" and cert["rigorous"] is True
+    assert all(r["window"] and r["growth"]["forward"]["kind"] == "cone"
+               and r["growth"]["backward"]["kind"] == "cone" for r in cert["orbit_reports"])
+    code, env, _ = run_cli(["verify"], {"certificate": cert}, capsys)
+    assert code == EXIT_OK and env["result"]["ok"] is True
+
+
 @pytest.mark.parametrize(
     "args, payload",
     [

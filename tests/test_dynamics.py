@@ -40,7 +40,7 @@ from tordyn.intmat import (
     mat_vec,
     transpose,
 )
-from tordyn.lattices import Lattice
+from tordyn.lattices import Lattice, hnf_basis
 from tordyn.subtori import (
     PrimitiveCovector,
     Subtorus,
@@ -78,10 +78,11 @@ def test_act_is_group_action_and_preserves_dimension():
 
 
 def test_act_matches_validating_construction():
-    # act and subtorus_from_annihilator build subtori without re-validation;
-    # the validating constructors are the reference
+    # act (through the trusted HNF kernel) and subtorus_from_annihilator build
+    # subtori without re-validation; the validating constructors are the
+    # reference
     rng = random.Random(57)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         for _ in range(10):
             t = random_word(rng, n)
             for k in range(n + 1):
@@ -91,7 +92,9 @@ def test_act_matches_validating_construction():
                         n, [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)]
                     )
                 image = act(t, h)
-                assert image == Subtorus.from_generators(n, [mat_vec(t.rows, v) for v in h.basis])
+                image_rows = [mat_vec(t.rows, v) for v in h.basis]
+                assert image.basis == hnf_basis(image_rows, n)
+                assert image == Subtorus.from_generators(n, image_rows)
                 assert Subtorus(n, Lattice(n, image.basis)) == image
                 dual = subtorus_from_annihilator(n, h.basis)
                 assert Subtorus(n, Lattice(n, dual.basis)) == dual

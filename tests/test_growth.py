@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import random_word
+from oracles import pseudo_inverse_transfer_constant, random_word, rational_rank
 from tordyn.dynamics import dual_matrix
 from tordyn.growth import (
     check_growth_certificate,
@@ -88,6 +88,35 @@ def test_transfer_constant_bounds_coordinates():
             sum(y[i] * basis[i][j] for i in range(2)) for j in range(2)
         )
         assert max(abs(a) for a in y) <= k * max(abs(a) for a in ambient)
+
+
+def test_transfer_constant_matches_pseudo_inverse_oracle():
+    # the integer adjugate quotient gives the very Fraction of the rational
+    # pseudo-inverse formula
+    rng = random.Random(171)
+    checked = 0
+    while checked < 120:
+        n = rng.randint(1, 7)
+        d = rng.randint(1, min(n, 6))
+        basis = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(d))
+        if rational_rank(basis) < d:
+            continue
+        assert transfer_constant(basis) == pseudo_inverse_transfer_constant(basis)
+        checked += 1
+
+
+def test_transfer_constant_rejects_rank_deficient_bases():
+    rng = random.Random(172)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        d = rng.randint(2, min(n, 6) + 1)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(d - 1)]
+        # the last row is an integer combination of the others
+        coeffs = [rng.randint(-2, 2) for _ in rows]
+        rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)])
+        rng.shuffle(rows)
+        with pytest.raises(ValueError):
+            transfer_constant(tuple(map(tuple, rows)))
 
 
 def test_cat_certificate_sound_against_bruteforce():

@@ -15,6 +15,7 @@ from tordyn.lattices import (
     left_kernel,
     matrix_minimal_polynomial,
     saturate_rows,
+    trusted_hnf_basis,
 )
 
 
@@ -48,6 +49,20 @@ def test_hnf_idempotent_and_span_preserving():
             assert in_integer_rowspan(h, r) or not any(r)
         for r in h:
             assert in_integer_rowspan(rows, r)
+
+
+def test_trusted_hnf_kernel_matches_validating_entry():
+    rng = random.Random(174)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(rng.randint(0, n + 2))]
+        assert trusted_hnf_basis(rows) == hnf_basis(rows, n)
+    with pytest.raises(ValueError):
+        hnf_basis([(1, 2)], 3)
+    with pytest.raises(ValueError):
+        hnf_basis([(1, 2), (3,)], 2)
+    with pytest.raises(ValueError):
+        hnf_basis([(1, "2")], 2)
 
 
 def test_hnf_invariant_under_unimodular_row_operations():

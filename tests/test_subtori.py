@@ -14,6 +14,7 @@ from tordyn.subtori import (
     hyperplane_to_covector,
     iter_primitive_covectors,
     primitive_covectors,
+    trusted_canonicalize_covector,
 )
 
 
@@ -130,6 +131,23 @@ def test_covector_canonical_validation():
         PrimitiveCovector((0, 0))
     assert PrimitiveCovector.from_entries((-2, 4)).entries == (1, -2)
     assert canonicalize_covector((0, -3)) == (0, 1)
+
+
+def test_trusted_canonicalization_matches_validating_one():
+    rng = random.Random(173)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        scale = rng.choice((1, 1, -1, 2, -3, 12))
+        v = tuple(scale * rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-2**70, 2**70)))
+                  for _ in range(n))
+        if any(v):
+            assert trusted_canonicalize_covector(v) == canonicalize_covector(v)
+            assert canonicalize_covector(list(v)) == canonicalize_covector(v)
+        else:
+            with pytest.raises(ValueError):
+                trusted_canonicalize_covector(v)
+            with pytest.raises(ValueError):
+                canonicalize_covector(v)
 
 
 def test_primitive_covector_enumeration():
