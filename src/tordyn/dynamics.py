@@ -207,8 +207,10 @@ class OrbitBuilder:
     period, an injective one its minimal annihilator and transfer constant.
     `widen` extends the window from its two ends, so no `act` step runs
     twice, and takes the growth evidence of the annihilator at the new radius
-    from `evidence` (growth.growth_evidence, or a table that orbits with one
-    annihilator share); the transfer constant is the orbit's own.
+    from `evidence`: growth.growth_evidence, a fresh search, or the table of
+    a family build (families.FamilyOrbits), which keeps one
+    growth.GrowthSearch per annihilator.  The transfer constant is the
+    orbit's own.
     """
 
     def __init__(self, t: UnimodularMatrix, tinv: UnimodularMatrix, h: Subtorus, m: Mat, v: Vec):

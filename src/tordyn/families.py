@@ -19,10 +19,11 @@ Family construction dispatches on the structure of the automorphism:
   evidence of f.  For irreducible T, f(S) = 0 and L = Z^n.
 
 One build computes T^-1 and S = T^-T once (FamilyOrbits).  Each member's
-orbit report is built once and widened in place (dynamics.OrbitBuilder), and
-the growth evidence, which depends only on the annihilator and the window
-radius, is derived once per distinct pair in a table that lives as long as
-the build: only the transfer constant is a member's own.
+orbit report is built once and widened in place (dynamics.OrbitBuilder).  The
+growth evidence depends only on the annihilator and the window radius: a
+table that lives as long as the build holds one growth search per
+annihilator, which does its radius-independent work once and derives the
+evidence once per radius; only the transfer constant is a member's own.
 
 Every certificate is pure data, and stores only what the verify module
 cannot recompute from the matrix and the members: the orbits of the
@@ -45,7 +46,7 @@ from .dynamics import (
     cyclotomic_radical_matrix,
     dual_matrix,
 )
-from .growth import growth_evidence
+from .growth import GrowthSearch
 from .intmat import (
     Mat,
     UnimodularMatrix,
@@ -157,22 +158,22 @@ class FamilyOrbits:
     """The automorphism of one family build with T^-1 and S = T^-T, and the
     orbit reports of its members.
 
-    `evidence` is the build's table of growth evidence per (annihilator,
-    window radius): members that share an annihilator and a window share one
-    derivation.  The table belongs to this object, so a new build derives
-    afresh."""
+    `evidence` reads the build's table of growth searches, one per
+    annihilator (growth.GrowthSearch): members that share an annihilator
+    share its radius-independent work, and members that share a window too
+    share one derivation at that radius.  The table belongs to this object,
+    so a new build searches afresh."""
 
     def __init__(self, t: UnimodularMatrix):
         self.t = t
         self.tinv = t.inv()
         self.s = transpose(self.tinv.rows)
-        self._evidence: dict = {}
+        self._searches: dict[Poly, GrowthSearch] = {}
 
     def evidence(self, g: Poly, radius: int):
-        key = (g, radius)
-        if key not in self._evidence:
-            self._evidence[key] = growth_evidence(g, radius)
-        return self._evidence[key]
+        if g not in self._searches:
+            self._searches[g] = GrowthSearch(g)
+        return self._searches[g].evidence(radius)
 
     def start(self, gamma: Vec, radius: int) -> OrbitBuilder:
         """The orbit of the hyperplane gamma annihilates, with a window of `radius`."""

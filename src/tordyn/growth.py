@@ -24,30 +24,39 @@ re-computation:
   polynomial, bounded below by elementary tail estimates.
 
 A certificate has two parts.  The direction evidence depends only on the
-annihilator g and the window radius: the impulse values, and for each
-direction the kind, level, q, mu, nu, entries and sequence floor
-(growth_evidence).  Only the transfer constant belongs to the orbit itself.
-Nothing else is stored: the norm floor of a direction is
+annihilator g and the window radius: for each direction the kind, level, q,
+mu, nu, entries and sequence floor.  Only the transfer constant belongs to
+the orbit itself.  Nothing else is stored: the norm floor of a direction is
 norm_floor(floor_seq, level, transfer), and the rigor and the exterior norm
 floor of a certificate are properties computed from the two parts.
-derive_growth_certificate composes them, and a family whose members share g
-and a window derives the direction evidence once.
+derive_growth_certificate composes them.
+
+The producer searches for the direction evidence in two parts (GrowthSearch).
+Once per annihilator: the float roots, the impulse values (extended in place
+when a wider radius needs a longer span) and, per direction, level and q,
+the invariant cone ratios mu, nu or the fact that there are none; none of
+these reads the window.  Once per radius: the cone entries, their floor and
+the polynomial path, which do.  A family build keeps one search per
+annihilator, so members that widen through several radii share all of the
+first part; growth_evidence is a fresh search at one radius, and every
+search gives at each radius what a fresh one gives there.
 
 The producer and the checker (check_growth_certificate) share one routine for
 each step of the evidence: direction_sequence gives the sequence, recurrence
 and covered index of a direction and level; cone_is_invariant and enters_cone
 test a cone and its entries; the cone and polynomial floors come from
 _cone_floor and _try_polynomial_direction; and norm_floor turns a sequence
-floor into a norm floor.  The checker splits the same way: the direction
-evidence is checked once per (annihilator, window, directions), and each
-orbit's annihilator and transfer constant on their own.  Floating point appears only as a hint source for picking q, mu, nu
-in the producer, which searches; the checker only re-runs the exact tests.
-The hints come from float approximations of the roots z of the annihilator,
-found once per growth_evidence call (float_roots, an Aberth-Ehrlich
-iteration): the backward direction reads 1/z, level 2 the pairwise products
-z_i z_j, and a q-step cone the q-th powers, which are the roots of the
-recurrences above.  A bad hint can only make the search miss a cone; every
-cone it proposes is still checked exactly by cone_is_invariant.
+floor into a norm floor.  The checker recomputes all of it from scratch, and
+splits the same way as a certificate: the direction evidence is checked once
+per (annihilator, window, directions), and each orbit's annihilator and
+transfer constant on their own.  Floating point appears only as a hint
+source for picking q, mu, nu in the producer, which searches; the checker
+only re-runs the exact tests.  The hints come from float approximations of
+the roots z of the annihilator, found once per search (float_roots, an
+Aberth-Ehrlich iteration): the backward direction reads 1/z, level 2 the
+pairwise products z_i z_j, and a q-step cone the q-th powers, which are the
+roots of the recurrences above.  A bad hint can only make the search miss a
+cone; every cone it proposes is still checked exactly by cone_is_invariant.
 """
 
 from __future__ import annotations
@@ -114,17 +123,24 @@ def impulse_values(g: Poly, lo: int, hi: int) -> dict[int, int]:
     if d < 1 or g[-1] != 1 or g[0] not in (1, -1):
         raise ValueError("need a monic annihilator with unit constant term")
     vals = {j: 1 if j == 0 else 0 for j in range(d)}
-    j = d
+    _extend_impulse_values(g, vals, lo, hi)
+    return {k: t for k, t in vals.items() if lo <= k <= hi}
+
+
+def _extend_impulse_values(g: Poly, vals: dict[int, int], lo: int, hi: int) -> None:
+    """Extend in place the impulse values vals of g, known on an index range
+    that holds [0, deg g), to at least [lo, hi]."""
+    d = len(g) - 1
+    j = max(vals) + 1
     while j <= hi:
         vals[j] = -sum(g[i] * vals[j - d + i] for i in range(d))
         j += 1
-    j = -1
+    j = min(vals) - 1
     while j >= lo:
         # g0 t[j] = -(t[j+d] + sum_{i=1..d-1} g_i t[j+i]);  g0 is +-1
         s = vals[j + d] + sum(g[i] * vals[j + i] for i in range(1, d))
         vals[j] = -s * g[0]
         j -= 1
-    return {k: t for k, t in vals.items() if lo <= k <= hi}
 
 
 def recurrence_from_poly(p: Poly) -> tuple[int, ...]:
@@ -399,38 +415,17 @@ def norm_floor(floor_seq: int, level: int, transfer: Fraction) -> int:
     return ceil_fraction(Fraction(floor_seq) / transfer)
 
 
-def _try_cone_direction(
-    seq: dict[int, int],
-    rec_poly: Poly,
-    roots: list[complex],
-    cover_from: int,
-    max_index: int,
-) -> tuple[int, Fraction, Fraction, tuple[ConeEntry, ...], int] | None:
-    """Search for (q, mu, nu, entries, floor) certifying seq(j) growth for
-    j > cover_from; roots are float approximations of the roots of rec_poly,
-    the only hint source."""
-    dd = len(rec_poly) - 1
-    for q in CONE_POWER_STEPS:
-        if cover_from + 1 + q * dd > max_index:
-            continue
-        hints = _powered_hints(roots, q)
-        if hints is None:
-            continue
-        rho, second = hints
-        if rho <= 1.0001 or second >= rho * 0.999:
-            continue
-        qpoly = root_power_poly(rec_poly, q)
-        pair = _pick_cone_ratios(qpoly, rho, second)
-        if pair is None:
-            continue
-        mu, nu = pair
-        entries = _find_entries(seq, q, dd, mu, nu, cover_from)
-        if entries is None:
-            continue
-        floor = _cone_floor(seq, q, mu, entries, cover_from)
-        if floor >= 1:
-            return q, mu, nu, entries, floor
-    return None
+def _invariant_cone(rec_poly: Poly, roots: list[complex], q: int) -> tuple[Fraction, Fraction] | None:
+    """Ratios (mu, nu) of a cone that the q-step recurrence of rec_poly
+    provably preserves, or None; roots are float approximations of the roots
+    of rec_poly, the only hint source."""
+    hints = _powered_hints(roots, q)
+    if hints is None:
+        return None
+    rho, second = hints
+    if rho <= 1.0001 or second >= rho * 0.999:
+        return None
+    return _pick_cone_ratios(root_power_poly(rec_poly, q), rho, second)
 
 
 def _pick_cone_ratios(qpoly: Poly, rho: float, second: float) -> tuple[Fraction, Fraction] | None:
@@ -562,55 +557,102 @@ def _try_polynomial_direction(
     return q, ceil_fraction(best)
 
 
-def derive_direction(
-    vals: dict[int, int],
-    g: Poly,
-    roots: list[complex],
-    direction: str,
-    window: int,
-) -> DirectionCertificate:
-    """Evidence for one direction: the search depends only on the
-    annihilator's impulse values and the window.  roots approximate
-    the roots of g; the backward recurrence has their inverses as roots and
-    the Hankel recurrence their pairwise products."""
-    if direction == "backward":
-        roots = [1 / z for z in roots]
-    # level 1 cone on the raw sequence, then the polynomial path for
-    # root-of-unity spectra, then a level 2 cone on Hankel determinants
-    # (dominant complex pair)
-    seq, g_dir, cover_from = direction_sequence(vals, g, direction, 1, window)
-    res = _try_cone_direction(seq, g_dir, roots, cover_from, max(seq))
-    if res is not None:
-        q, mu, nu, entries, floor = res
-        return DirectionCertificate(direction, "cone", 1, q, mu, nu, entries, floor)
-    respoly = _try_polynomial_direction(seq, g_dir, cover_from, max(seq))
-    if respoly is not None:
-        q, floor = respoly
-        return DirectionCertificate(direction, "polynomial", 0, q, floor_seq=floor)
-    hankel = direction_sequence(vals, g, direction, 2, window)
-    if hankel is not None:
-        hseq, hpoly, cover_from = hankel
-        pairs = [y * z for y, z in combinations(roots, 2)]
-        res = _try_cone_direction(hseq, hpoly, pairs, cover_from, max(hseq, default=0))
+class GrowthSearch:
+    """The producer's search for the forward and backward evidence of one
+    non-periodic annihilator g, at any number of window radii.
+
+    Most of the search does not read the window and is done once: the float
+    roots of g, the impulse values (extended in place when a wider radius
+    needs a longer span), and for each direction, level and power step q the
+    invariant cone ratios (mu, nu), or the fact that there are none.
+    evidence(radius) runs only what reads the window, the cone entries, their
+    floor and the polynomial path, once per radius.  At every radius it gives
+    what a fresh search gives there: the search reads no index more than a
+    fixed tail past the last one the window covers, however long the impulse
+    values have grown."""
+
+    def __init__(self, g: Poly):
+        if is_squarefree_product_of_cyclotomics(g):
+            raise ValueError("orbit is periodic; growth certificates do not apply")
+        d = len(g) - 1
+        self.g = g
+        # the cone entries of every q reach at most 12 d^2 indices past the
+        # covered one; the polynomial path checks its own reach
+        self._tail = 2 + 24 * (d * d + d + 2)
+        self._vals = impulse_values(g, 0, d - 1)
+        # hints: the backward recurrence has the inverse roots as roots, the
+        # Hankel recurrence the pairwise products
+        roots = float_roots(g)
+        inverses = [1 / z for z in roots]
+        self._hints = {
+            ("forward", 1): roots,
+            ("backward", 1): inverses,
+            ("forward", 2): [y * z for y, z in combinations(roots, 2)],
+            ("backward", 2): [y * z for y, z in combinations(inverses, 2)],
+        }
+        self._cones: dict[tuple[str, int, int], tuple[Fraction, Fraction] | None] = {}
+        self._evidence: dict[int, tuple[DirectionCertificate, DirectionCertificate]] = {}
+
+    def evidence(self, window: int) -> tuple[DirectionCertificate, DirectionCertificate]:
+        """The forward and backward evidence outside the window of radius `window`."""
+        if window not in self._evidence:
+            self._evidence[window] = self._derive(window)
+        return self._evidence[window]
+
+    def _derive(self, window: int) -> tuple[DirectionCertificate, DirectionCertificate]:
+        span = window + self._tail
+        _extend_impulse_values(self.g, self._vals, -span, span)
+        return self._direction("forward", window), self._direction("backward", window)
+
+    def _direction(self, direction: str, window: int) -> DirectionCertificate:
+        """A level 1 cone on the raw sequence, then the polynomial path for
+        root-of-unity spectra, then a level 2 cone on the Hankel
+        determinants (dominant complex pair)."""
+        seq, g_dir, cover_from = direction_sequence(self._vals, self.g, direction, 1, window)
+        res = self._try_cone(seq, g_dir, direction, 1, cover_from)
         if res is not None:
-            q, mu, nu, entries, floor = res
-            return DirectionCertificate(direction, "cone", 2, q, mu, nu, entries, floor)
-    return DirectionCertificate(direction, "window_only")
+            return DirectionCertificate(direction, "cone", 1, *res)
+        respoly = _try_polynomial_direction(seq, g_dir, cover_from, cover_from + self._tail)
+        if respoly is not None:
+            q, floor = respoly
+            return DirectionCertificate(direction, "polynomial", 0, q, floor_seq=floor)
+        hankel = direction_sequence(self._vals, self.g, direction, 2, window)
+        if hankel is not None:
+            hseq, hpoly, cover_from = hankel
+            res = self._try_cone(hseq, hpoly, direction, 2, cover_from)
+            if res is not None:
+                return DirectionCertificate(direction, "cone", 2, *res)
+        return DirectionCertificate(direction, "window_only")
+
+    def _try_cone(
+        self, seq: dict[int, int], rec_poly: Poly, direction: str, level: int, cover_from: int
+    ) -> tuple[int, Fraction, Fraction, tuple[ConeEntry, ...], int] | None:
+        """(q, mu, nu, entries, floor) certifying seq(j) growth for
+        j > cover_from, or None."""
+        dd = len(rec_poly) - 1
+        for q in CONE_POWER_STEPS:
+            key = (direction, level, q)
+            if key not in self._cones:
+                self._cones[key] = _invariant_cone(rec_poly, self._hints[direction, level], q)
+            if self._cones[key] is None:
+                continue
+            mu, nu = self._cones[key]
+            entries = _find_entries(seq, q, dd, mu, nu, cover_from)
+            if entries is None:
+                continue
+            floor = _cone_floor(seq, q, mu, entries, cover_from)
+            if floor >= 1:
+                return q, mu, nu, entries, floor
+        return None
 
 
 def growth_evidence(g: Poly, window: int) -> tuple[DirectionCertificate, DirectionCertificate]:
     """The part of a growth certificate that depends only on the annihilator
-    g and the window radius: the forward and backward evidence.
+    g and the window radius, from a fresh search: the forward and backward
+    evidence.
 
     g must not be a squarefree product of cyclotomics (a periodic orbit)."""
-    if is_squarefree_product_of_cyclotomics(g):
-        raise ValueError("orbit is periodic; growth certificates do not apply")
-    d = len(g) - 1
-    span = window + 2 + 24 * (d * d + d + 2)
-    vals = impulse_values(g, -span, span)
-    roots = float_roots(g)
-    return (derive_direction(vals, g, roots, "forward", window),
-            derive_direction(vals, g, roots, "backward", window))
+    return GrowthSearch(g).evidence(window)
 
 
 def derive_growth_certificate(m: Mat, v: Vec, window: int) -> GrowthCertificate:

@@ -21,9 +21,10 @@ Mat = tuple[Vec, ...]
 
 
 def as_vector(entries) -> Vec:
-    raw = tuple(entries)
-    v = tuple(map(int, raw))
-    if v != raw:
+    """The entries as a tuple, each a Python int: a bool or an integral float
+    is not an exact integer entry."""
+    v = tuple(entries)
+    if not all(type(x) is int for x in v):
         raise ValueError("vector entries must be exact integers")
     return v
 

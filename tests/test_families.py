@@ -410,44 +410,72 @@ def test_family_mixed_spectrum_block_diagonal():
     assert res.ok, res.failures
 
 
-def _count_growth_evidence(monkeypatch):
-    """Record the (annihilator, radius) of every growth derivation a family
-    build makes."""
+def _count_growth_searches(monkeypatch):
+    """Record the annihilator of every growth search a family build starts,
+    and the (annihilator, radius) of every derivation a search makes."""
     import tordyn.families as families
+    from tordyn.growth import GrowthSearch
 
-    calls = []
-    original = families.growth_evidence
+    searches, derivations = [], []
 
-    def counted(g, radius):
-        calls.append((g, radius))
-        return original(g, radius)
+    class Counted(GrowthSearch):
+        def __init__(self, g):
+            searches.append(g)
+            super().__init__(g)
 
-    monkeypatch.setattr(families, "growth_evidence", counted)
-    return calls
+        def _derive(self, window):
+            derivations.append((self.g, window))
+            return super()._derive(window)
+
+    monkeypatch.setattr(families, "GrowthSearch", Counted)
+    return searches, derivations
 
 
 def test_family_derives_growth_once_per_annihilator_and_window(monkeypatch):
-    calls = _count_growth_evidence(monkeypatch)
+    searches, derivations = _count_growth_searches(monkeypatch)
     cert = disjoint_hyperplane_orbits(CAT, 60)
     assert cert.count == 60 and cert.rigorous
     # every member of the cat map has one annihilator and one window radius
-    assert len({rep.window_radius for rep in cert.orbit_reports}) == 1
-    assert len(calls) == 1
+    radii = {rep.window_radius for rep in cert.orbit_reports}
+    assert len(radii) == 1
+    assert searches == [cert.orbit_reports[0].growth.annihilator]
+    assert derivations == [(searches[0], *radii)]
 
-    calls.clear()
+    searches.clear()
+    derivations.clear()
     cert = disjoint_hyperplane_orbits(COMPANION, 20)
     assert cert.count == 20
-    assert len({rep.growth.annihilator for rep in cert.orbit_reports}) == 1
-    # one derivation per radius any member reached, final or on the way
-    assert len(calls) == len(set(calls))
-    assert {rep.window_radius for rep in cert.orbit_reports} <= {r for _, r in calls}
+    # one search for the one annihilator, one derivation per radius any
+    # member reached, final or on the way
+    assert searches == [cert.orbit_reports[0].growth.annihilator]
+    assert {rep.growth.annihilator for rep in cert.orbit_reports} == set(searches)
+    assert len(derivations) == len(set(derivations))
+    assert {g for g, _ in derivations} == set(searches)
+    assert {rep.window_radius for rep in cert.orbit_reports} <= {r for _, r in derivations}
+
+
+def test_narrow_gap_sextic_searches_once_through_five_radii(monkeypatch):
+    # no cone at any radius: both members widen through 24, 36, 54, 81 and
+    # the budget's 96 on one search, which derives at each radius once
+    searches, derivations = _count_growth_searches(monkeypatch)
+    sextic = UnimodularMatrix((
+        (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+        (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1), (-1, 1, -1, 1, 2, 0),
+    ))  # companion of x^6 - 2x^4 - x^3 + x^2 - x + 1
+    cert = disjoint_hyperplane_orbits(sextic, 2)
+    assert cert.count == 2 and cert.complete and not cert.rigorous
+    # S = T^-T has the reciprocal annihilator x^6 - x^5 + x^4 + x^3 - 2x^2 + 1
+    assert searches == [(1, 0, -2, -1, 1, -1, 1)]
+    assert derivations == [(searches[0], r) for r in (24, 36, 54, 81, 96)]
+    assert all(rep.window_radius == 96 for rep in cert.orbit_reports)
 
 
 def test_second_build_derives_again(monkeypatch):
-    # the table of growth evidence lives as long as one build
-    calls = _count_growth_evidence(monkeypatch)
+    # the table of growth searches lives as long as one build
+    searches, derivations = _count_growth_searches(monkeypatch)
     first = disjoint_hyperplane_orbits(CAT, 60)
-    assert len(calls) == 1
+    assert len(searches) == 1 and len(derivations) == 1
     second = disjoint_hyperplane_orbits(CAT, 60)
-    assert len(calls) == 2 and calls[0] == calls[1]
+    assert len(searches) == 2 and searches[0] == searches[1]
+    assert len(derivations) == 2 and derivations[0] == derivations[1]
     assert first == second

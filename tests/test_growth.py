@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import pseudo_inverse_transfer_constant, random_word, rational_rank
 from tordyn.dynamics import dual_matrix
 from tordyn.growth import (
+    GrowthSearch,
     check_growth_certificate,
     derive_growth_certificate,
     impulse_values,
@@ -377,3 +379,34 @@ def test_float_roots_of_widely_spread_moduli(g):
         assert abs(nearest - z) <= 1e-9 * abs(nearest)
         ref.remove(nearest)
     assert _hint_mismatches(g) == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(lambda d: st.tuples(
+        st.sampled_from((1, -1)),
+        st.lists(st.integers(-3, 3), min_size=d - 1, max_size=d - 1),
+    )),
+    st.lists(st.integers(1, 300), min_size=1, max_size=3, unique=True),
+)
+# (x - 1)^2: the polynomial path reads past the window, so a search that did
+# not extend its impulse values would fail at the wider radius
+@example((1, [-2]), [1, 300])
+# a narrow-gap sextic through the radii of its family build
+@example((1, [0, -2, -1, 1, -1]), [24, 36, 54, 81, 96])
+def test_one_search_through_many_radii_equals_fresh_searches(poly, radii):
+    # a search keeps its impulse values, roots and cone ratios across radii;
+    # at each radius its evidence is what a fresh search derives there, when
+    # it is widened through the radii in ascending order and in drawn order
+    from tordyn.polynomials import is_squarefree_product_of_cyclotomics
+
+    c0, middle = poly
+    g = (c0, *middle, 1)
+    assume(not is_squarefree_product_of_cyclotomics(g))
+    fresh = {radius: GrowthSearch(g).evidence(radius) for radius in radii}
+    ascending = GrowthSearch(g)
+    for radius in sorted(radii):
+        assert ascending.evidence(radius) == fresh[radius]
+    drawn = GrowthSearch(g)
+    for radius in radii:
+        assert drawn.evidence(radius) == fresh[radius]

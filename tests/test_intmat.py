@@ -59,6 +59,16 @@ def test_unimodular_validation():
         UnimodularMatrix(((1.5, 0), (0, 1)))
 
 
+@pytest.mark.parametrize("rows", [
+    ((1.0, True), (0, 1)),  # equal to ((1, 1), (0, 1)), but neither entry is an int
+    ((True, 0), (0, 1)),
+    ((1, 0), (0, 1.0)),
+])
+def test_unimodular_rejects_bool_and_float_entries(rows):
+    with pytest.raises(ValueError, match="vector entries must be exact integers"):
+        UnimodularMatrix(rows)
+
+
 def test_inverse_unimodular():
     rng = random.Random(4)
     for _ in range(40):

@@ -129,6 +129,9 @@ def test_covector_canonical_validation():
         PrimitiveCovector((-1, 2))
     with pytest.raises(ValueError):
         PrimitiveCovector((0, 0))
+    for entries in ((True, 2.0), (True, 2), (1, 2.0)):
+        with pytest.raises(ValueError, match="vector entries must be exact integers"):
+            PrimitiveCovector(entries)
     assert PrimitiveCovector.from_entries((-2, 4)).entries == (1, -2)
     assert canonicalize_covector((0, -3)) == (0, 1)
 
