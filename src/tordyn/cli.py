@@ -69,9 +69,10 @@ COMMANDS = (
 
 
 class Inconclusive(Exception):
-    def __init__(self, payload):
+    def __init__(self, payload, consumed):
         super().__init__("budget exhausted")
         self.payload = payload
+        self.consumed = consumed
 
 
 class VerifyFailed(Exception):
@@ -115,6 +116,12 @@ def _resolution(params: dict) -> Fraction:
 
 def run_job(job: dict) -> dict:
     """Execute a validated job and return the result payload."""
+    return _execute(job)[0]
+
+
+def _execute(job: dict) -> tuple[dict, dict | None]:
+    """Execute a validated job: the result payload and the envelope's
+    `budget_consumed` summary, or None for a command without a budget."""
     if not isinstance(job, dict):
         raise ParseError("job must be a JSON object")
     command = job.get("command")
@@ -136,7 +143,7 @@ def run_job(job: dict) -> dict:
             "invariant_rational_subspaces": encode_invariant_subspaces(
                 invariant_rational_subspaces(t)
             ) if t.n >= 2 else None,
-        }
+        }, None
 
     if command == "orbit":
         t = parse_unimodular(job.get("matrix"))
@@ -147,7 +154,7 @@ def run_job(job: dict) -> dict:
         else:
             raise ParseError("orbit needs 'covector' or 'subtorus'")
         window = _int_param(params, "budget_window", 16)
-        return encode_orbit_report(orbit(t, h, window))
+        return encode_orbit_report(orbit(t, h, window)), None
 
     if command == "disjoint-family":
         t = parse_unimodular(job.get("matrix"))
@@ -155,8 +162,8 @@ def run_job(job: dict) -> dict:
         cert = disjoint_hyperplane_orbits(t, k, _budget(params))
         payload = encode_family(cert)
         if not cert.complete:
-            raise Inconclusive(payload)
-        return payload
+            raise Inconclusive(payload, _consumed(payload))
+        return payload, _consumed(payload)
 
     if command == "certify-nonexpansive":
         t = parse_unimodular(job.get("matrix"))
@@ -164,19 +171,19 @@ def run_job(job: dict) -> dict:
         cert = non_expansivity_certificate(t, k, _budget(params))
         payload = encode_non_expansivity(cert)
         if not cert.complete:
-            raise Inconclusive(payload)
-        return payload
+            raise Inconclusive(payload, _consumed(payload["family"]))
+        return payload, _consumed(payload["family"])
 
     if command == "distance":
         h1 = parse_subtorus(job.get("first"))
         h2 = parse_subtorus(job.get("second"))
-        return encode_metric_estimate(hausdorff_distance(h1, h2, _resolution(params)))
+        return encode_metric_estimate(hausdorff_distance(h1, h2, _resolution(params))), None
 
     if command == "isolation":
         h = parse_subtorus(job.get("subtorus"))
         cap = _int_param(params, "budget_norm", 5)
         report = isolation_radius_lower_bound(h, cap, _resolution(params))
-        return encode_isolation(report)
+        return encode_isolation(report), None
 
     if command == "group-finite":
         matrices = job.get("matrices")
@@ -186,9 +193,10 @@ def run_job(job: dict) -> dict:
         cap = _int_param(params, "count", 20000)
         report = group_is_finite(gens, cap)
         payload = encode_group_report(report)
+        consumed = {"cap": cap, "elements_found": report.elements_found}
         if report.status == "inconclusive":
-            raise Inconclusive(payload)
-        return payload
+            raise Inconclusive(payload, consumed)
+        return payload, consumed
 
     if command == "verify":
         if "certificate" not in job:
@@ -203,19 +211,14 @@ def run_job(job: dict) -> dict:
         payload = {"ok": result.ok, "failures": list(result.failures)}
         if not result.ok:
             raise VerifyFailed(payload)
-        return payload
+        return payload, None
 
     raise AssertionError("unreachable")
 
 
-def _consumed(result: dict) -> dict | None:
-    """Budget-consumption summary extracted from certificate payloads."""
-    family = None
-    if isinstance(result, dict):
-        if result.get("kind") == "disjoint_family":
-            family = result
-        elif result.get("kind") == "non_expansivity":
-            family = result.get("family")
+def _consumed(family: dict | None) -> dict | None:
+    """Budget-consumption summary of a family payload: None when the branch
+    built no family (finite order)."""
     if not family:
         return None
     radii = [r["window_radius"] for r in family.get("orbit_reports", [])]
@@ -227,7 +230,8 @@ def _consumed(result: dict) -> dict | None:
     }
 
 
-def _envelope(command: str, job: dict, result: dict, started: float, budget: Budget | None) -> dict:
+def _envelope(command: str, job: dict, result: dict, consumed: dict | None, started: float,
+              budget: Budget | None) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "tool": TOOL_NAME,
@@ -240,7 +244,7 @@ def _envelope(command: str, job: dict, result: dict, started: float, budget: Bud
             "max_window": budget.max_window,
             "max_candidates": budget.max_candidates,
         } if budget is not None else None,
-        "budget_consumed": _consumed(result),
+        "budget_consumed": consumed,
         "timing_seconds": round(time.perf_counter() - started, 6),
     }
 
@@ -303,7 +307,7 @@ def main(argv=None) -> int:
     job["parameters"] = params
     try:
         budget = _budget(params)
-        result = run_job(job)
+        result, consumed = _execute(job)
         status = EXIT_OK
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -312,12 +316,12 @@ def main(argv=None) -> int:
         print(f"error: invalid input ({exc})", file=sys.stderr)
         return EXIT_INVALID
     except Inconclusive as exc:
-        result = exc.payload
+        result, consumed = exc.payload, exc.consumed
         status = EXIT_INCONCLUSIVE
     except VerifyFailed as exc:
-        result = exc.payload
+        result, consumed = exc.payload, None
         status = EXIT_VERIFY_FAILED
-    _write_output(args.output, _envelope(args.command, job, result, started, budget))
+    _write_output(args.output, _envelope(args.command, job, result, consumed, started, budget))
     return status
 
 

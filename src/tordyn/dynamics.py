@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 from .growth import (
     GrowthCertificate,
@@ -411,6 +412,7 @@ class GroupReport:
     order: int | None
     elements: tuple[Mat, ...] | None
     witness: Mat | None
+    elements_found: int  # distinct elements met, the identity included
 
 
 def group_is_finite(generators, cap: int = 20000) -> GroupReport:
@@ -425,12 +427,24 @@ def group_is_finite(generators, cap: int = 20000) -> GroupReport:
     The closure is breadth first from Id, multiplying on the right by the
     distinct generators only, with no inverses: a finite submonoid of a group
     is a subgroup (a^j = a^k with j < k gives a^(k-j) = Id), so when the
-    products close up they are all of G.  `seen` maps each element's entries
-    mod 3 to the element.  A new product b whose residues are already there
-    with another matrix a proves G infinite, with witness b a^-1: it is in
-    Gamma(3) and is not Id, so it has infinite order.  A closure that ends
-    without such a collision is G, returned sorted.  `cap` bounds the number
-    of distinct elements (the identity included) before the answer is
+    products close up they are all of G.
+
+    It runs over a table of rows and multiplies no matrices.  Row i of a s is
+    (row i of a) s, so `rows` keeps each distinct row met once, an element is
+    the n-tuple of its rows' indices there, and a product is n lookups in the
+    generator's memo from a row's index to the index of the row times s.  A
+    memo entry is filled the first time it is asked for: mapping every known
+    row eagerly would never end on an infinite group, whose rows never run
+    out.  As each row is stored once, two elements are equal exactly when
+    their index tuples are, so a repeated product is skipped by tuple
+    membership before any work mod 3.  A new element is filed in `seen`
+    under the tuple of its rows' residue classes mod 3, which are its entries
+    mod 3.  A new element b whose classes are already there with another
+    element a proves G infinite, with witness b a^-1: it is in Gamma(3) and is
+    not Id, so it has infinite order.  A closure that ends without such a
+    collision is G; only then, or for the colliding pair, are matrices built,
+    and the elements are returned sorted.  `cap` bounds the number of
+    distinct elements (the identity included) before the answer is
     inconclusive; at n <= 3 the default exceeds |GL_n(Z/3)| (48 and 11232),
     so the default always decides.
     """
@@ -443,28 +457,52 @@ def group_is_finite(generators, cap: int = 20000) -> GroupReport:
     if cap < 1:
         raise ValueError("cap must be >= 1")
     step = list(dict.fromkeys(g.rows for g in gens))
-    eye = identity(n)
-    seen: dict[tuple[int, ...], Mat] = {_residues_mod_3(eye): eye}
+    columns = [tuple(zip(*s)) for s in step]
+    images: list[dict[int, int]] = [{} for _ in step]
+    rows: list[Vec] = []
+    row_index: dict[Vec, int] = {}
+    row_class: list[int] = []
+    class_index: dict[Vec, int] = {}
+
+    def index_of(row: Vec) -> int:
+        i = row_index.get(row)
+        if i is None:
+            i = row_index[row] = len(rows)
+            rows.append(row)
+            row_class.append(class_index.setdefault(tuple([x % 3 for x in row]), len(class_index)))
+        return i
+
+    def matrix(e: tuple[int, ...]) -> Mat:
+        return tuple([rows[i] for i in e])
+
+    eye = tuple([index_of(r) for r in identity(n)])
+    members = {eye}
+    seen = {tuple([row_class[i] for i in eye]): eye}
     frontier = [eye]
     while frontier:
         new_frontier = []
         for a in frontier:
-            for s in step:
-                b = mat_mul(a, s)
-                key = _residues_mod_3(b)
+            for cols, image in zip(columns, images):
+                b = []
+                for i in a:
+                    j = image.get(i)
+                    if j is None:
+                        row = rows[i]
+                        j = image[i] = index_of(tuple([sum(map(mul, row, col)) for col in cols]))
+                    b.append(j)
+                b = tuple(b)
+                if b in members:
+                    continue
+                key = tuple([row_class[i] for i in b])
                 c = seen.get(key)
                 if c is not None:
-                    if c != b:
-                        return GroupReport("infinite", None, None, mat_mul(b, inverse_unimodular(c)))
-                    continue
+                    witness = mat_mul(matrix(b), inverse_unimodular(matrix(c)))
+                    return GroupReport("infinite", None, None, witness, len(seen))
+                members.add(b)
                 seen[key] = b
                 if len(seen) > cap:
-                    return GroupReport("inconclusive", None, None, None)
+                    return GroupReport("inconclusive", None, None, None, len(seen))
                 new_frontier.append(b)
         frontier = new_frontier
-    elements = tuple(sorted(seen.values()))
-    return GroupReport("finite", len(elements), elements, None)
-
-
-def _residues_mod_3(a: Mat) -> tuple[int, ...]:
-    return tuple([x % 3 for row in a for x in row])
+    elements = tuple(sorted(map(matrix, members)))
+    return GroupReport("finite", len(elements), elements, None, len(seen))

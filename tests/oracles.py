@@ -4,13 +4,16 @@ Everything here deliberately avoids the library code paths it is used to
 check: row spans are tested by rational elimination, characteristic
 polynomials by cofactor expansion, orbits by direct stepping, finite order
 by direct powering, products by a triple loop, and group closures by one
-order check per element.
+order check per element or by multiplying matrices and filing each product
+under its entries mod 3.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 
+from tordyn.dynamics import GroupReport
 from tordyn.intmat import (
+    Mat,
     UnimodularMatrix,
     identity,
     inverse_unimodular,
@@ -306,6 +309,48 @@ def reference_group_closure(generators, cap=20000):
     elements = tuple(sorted(seen))
     return ("finite", len(elements), elements, None)
 
+
+def mod3_closure_reference(generators, cap: int = 20000) -> GroupReport:
+    """The closure `group_is_finite` ran before it kept a table of rows:
+    breadth first from Id over the distinct generators, one `mat_mul` per
+    product and each product filed under its entries mod 3.  Copied verbatim,
+    except that each report also records len(seen), the distinct elements
+    found."""
+    gens = [g if isinstance(g, UnimodularMatrix) else UnimodularMatrix(g) for g in generators]
+    if not gens:
+        raise ValueError("need at least one generator")
+    n = gens[0].n
+    if any(g.n != n for g in gens):
+        raise ValueError("generators must share one dimension")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    step = list(dict.fromkeys(g.rows for g in gens))
+    eye = identity(n)
+    seen: dict[tuple[int, ...], Mat] = {_residues_mod_3(eye): eye}
+    frontier = [eye]
+    while frontier:
+        new_frontier = []
+        for a in frontier:
+            for s in step:
+                b = mat_mul(a, s)
+                key = _residues_mod_3(b)
+                c = seen.get(key)
+                if c is not None:
+                    if c != b:
+                        return GroupReport("infinite", None, None, mat_mul(b, inverse_unimodular(c)),
+                                           len(seen))
+                    continue
+                seen[key] = b
+                if len(seen) > cap:
+                    return GroupReport("inconclusive", None, None, None, len(seen))
+                new_frontier.append(b)
+        frontier = new_frontier
+    elements = tuple(sorted(seen.values()))
+    return GroupReport("finite", len(elements), elements, None, len(seen))
+
+
+def _residues_mod_3(a) -> tuple[int, ...]:
+    return tuple([x % 3 for row in a for x in row])
 
 def covector_orbit_scan(s_rows, gamma, window):
     """Canonical covectors on the orbit of gamma within |m| <= window."""

@@ -514,6 +514,33 @@ def test_budget_consumed_summary(capsys):
     assert consumed["max_member_norm"] >= 1
 
 
+@pytest.mark.parametrize("matrices, args, code, consumed", [
+    # the rotation S has order 4
+    ([[[0, -1], [1, 0]]], [], EXIT_OK, {"cap": 20000, "elements_found": 4}),
+    # Id, the shear and its square are met before the cube agrees with Id mod 3
+    ([[[1, 1], [0, 1]]], [], EXIT_OK, {"cap": 20000, "elements_found": 3}),
+    # the third element passes the cap 2
+    ([[[1, 1], [0, 1]]], ["--count", "2"], EXIT_INCONCLUSIVE, {"cap": 2, "elements_found": 3}),
+])
+def test_group_finite_budget_consumed(matrices, args, code, consumed, capsys):
+    got, env, _ = run_cli(["group-finite", *args], {"matrices": matrices}, capsys)
+    assert got == code
+    assert env["budget_consumed"] == consumed
+
+
+def test_group_finite_b12_reaches_the_default_cap(capsys):
+    # B_12 has order 2^12 12!, far above the default cap 20000
+    n = 12
+    swap = [[int((i, j) in ((0, 1), (1, 0)) or (i == j and i > 1)) for j in range(n)]
+            for i in range(n)]
+    cycle = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    flip = [[(-1 if i == 0 else 1) * int(i == j) for j in range(n)] for i in range(n)]
+    code, env, _ = run_cli(["group-finite"], {"matrices": [swap, cycle, flip]}, capsys)
+    assert code == EXIT_INCONCLUSIVE
+    assert env["result"]["status"] == "inconclusive"
+    assert env["budget_consumed"] == {"cap": 20000, "elements_found": 20001}
+
+
 def test_orbit_command_with_subtorus_input(capsys):
     job = {
         "matrix": [[0, -1], [1, 0]],

@@ -1,7 +1,8 @@
+import functools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     block_diag,
@@ -9,6 +10,7 @@ from oracles import (
     direct_order_bound_12,
     first_repetition_is_injective,
     hyperoctahedral_generators,
+    mod3_closure_reference,
     random_word,
     reference_group_closure,
     signed_permutation_matrices,
@@ -449,6 +451,52 @@ def test_group_inconclusive_before_first_collision_at_tiny_cap():
     assert group_is_finite([SHEAR], cap=2).status == "inconclusive"
     rep = group_is_finite([SHEAR], cap=3)
     assert rep.status == "infinite" and rep.witness == ((1, 3), (0, 1))
+
+
+def _transvections(n):
+    """I + c E_ij for i != j and c = +-1: they generate SL_n(Z)."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                for c in (1, -1):
+                    out.append(tuple(tuple(int(r == k) + (c if (r, k) == (i, j) else 0)
+                                           for k in range(n)) for r in range(n)))
+    return out
+
+
+@st.composite
+def _closure_jobs(draw):
+    """1-3 generators, repeats allowed, each a product of 1-3 signed
+    permutations and elementary transvections, with a cap that can stop
+    the closure early."""
+    n = draw(st.integers(1, 4))
+    atoms = st.sampled_from(list(signed_permutation_matrices(n)) + _transvections(n))
+    generator = st.lists(atoms, min_size=1, max_size=3).map(
+        lambda factors: functools.reduce(mat_mul, factors))
+    gens = draw(st.lists(generator, min_size=1, max_size=3))
+    return gens, draw(st.sampled_from((1, 2, 3, 47, 20000)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closure_jobs())
+@example(([((1,),)], 20000))
+@example(([((-1,),)], 20000))
+@example(([((-1,),), ((-1,),)], 1))
+def test_group_is_finite_equals_mod3_closure_reference(job):
+    # the whole report, witness and the cap's stopping point included
+    gens, cap = job
+    assert group_is_finite(gens, cap) == mod3_closure_reference(gens, cap)
+
+
+def test_group_closure_of_b5_with_a_unipotent_is_infinite():
+    # B5's transposition and 5-cycle with the upper-bidiagonal unipotent:
+    # no element agrees mod 3 with another until thousands are found
+    swap, cycle, _ = hyperoctahedral_generators(5)
+    unipotent = tuple(tuple(int(j in (i, i + 1)) for j in range(5)) for i in range(5))
+    rep = group_is_finite([swap, cycle, unipotent])
+    assert rep.status == "infinite" and rep.order is None and rep.elements is None
+    assert_in_gamma_3(rep.witness)
 
 
 def test_orbit_scan_agreement_with_reports():
