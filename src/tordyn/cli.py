@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from .dynamics import (
@@ -69,9 +70,10 @@ COMMANDS = (
 
 
 class Inconclusive(Exception):
-    def __init__(self, payload, consumed):
+    def __init__(self, payload, budget, consumed):
         super().__init__("budget exhausted")
         self.payload = payload
+        self.budget = budget
         self.consumed = consumed
 
 
@@ -119,9 +121,10 @@ def run_job(job: dict) -> dict:
     return _execute(job)[0]
 
 
-def _execute(job: dict) -> tuple[dict, dict | None]:
-    """Execute a validated job: the result payload and the envelope's
-    `budget_consumed` summary, or None for a command without a budget."""
+def _execute(job: dict) -> tuple[dict, dict | None, dict | None]:
+    """Execute a validated job: the result payload, and the envelope's
+    `budget` (the caps the command reads) and `budget_consumed` summary,
+    each None for a command without a budget."""
     if not isinstance(job, dict):
         raise ParseError("job must be a JSON object")
     command = job.get("command")
@@ -143,7 +146,7 @@ def _execute(job: dict) -> tuple[dict, dict | None]:
             "invariant_rational_subspaces": encode_invariant_subspaces(
                 invariant_rational_subspaces(t)
             ) if t.n >= 2 else None,
-        }, None
+        }, None, None
 
     if command == "orbit":
         t = parse_unimodular(job.get("matrix"))
@@ -154,36 +157,38 @@ def _execute(job: dict) -> tuple[dict, dict | None]:
         else:
             raise ParseError("orbit needs 'covector' or 'subtorus'")
         window = _int_param(params, "budget_window", 16)
-        return encode_orbit_report(orbit(t, h, window)), None
+        return encode_orbit_report(orbit(t, h, window)), {"window_radius": window}, None
 
     if command == "disjoint-family":
         t = parse_unimodular(job.get("matrix"))
         k = _int_param(params, "count", 10)
-        cert = disjoint_hyperplane_orbits(t, k, _budget(params))
+        budget = _budget(params)
+        cert = disjoint_hyperplane_orbits(t, k, budget)
         payload = encode_family(cert)
         if not cert.complete:
-            raise Inconclusive(payload, _consumed(payload))
-        return payload, _consumed(payload)
+            raise Inconclusive(payload, asdict(budget), _consumed(payload))
+        return payload, asdict(budget), _consumed(payload)
 
     if command == "certify-nonexpansive":
         t = parse_unimodular(job.get("matrix"))
         k = _int_param(params, "count", 10)
-        cert = non_expansivity_certificate(t, k, _budget(params))
+        budget = _budget(params)
+        cert = non_expansivity_certificate(t, k, budget)
         payload = encode_non_expansivity(cert)
         if not cert.complete:
-            raise Inconclusive(payload, _consumed(payload["family"]))
-        return payload, _consumed(payload["family"])
+            raise Inconclusive(payload, asdict(budget), _consumed(payload["family"]))
+        return payload, asdict(budget), _consumed(payload["family"])
 
     if command == "distance":
         h1 = parse_subtorus(job.get("first"))
         h2 = parse_subtorus(job.get("second"))
-        return encode_metric_estimate(hausdorff_distance(h1, h2, _resolution(params))), None
+        return encode_metric_estimate(hausdorff_distance(h1, h2, _resolution(params))), None, None
 
     if command == "isolation":
         h = parse_subtorus(job.get("subtorus"))
         cap = _int_param(params, "budget_norm", 5)
         report = isolation_radius_lower_bound(h, cap, _resolution(params))
-        return encode_isolation(report), None
+        return encode_isolation(report), {"max_norm": cap}, None
 
     if command == "group-finite":
         matrices = job.get("matrices")
@@ -195,8 +200,8 @@ def _execute(job: dict) -> tuple[dict, dict | None]:
         payload = encode_group_report(report)
         consumed = {"cap": cap, "elements_found": report.elements_found}
         if report.status == "inconclusive":
-            raise Inconclusive(payload, consumed)
-        return payload, consumed
+            raise Inconclusive(payload, {"cap": cap}, consumed)
+        return payload, {"cap": cap}, consumed
 
     if command == "verify":
         if "certificate" not in job:
@@ -211,7 +216,7 @@ def _execute(job: dict) -> tuple[dict, dict | None]:
         payload = {"ok": result.ok, "failures": list(result.failures)}
         if not result.ok:
             raise VerifyFailed(payload)
-        return payload, None
+        return payload, None, None
 
     raise AssertionError("unreachable")
 
@@ -230,8 +235,8 @@ def _consumed(family: dict | None) -> dict | None:
     }
 
 
-def _envelope(command: str, job: dict, result: dict, consumed: dict | None, started: float,
-              budget: Budget | None) -> dict:
+def _envelope(command: str, job: dict, result: dict, budget: dict | None, consumed: dict | None,
+              started: float) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "tool": TOOL_NAME,
@@ -239,11 +244,7 @@ def _envelope(command: str, job: dict, result: dict, consumed: dict | None, star
         "command": command,
         "input": job,
         "result": result,
-        "budget": {
-            "max_norm": budget.max_norm,
-            "max_window": budget.max_window,
-            "max_candidates": budget.max_candidates,
-        } if budget is not None else None,
+        "budget": budget,
         "budget_consumed": consumed,
         "timing_seconds": round(time.perf_counter() - started, 6),
     }
@@ -306,8 +307,7 @@ def main(argv=None) -> int:
             params[key] = value
     job["parameters"] = params
     try:
-        budget = _budget(params)
-        result, consumed = _execute(job)
+        result, budget, consumed = _execute(job)
         status = EXIT_OK
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -316,12 +316,12 @@ def main(argv=None) -> int:
         print(f"error: invalid input ({exc})", file=sys.stderr)
         return EXIT_INVALID
     except Inconclusive as exc:
-        result, consumed = exc.payload, exc.consumed
+        result, budget, consumed = exc.payload, exc.budget, exc.consumed
         status = EXIT_INCONCLUSIVE
     except VerifyFailed as exc:
-        result, consumed = exc.payload, None
+        result, budget, consumed = exc.payload, None, None
         status = EXIT_VERIFY_FAILED
-    _write_output(args.output, _envelope(args.command, job, result, consumed, started, budget))
+    _write_output(args.output, _envelope(args.command, job, result, budget, consumed, started))
     return status
 
 

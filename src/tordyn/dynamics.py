@@ -50,10 +50,9 @@ from .lattices import (
 from .polynomials import (
     Poly,
     cyclotomic_orders_if_product,
-    distinct_cyclotomic_divisors,
-    cyclotomic,
     is_squarefree_product_of_cyclotomics,
     rational_factors,
+    strip_cyclotomic_factors,
     degree as poly_degree,
 )
 from .subtori import (
@@ -308,21 +307,6 @@ def converges_to_full(t: UnimodularMatrix, h: Subtorus) -> bool:
     return not orbit_is_periodic(t, h)
 
 
-def cyclotomic_radical_matrix(s: Mat) -> Mat:
-    """Product of Phi_m(S) over the distinct cyclotomic divisors of the minimal
-    polynomial of S.  A covector orbit under S is periodic exactly when this
-    matrix kills the covector."""
-    mu = matrix_minimal_polynomial(s)
-    out = identity(len(s))
-    for m in distinct_cyclotomic_divisors(mu):
-        out = mat_mul(out, evaluate_poly_at_matrix(cyclotomic(m), s))
-    return out
-
-
-def covector_orbit_is_periodic(radical: Mat, gamma: Vec) -> bool:
-    return all(x == 0 for x in mat_vec(radical, gamma))
-
-
 def is_distal_linear(t: UnimodularMatrix) -> bool:
     """Distality of the linear action on R^n: every eigenvalue on the unit
     circle, which for integer matrices forces roots of unity."""
@@ -331,7 +315,8 @@ def is_distal_linear(t: UnimodularMatrix) -> bool:
 
 def is_ergodic(t: UnimodularMatrix) -> bool:
     """No eigenvalue is a root of unity."""
-    return not distinct_cyclotomic_divisors(char_poly(t.rows))
+    orders, _ = strip_cyclotomic_factors(char_poly(t.rows))
+    return not orders
 
 
 @dataclass(frozen=True)
@@ -356,12 +341,11 @@ def acts_distally_on_subp(t: UnimodularMatrix) -> DistalityVerdict:
     if t.n < 2:
         raise AssertionError("every automorphism of the circle has finite order")
     s = dual_matrix(t).rows
-    radical = cyclotomic_radical_matrix(s)
     for gamma in iter_primitive_covectors(t.n):
-        if not covector_orbit_is_periodic(radical, gamma):
+        if not is_squarefree_product_of_cyclotomics(minimal_annihilator(s, gamma)):
             cov = PrimitiveCovector(gamma)
-            # the radical test has shown the covector orbit injective, which is
-            # exactly when the hyperplane orbit converges (converges_to_full)
+            # the covector orbit is injective, which is exactly when the
+            # hyperplane orbit converges (converges_to_full)
             return DistalityVerdict(False, None, covector_to_hyperplane(cov), cov, True)
     raise AssertionError("an infinite-order automorphism moves some covector")
 

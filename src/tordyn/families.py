@@ -1,22 +1,24 @@
 """Constructive engines: disjoint-orbit families of codimension-1 subtori and
 non-expansivity certificates.
 
-Family construction dispatches on the structure of the automorphism:
+Family construction dispatches on the spectrum of the automorphism:
 
-* finite order: every orbit is finite; representatives of distinct orbits are
-  collected by exact enumeration of the orbits themselves.
-* infinite order but all eigenvalues roots of unity: some power is unipotent,
-  and orbits on the dual side are separated by exact invariants (the class of
-  a covector modulo the sublattice its own difference orbit spans).  A
-  T-orbit is the union of m interleaved T^m-orbits, so each member has the
-  set of invariants of its m translates, and disjointness of those sets is
-  the evidence.
+* every eigenvalue a root of unity: for p = order_bound(T), the lcm of their
+  orders, S^p is unipotent (S = T^-T), and orbits on the dual side are
+  separated by exact invariants (the class of a covector modulo the
+  sublattice its own difference orbit under S^p spans).  A T-orbit is the
+  union of p interleaved T^p-orbits, so each member has the set of
+  invariants of its p translates, and disjointness of those sets is the
+  evidence.  T has finite order exactly when T^p = I; then each invariant is
+  the covector itself up to sign, its set is its orbit, and the family is
+  tagged `finite_order` (otherwise `unipotent_power`).  A covector's orbit
+  is periodic exactly when its difference lattice is {0}.
 * some eigenvalue off the unit circle: greedy selection of covectors by
   increasing norm, certified by orbit windows plus norm-growth floors.  The
-  candidates lie in L = ker f(S), for S = T^-T and f the first irreducible
-  factor of the characteristic polynomial of S that is not cyclotomic, so
-  every member has the annihilator f, an injective orbit and the growth
-  evidence of f.  For irreducible T, f(S) = 0 and L = Z^n.
+  candidates lie in L = ker f(S), for f the first irreducible factor of the
+  characteristic polynomial of S that is not cyclotomic, so every member has
+  the annihilator f, an injective orbit and the growth evidence of f.  For
+  irreducible T, f(S) = 0 and L = Z^n.
 
 One build computes T^-1 and S = T^-T once (FamilyOrbits).  Each member's
 orbit report is built once and widened in place (dynamics.OrbitBuilder).  The
@@ -26,9 +28,9 @@ annihilator, which does its radius-independent work once and derives the
 evidence once per radius; only the transfer constant is a member's own.
 
 Every certificate is pure data, and stores only what the verify module
-cannot recompute from the matrix and the members: the orbits of the
-finite-order branch and the invariant sets and power of the unipotent branch
-are recomputed there by the routines that build them here.
+cannot recompute from the matrix and the members: the invariant sets of the
+root-of-unity branches are recomputed there by the routine that builds them
+here (PowerInvariants).
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ from .dynamics import (
     OrbitBuilder,
     OrbitReport,
     act,
-    covector_orbit_is_periodic,
     covector_window_set,
-    cyclotomic_radical_matrix,
     dual_matrix,
 )
 from .growth import GrowthSearch
@@ -55,6 +55,7 @@ from .intmat import (
     evaluate_poly_at_matrix,
     identity,
     is_unipotent,
+    is_zero,
     mat_pow,
     mat_sub,
     mat_vec,
@@ -101,7 +102,7 @@ class Budget:
                 raise ValueError(f"budget {name} must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class UnipotentInvariant:
     """Orbit invariant of a covector under a unipotent dual action: the HNF
     basis of the lattice spanned by its difference orbit, and the covector
@@ -128,30 +129,61 @@ class FamilyConstructionError(Exception):
     pass
 
 
+def _difference_lattice(nilpotent: Mat, gamma: Vec) -> Mat:
+    """HNF basis of the lattice spanned by N gamma, N^2 gamma, ... for N the
+    nilpotent part S - Id of a unipotent S."""
+    rows = []
+    cur = mat_vec(nilpotent, gamma)
+    while any(cur):
+        rows.append(cur)
+        cur = mat_vec(nilpotent, cur)
+        if len(rows) > len(nilpotent):
+            raise ValueError("matrix is not unipotent")
+    return trusted_hnf_basis(rows)
+
+
 def unipotent_invariant(s_rows: Mat, gamma: Vec) -> UnipotentInvariant:
     """Exact orbit invariant of gamma under a unipotent S.
 
     S^m gamma - gamma always lies in N * span{N^i gamma}, N = S - Id, and that
     sublattice is itself orbit-constant, so the reduced class never moves.
     """
-    n = len(s_rows)
-    nmat = mat_sub(s_rows, identity(n))
-    rows = []
-    cur = mat_vec(nmat, gamma)
-    while any(cur):
-        rows.append(cur)
-        cur = mat_vec(nmat, cur)
-        if len(rows) > n:
-            raise ValueError("matrix is not unipotent")
-    p = trusted_hnf_basis(rows)
+    p = _difference_lattice(mat_sub(s_rows, identity(len(s_rows))), gamma)
     return UnipotentInvariant(p, reduce_mod_lattice(p, gamma))
+
+
+def _invariant_pm(nilpotent: Mat, gamma: Vec) -> UnipotentInvariant:
+    """Invariant of the pair {gamma, -gamma}, which share one difference
+    lattice: the lesser of their reduced classes."""
+    p = _difference_lattice(nilpotent, gamma)
+    neg = tuple(-x for x in gamma)
+    return UnipotentInvariant(p, min(reduce_mod_lattice(p, gamma), reduce_mod_lattice(p, neg)))
 
 
 def unipotent_invariant_pm(s_rows: Mat, gamma: Vec) -> UnipotentInvariant:
     """Sign-free version: invariant of the pair {gamma, -gamma}."""
-    a = unipotent_invariant(s_rows, gamma)
-    b = unipotent_invariant(s_rows, tuple(-x for x in gamma))
-    return min((a, b), key=lambda u: (u.difference_lattice, u.reduced))
+    return _invariant_pm(mat_sub(s_rows, identity(len(s_rows))), gamma)
+
+
+class PowerInvariants:
+    """Orbit invariants under a dual matrix S = T^-T, given by its rows, for a
+    power with S^power unipotent.  The invariant set of a covector gamma is
+    the sorted sign-free invariants of its translates gamma, S gamma, ...,
+    S^(power-1) gamma under S^power; two covectors lie on one orbit exactly
+    when their sets meet.  The nilpotent part S^power - Id is computed once,
+    here; it is 0 exactly when T^power = Id."""
+
+    def __init__(self, s: Mat, power: int):
+        self.s, self.power = s, power
+        self.nilpotent = mat_sub(mat_pow(s, power), identity(len(s)))
+
+    def invariant_set(self, gamma: Vec) -> tuple[UnipotentInvariant, ...]:
+        out = []
+        cur = gamma
+        for _ in range(self.power):
+            out.append(_invariant_pm(self.nilpotent, trusted_canonicalize_covector(cur)))
+            cur = mat_vec(self.s, cur)
+        return tuple(sorted(out))
 
 
 class FamilyOrbits:
@@ -205,97 +237,42 @@ def _kernel_lattice(s: Mat) -> Mat:
     return annihilator_rows(evaluate_poly_at_matrix(f, s), len(s))
 
 
-def periodic_covector_orbit(s: Mat, gamma: Vec, order: int) -> tuple[Vec, ...]:
-    """The orbit {canonicalize(S^m gamma) : 0 <= m < order}, sorted, of a
-    covector under a dual matrix S whose order divides `order`."""
-    orb = set()
-    cur = gamma
-    for _ in range(order):
-        orb.add(trusted_canonicalize_covector(cur))
-        cur = mat_vec(s, cur)
-    return tuple(sorted(orb))
-
-
-def _periodic_family(
-    orbits: FamilyOrbits, k: int, order: int, budget: Budget
-) -> DisjointFamilyCertificate:
-    t, s = orbits.t, orbits.s
-    members: list[Vec] = []
-    taken: set[Vec] = set()
-    for gamma in iter_primitive_covectors(t.n, budget.max_norm):
-        if len(members) == k:
-            break
-        if gamma in taken:
-            continue
-        orbset = periodic_covector_orbit(s, gamma, order)
-        if taken.intersection(orbset):
-            continue
-        members.append(gamma)
-        taken.update(orbset)
-    complete = len(members) == k
-    reports = orbits.reports(members, min(order, budget.max_window))
-    return DisjointFamilyCertificate(
-        matrix=t.rows,
-        count=len(members),
-        requested=k,
-        members=tuple(members),
-        orbit_reports=reports,
-        branch="finite_order",
-        rigorous=True,
-        complete=complete,
-        explanation=None if complete else "candidate norm budget exhausted",
-    )
-
-
-def invariant_set_for(s: Mat, gamma: Vec, power: int) -> tuple[UnipotentInvariant, ...]:
-    """The sorted invariants of the `power` translates gamma, S gamma, ... under
-    S^power, for the dual matrix S = T^-T given by its rows."""
-    s_pow = mat_pow(s, power)
-    out = []
-    cur = gamma
-    for _ in range(power):
-        out.append(unipotent_invariant_pm(s_pow, trusted_canonicalize_covector(cur)))
-        cur = mat_vec(s, cur)
-    return tuple(sorted(out, key=lambda u: (u.difference_lattice, u.reduced)))
-
-
-def _unipotent_power_family(
+def _root_of_unity_family(
     orbits: FamilyOrbits,
     k: int,
+    power: int,
     budget: Budget,
     injective_only: bool,
 ) -> DisjointFamilyCertificate:
-    t = orbits.t
-    # the lcm of the eigenvalues' orders, the least power whose eigenvalues are all 1
-    power = order_bound(t.rows)
-    assert power is not None
-    t_pow = t.power(power)
-    if not is_unipotent(t_pow):
-        raise AssertionError("the cyclotomic-order power must be unipotent")
-    if t_pow.is_identity():
-        raise FamilyConstructionError("automorphism has finite order")
-    radical = cyclotomic_radical_matrix(orbits.s) if injective_only else None
+    """The family of a T whose eigenvalues are roots of unity, with power =
+    order_bound(T): members of disjoint invariant sets under S^power."""
+    invariants = PowerInvariants(orbits.s, power)
+    finite = is_zero(invariants.nilpotent)
+    if finite and injective_only:
+        raise FamilyConstructionError("finite-order automorphisms have no injective hyperplane orbits")
     members: list[Vec] = []
     taken: set[UnipotentInvariant] = set()
-    for gamma in _candidate_covectors(identity(t.n), budget):
+    for gamma in _candidate_covectors(identity(orbits.t.n), budget):
         if len(members) == k:
             break
-        if injective_only and covector_orbit_is_periodic(radical, gamma):
+        iset = invariants.invariant_set(gamma)
+        # S^power fixes gamma, so its orbit is periodic, exactly when its
+        # difference lattice is {0}
+        if injective_only and not iset[0].difference_lattice:
             continue
-        iset = invariant_set_for(orbits.s, gamma, power)
         if taken.intersection(iset):
             continue
         members.append(gamma)
         taken.update(iset)
     complete = len(members) == k
-    reports = orbits.reports(members, min(budget.max_window, 2 * power + 4))
+    radius = power if finite else 2 * power + 4
     return DisjointFamilyCertificate(
-        matrix=t.rows,
+        matrix=orbits.t.rows,
         count=len(members),
         requested=k,
         members=tuple(members),
-        orbit_reports=reports,
-        branch="unipotent_power",
+        orbit_reports=orbits.reports(members, min(budget.max_window, radius)),
+        branch="finite_order" if finite else "unipotent_power",
         rigorous=True,
         complete=complete,
         explanation=None if complete else "candidate budget exhausted",
@@ -311,7 +288,7 @@ def unipotent_family(t: UnimodularMatrix, k: int, budget: Budget = Budget()) -> 
         raise ValueError("the identity is excluded")
     if k < 1:
         raise ValueError("need k >= 1")
-    return _unipotent_power_family(FamilyOrbits(t), k, budget, injective_only=False)
+    return _root_of_unity_family(FamilyOrbits(t), k, 1, budget, injective_only=False)
 
 
 def _greedy_family(orbits: FamilyOrbits, k: int, budget: Budget) -> DisjointFamilyCertificate:
@@ -382,24 +359,20 @@ def disjoint_hyperplane_orbits(
 ) -> DisjointFamilyCertificate:
     """k codimension-1 subtori with pairwise disjoint orbits, with evidence.
 
-    Dispatches on the automorphism: finite order, root-of-unity spectrum,
-    or an eigenvalue off the unit circle (greedy selection in the kernel
-    lattice, with growth floors).
+    Dispatches on the spectrum of the automorphism: every eigenvalue a root
+    of unity (invariant sets under S^p, finite order included), or some
+    eigenvalue off the unit circle (greedy selection in the kernel lattice,
+    with growth floors).
     """
     if t.n < 2:
         raise ValueError("needs ambient dimension >= 2")
     if k < 1:
         raise ValueError("need k >= 1")
     orbits = FamilyOrbits(t)
-    order = matrix_order(t)
-    if order is not None:
-        if injective_only:
-            raise FamilyConstructionError(
-                "finite-order automorphisms have no injective hyperplane orbits"
-            )
-        return _periodic_family(orbits, k, order, budget)
-    if order_bound(t.rows) is not None:
-        return _unipotent_power_family(orbits, k, budget, injective_only)
+    # the lcm of the eigenvalues' orders, the least power whose eigenvalues are all 1
+    power = order_bound(t.rows)
+    if power is not None:
+        return _root_of_unity_family(orbits, k, power, budget, injective_only)
     # every candidate of the greedy has an injective orbit
     return _greedy_family(orbits, k, budget)
 

@@ -275,26 +275,10 @@ def cyclotomic_orders_if_product(p: Poly) -> list[int] | None:
     return orders if rest == ONE else None
 
 
-def distinct_cyclotomic_divisors(p: Poly) -> list[int]:
-    """Distinct orders m with cyclotomic(m) dividing p."""
-    q = monic_normalize(p)
-    return [
-        m
-        for m in orders_with_totient_at_most(degree(q))
-        if degree(q) >= totient(m) and divides(cyclotomic(m), q)
-    ]
-
-
 def is_squarefree_product_of_cyclotomics(p: Poly) -> bool:
     """True iff p is +- a product of distinct cyclotomic polynomials."""
-    q = monic_normalize(p)
-    for m in orders_with_totient_at_most(degree(q)):
-        phi = cyclotomic(m)
-        if degree(q) >= degree(phi) and divides(phi, q):
-            q, _ = divmod_exact(q, phi)
-            if divides(phi, q):
-                return False
-    return q == ONE
+    orders = cyclotomic_orders_if_product(p)
+    return orders is not None and len(set(orders)) == len(orders)
 
 
 def _derivative(p: Poly) -> Poly:

@@ -1,11 +1,11 @@
 """Independent re-verification of emitted certificates.
 
 The checker never trusts the producer: it recomputes orbit windows, periods,
-growth floors, the finite-order orbits, the unipotent invariant sets and the
+growth floors, the invariant sets of the root-of-unity branches and the
 isolation bound from the matrix and the members.  What a certificate stores
-it compares with the recomputation; what it does not store (the orbits and
-invariant sets, whose disjointness is then checked on the recomputed sets) it
-uses as recomputed.  Any discrepancy is reported with the offending member or
+it compares with the recomputation; what it does not store (the invariant
+sets, whose disjointness is then checked on the recomputed sets) it uses as
+recomputed.  Any discrepancy is reported with the offending member or
 pair named.  The greedy branch's check reads only the members and their
 reports, not how the producer chose them.
 
@@ -17,9 +17,10 @@ period, on a member's orbit data (S, gamma) (`growth.minimal_annihilator`,
 `dynamics.periodic_orbit_period`); growth (`growth.check_growth_certificate`,
 which shares with the producer the sequence of a direction and level, the
 cone-invariance and entry-chain tests and the norm-floor conversion); the
-finite-order orbits (`families.periodic_covector_orbit`); the unipotent
-invariant sets (`families.invariant_set_for`); and the isolation bound of the
-first member's hyperplane, the closed form 1/(2 ||gamma||_2)
+invariant sets under S^p of both root-of-unity branches, `finite_order` and
+`unipotent_power` (`families.PowerInvariants`), whose tag is checked against
+whether T^p = I; and the isolation bound of the first member's hyperplane,
+the closed form 1/(2 ||gamma||_2)
 (`metric.hyperplane_isolation_bound`).  Convergence to the full torus is
 read off each orbit report's status, which `verify_family` has matched with
 the recomputed orbit dichotomy.
@@ -50,8 +51,8 @@ subtori are all it claims, must be complete.
 
 The checker bounds its work by the size of the certificate and the matrix: a
 window radius must come with its 2r + 1 entries, a cone power step is at most
-the number of entry indices the cone can use, and the finite order and the
-unipotent power that size the recomputed orbits come from the matrix alone.
+the number of entry indices the cone can use, and the power p that sizes the
+recomputed invariant sets comes from the matrix alone.
 """
 
 from __future__ import annotations
@@ -67,13 +68,12 @@ from .dynamics import (
 from .families import (
     DisjointFamilyCertificate,
     NonExpansivityCertificate,
-    invariant_set_for,
-    periodic_covector_orbit,
+    PowerInvariants,
 )
 from .growth import check_growth_certificate, minimal_annihilator
 from .intmat import (
     UnimodularMatrix,
-    is_unipotent,
+    is_zero,
     matrix_order,
     order_bound,
     transpose,
@@ -181,8 +181,8 @@ def verify_family(cert: DisjointFamilyCertificate) -> VerificationResult:
         _fail(failures, f"complete is {cert.complete} for {cert.count} of {cert.requested} "
                         "requested members")
     checker = {
-        "finite_order": _verify_periodic_branch,
-        "unipotent_power": _verify_unipotent_branch,
+        "finite_order": _verify_root_of_unity_branch,
+        "unipotent_power": _verify_root_of_unity_branch,
         "greedy": _verify_greedy_branch,
     }.get(cert.branch)
     if checker is None:
@@ -205,29 +205,18 @@ def _check_disjoint(sets, what: str, failures) -> None:
         _fail(failures, f"members {i} and {j}: {what} intersect")
 
 
-def _verify_periodic_branch(t, s, cert, failures):
-    order = matrix_order(t)
-    if order is None:
-        _fail(failures, "branch claims finite order but the matrix has infinite order")
-        return
-    _check_disjoint([periodic_covector_orbit(s, g, order) for g in cert.members],
-                    "periodic orbits", failures)
-
-
-def _verify_unipotent_branch(t, s, cert, failures):
+def _verify_root_of_unity_branch(t, s, cert, failures):
     # the power comes from the matrix, which also bounds the work
     power = order_bound(t.rows)
     if power is None:
         _fail(failures, "some eigenvalue is not a root of unity")
         return
-    tp = t.power(power)
-    if not is_unipotent(tp):
-        _fail(failures, f"T^{power} is not unipotent")
+    invariants = PowerInvariants(s, power)
+    finite = is_zero(invariants.nilpotent)
+    if finite != (cert.branch == "finite_order"):
+        _fail(failures, f"branch {cert.branch} but T^{power} is {'' if finite else 'not '}the identity")
         return
-    if tp.is_identity():
-        _fail(failures, f"T^{power} is the identity; the finite-order branch applies")
-        return
-    _check_disjoint([invariant_set_for(s, g, power) for g in cert.members],
+    _check_disjoint([invariants.invariant_set(g) for g in cert.members],
                     "invariant sets", failures)
 
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library code paths it is used to
 check: row spans are tested by rational elimination, characteristic
-polynomials by cofactor expansion, orbits by direct stepping, finite order
+polynomials by cofactor expansion, covector periodicity by one matrix that
+kills exactly the periodic covectors, orbits by direct stepping, finite order
 by direct powering, products by a triple loop, and group closures by one
 order check per element or by multiplying matrices and filing each product
 under its entries mod 3.
@@ -15,12 +16,14 @@ from tordyn.dynamics import GroupReport
 from tordyn.intmat import (
     Mat,
     UnimodularMatrix,
+    evaluate_poly_at_matrix,
     identity,
     inverse_unimodular,
     mat_mul,
     mat_vec,
     matrix_order,
 )
+from tordyn.polynomials import cyclotomic, divides, orders_with_totient_at_most
 
 
 def rational_solve_row(rows, target):
@@ -185,6 +188,19 @@ def charpoly_cofactor(a):
         return total
 
     return det_poly(entries)
+
+
+def cyclotomic_radical_matrix(s):
+    """Product of Phi_m(S) over the distinct cyclotomic divisors of the
+    characteristic polynomial of S (by cofactor expansion).  A covector orbit
+    under S is periodic exactly when this matrix kills the covector, so one
+    matrix product decides a whole array of covectors at once."""
+    cp = charpoly_cofactor(s)
+    out = identity(len(s))
+    for m in orders_with_totient_at_most(len(s)):
+        if divides(cyclotomic(m), cp):
+            out = mat_mul(out, evaluate_poly_at_matrix(cyclotomic(m), s))
+    return out
 
 
 GL2_GENERATORS = (

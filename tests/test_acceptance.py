@@ -13,6 +13,7 @@ import numpy as np
 
 from oracles import (
     covector_orbit_scan,
+    cyclotomic_radical_matrix,
     direct_order_bound_12,
     first_repetition_is_injective,
     random_word,
@@ -22,7 +23,6 @@ from tordyn.dynamics import (
     act,
     acts_distally_on_subp,
     converges_to_full,
-    cyclotomic_radical_matrix,
     dual_matrix,
     group_is_finite,
     orbit_is_periodic,

@@ -1,15 +1,20 @@
-"""Certificates of the greedy growth search are pinned byte for byte.
+"""Certificates of the family builders are pinned byte for byte.
 
 Each pin is the sha256 of the canonical JSON (serialization.canonical_json) of
-the certificate a job produces through cli.run_job.  The jobs cover the paths
-of the growth search: narrow-gap annihilators that widen through several
-radii without a cone (the two sextics and the quintic), a cone at one radius
-shared by many members (x^3-x-1 and the cat map) and a unipotent spectrum
-(the T^3 shear).
+the certificate a job produces through cli.run_job.  The first six jobs cover
+the paths of the growth search: narrow-gap annihilators that widen through
+several radii without a cone (the two sextics and the quintic), a cone at one
+radius shared by many members (x^3-x-1 and the cat map) and a unipotent
+spectrum (the T^3 shear).  The last five cover the root-of-unity spectrum:
+finite order (the rotation, the identity and an order-6 matrix of T^3), a
+unipotent T^2 shear, and shear + rotation, whose non-expansivity family
+keeps only members with injective orbits.
 
-The pins were generated with the search that rebuilt every piece of evidence
-at every radius, before the search kept its radius-independent part across
-radii, by running this file as a script on that tree:
+The first six pins were generated with the search that rebuilt every piece
+of evidence at every radius, before the search kept its radius-independent
+part across radii; the last five with separate finite-order and
+unipotent-power family builders, before one builder served both.  Each was
+generated by running this file as a script on that tree:
 
     PYTHONPATH=src python tests/test_certificate_pins.py
 
@@ -46,6 +51,14 @@ JOBS = {
     "x^3-x-1 family k=20": ("disjoint-family", companion((1, 0, -1, -1)), 20),
     "shear T^3 family k=16": ("disjoint-family", [[1, 1, 0], [0, 1, 1], [0, 0, 1]], 16),
     "cat family k=60": ("disjoint-family", [[2, 1], [1, 1]], 60),
+    "rotation family k=2": ("disjoint-family", [[0, -1], [1, 0]], 2),
+    "identity family k=5": ("disjoint-family", [[1, 0], [0, 1]], 5),
+    "order 6 in T^3 family k=12":
+        ("disjoint-family", [[0, 0, -1], [1, 0, 0], [0, 1, 0]], 12),
+    "shear T^2 family k=16": ("disjoint-family", [[1, 1], [0, 1]], 16),
+    "shear + rotation certify k=10":
+        ("certify-nonexpansive",
+         [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], 10),
 }
 
 PINS = {
@@ -61,6 +74,16 @@ PINS = {
         "ffa45238dbcf35669dc321ac4801294e8c095d8fa69f63d04593ee62e6611a40",
     "cat family k=60":
         "4acb2b5d4ae42ff8b978fe29c0d797c88831059d8a40db4fcb6f533752d52fa2",
+    "rotation family k=2":
+        "d9ffcf5c8f609c2b2ec476fdf371011648ef21c7612a1044363f61bcbc0ebf8b",
+    "identity family k=5":
+        "703b475f45facda5a1f8030ed38f059ef5394d8c516be3cd0a66caf13dd0ed1e",
+    "order 6 in T^3 family k=12":
+        "9eecd1bdccbdc37f85101a16887b3a875e8b7b80da30c3f551e4a6ae5d6c0c2e",
+    "shear T^2 family k=16":
+        "e9734690184cf5de2c9c3f345bb75b7439f7c285b81a5d60d0cf5b7903a2ccca",
+    "shear + rotation certify k=10":
+        "f8879a6caa4c0999ef4444a87377e68c06b2d59ad59d02820fb8b84421524988",
 }
 
 

@@ -541,6 +541,44 @@ def test_group_finite_b12_reaches_the_default_cap(capsys):
     assert env["budget_consumed"] == {"cap": 20000, "elements_found": 20001}
 
 
+FAMILY_BUDGET = {"max_norm": 64, "max_window": 96, "max_candidates": 4000}
+SUBTORUS_A = {"ambient_dim": 2, "basis": [[1, 0]]}
+SUBTORUS_B = {"ambient_dim": 2, "basis": [[1, 1]]}
+
+
+@pytest.mark.parametrize("args, job, code, budget", [
+    (["disjoint-family", "--count", "2"], {"matrix": [[2, 1], [1, 1]]}, EXIT_OK, FAMILY_BUDGET),
+    (["disjoint-family", "--count", "9", "--budget-norm", "1"], {"matrix": [[0, -1], [1, 0]]},
+     EXIT_INCONCLUSIVE, dict(FAMILY_BUDGET, max_norm=1)),
+    (["certify-nonexpansive", "--count", "2", "--budget-window", "40"],
+     {"matrix": [[2, 1], [1, 1]]}, EXIT_OK, dict(FAMILY_BUDGET, max_window=40)),
+    (["orbit"], {"matrix": [[2, 1], [1, 1]], "covector": [1, 2]}, EXIT_OK, {"window_radius": 16}),
+    (["orbit", "--budget-window", "3"], {"matrix": [[2, 1], [1, 1]], "covector": [1, 2]},
+     EXIT_OK, {"window_radius": 3}),
+    (["isolation"], {"subtorus": SUBTORUS_A}, EXIT_OK, {"max_norm": 5}),
+    (["group-finite"], {"matrices": [[[0, -1], [1, 0]]]}, EXIT_OK, {"cap": 20000}),
+    (["group-finite", "--count", "2"], {"matrices": [[[1, 1], [0, 1]]]}, EXIT_INCONCLUSIVE,
+     {"cap": 2}),
+    (["classify", "--budget-norm", "3"], {"matrix": [[2, 1], [1, 1]]}, EXIT_OK, None),
+    (["distance"], {"first": SUBTORUS_A, "second": SUBTORUS_B}, EXIT_OK, None),
+])
+def test_envelope_budget_is_what_the_command_reads(args, job, code, budget, capsys):
+    got, env, _ = run_cli(args, job, capsys)
+    assert got == code
+    assert env["budget"] == budget
+
+
+@pytest.mark.parametrize("tamper, code", [(False, EXIT_OK), (True, EXIT_VERIFY_FAILED)])
+def test_verify_envelope_has_no_budget(tamper, code, capsys):
+    _, env, _ = run_cli(["disjoint-family", "--count", "2"], {"matrix": [[2, 1], [1, 1]]}, capsys)
+    cert = env["result"]
+    if tamper:
+        cert["members"][1] = cert["members"][0]
+    got, env, _ = run_cli(["verify", "--budget-window", "5"], {"certificate": cert}, capsys)
+    assert got == code
+    assert env["budget"] is None
+
+
 def test_orbit_command_with_subtorus_input(capsys):
     job = {
         "matrix": [[0, -1], [1, 0]],

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     block_diag,
     covector_orbit_scan,
+    cyclotomic_radical_matrix,
     direct_order_bound_12,
     first_repetition_is_injective,
     hyperoctahedral_generators,
@@ -20,7 +21,6 @@ from tordyn.dynamics import (
     acts_distally_on_subp,
     converges_to_full,
     covector_window_set,
-    cyclotomic_radical_matrix,
     dual_matrix,
     group_is_finite,
     invariant_rational_subspaces,

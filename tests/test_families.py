@@ -11,9 +11,9 @@ from tordyn.dynamics import act, converges_to_full, dual_matrix, orbit, orbit_is
 from tordyn.families import (
     Budget,
     FamilyConstructionError,
+    PowerInvariants,
     disjoint_hyperplane_orbits,
     fixed_subtori,
-    invariant_set_for,
     non_expansivity_certificate,
     unipotent_family,
     unipotent_invariant,
@@ -113,7 +113,7 @@ def test_unipotent_family_examples():
     fam = unipotent_family(SHEAR, 3)
     assert fam.count == 3
     s = dual_matrix(SHEAR).rows
-    assert len({invariant_set_for(s, g, 1) for g in fam.members}) == 3
+    assert len({PowerInvariants(s, 1).invariant_set(g) for g in fam.members}) == 3
     for i in range(3):
         for j in range(i + 1, 3):
             assert brute_force_orbits_disjoint(SHEAR, fam.members[i], fam.members[j], 60)
@@ -351,6 +351,14 @@ def test_partial_family_on_tiny_budget():
     assert not fam.complete
     assert fam.explanation is not None
     assert fam.count < 10
+
+
+def test_finite_order_family_obeys_the_candidate_cap():
+    # (0, 1), (1, -1) and (1, 0) are the first candidates, and the rotation
+    # carries (0, 1) to (1, 0) up to sign
+    fam = disjoint_hyperplane_orbits(ROT, 10, Budget(max_candidates=3))
+    assert not fam.complete and fam.count == 2
+    assert fam.explanation == "candidate budget exhausted"
 
 
 def test_rigor_flag_is_honest_under_window_starvation():

@@ -11,7 +11,6 @@ from tordyn.intmat import char_poly, compound_matrix, mat_pow
 from tordyn.polynomials import (
     cyclotomic,
     cyclotomic_orders_if_product,
-    distinct_cyclotomic_divisors,
     divides,
     divmod_exact,
     exterior_square_poly,
@@ -70,6 +69,10 @@ def test_cyclotomic_stripping_leaves_the_noncyclotomic_part():
     p = mul((1, -3, 1), cyclotomic(4))
     orders, rest = strip_cyclotomic_factors(p)
     assert orders == [4]
+    assert rest == (1, -3, 1)
+    # a repeated factor is stripped with its multiplicity
+    orders, rest = strip_cyclotomic_factors(mul(mul(cyclotomic(1), cyclotomic(1)), (1, -3, 1)))
+    assert orders == [1, 1]
     assert rest == (1, -3, 1)
 
 
@@ -196,11 +199,6 @@ def test_irreducible_polynomial_split_mod_every_prime_is_fast(p):
     started = time.perf_counter()
     assert rational_factors(p) == [(p, 1)]
     assert time.perf_counter() - started < 1
-
-
-def test_distinct_cyclotomic_divisors():
-    p = mul(mul(cyclotomic(1), cyclotomic(1)), (1, -3, 1))
-    assert distinct_cyclotomic_divisors(p) == [1]
 
 
 def test_reciprocal():

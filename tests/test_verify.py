@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from oracles import random_word
+from tordyn.cli import VerifyFailed, run_job
 from tordyn.dynamics import dual_matrix, orbit
 from tordyn.families import disjoint_hyperplane_orbits, non_expansivity_certificate
 from tordyn.intmat import UnimodularMatrix, mat_vec
@@ -128,7 +129,7 @@ def test_periodic_orbit_forgery_rejected():
     accept(data)
     bad, i = on_another_members_orbit(data, ROT)
     res = reject(bad)
-    assert res.failures == (f"members {i} and 1: periodic orbits intersect",)
+    assert res.failures == (f"members {i} and 1: invariant sets intersect",)
 
 
 def test_invariant_forgery_rejected(shear_family):
@@ -136,6 +137,20 @@ def test_invariant_forgery_rejected(shear_family):
     bad, i = on_another_members_orbit(shear_family, SHEAR)
     res = reject(bad)
     assert res.failures == (f"members {i} and 7: invariant sets intersect",)
+
+
+@pytest.mark.parametrize("matrix, tag, failure", [
+    # the rotation has order 4: T^4 = Id
+    ([[0, -1], [1, 0]], "unipotent_power", "branch unipotent_power but T^4 is the identity"),
+    # the shear is unipotent of infinite order: T^1 != Id
+    ([[1, 1], [0, 1]], "finite_order", "branch finite_order but T^1 is not the identity"),
+])
+def test_root_of_unity_tag_forgery_exits_4(matrix, tag, failure):
+    # run_job raises VerifyFailed where the CLI exits 4
+    family = run_job({"command": "disjoint-family", "matrix": matrix, "parameters": {"count": 3}})
+    with pytest.raises(VerifyFailed) as exc:
+        run_job({"command": "verify", "certificate": dict(family, branch=tag)})
+    assert exc.value.payload["failures"] == [failure]
 
 
 def test_duplicated_member_rejected(cat_family):
