@@ -70,10 +70,6 @@ def test_cyclotomic_stripping_leaves_the_noncyclotomic_part():
     orders, rest = strip_cyclotomic_factors(p)
     assert orders == [4]
     assert rest == (1, -3, 1)
-    # a repeated factor is stripped with its multiplicity
-    orders, rest = strip_cyclotomic_factors(mul(mul(cyclotomic(1), cyclotomic(1)), (1, -3, 1)))
-    assert orders == [1, 1]
-    assert rest == (1, -3, 1)
 
 
 def test_squarefree_cyclotomic_product():
@@ -199,6 +195,16 @@ def test_irreducible_polynomial_split_mod_every_prime_is_fast(p):
     started = time.perf_counter()
     assert rational_factors(p) == [(p, 1)]
     assert time.perf_counter() - started < 1
+
+
+def test_distinct_cyclotomic_divisors():
+    # a repeated factor is stripped with its multiplicity; its order is the
+    # one distinct cyclotomic divisor
+    p = mul(mul(cyclotomic(1), cyclotomic(1)), (1, -3, 1))
+    orders, rest = strip_cyclotomic_factors(p)
+    assert orders == [1, 1]
+    assert sorted(set(orders)) == [1]
+    assert rest == (1, -3, 1)
 
 
 def test_reciprocal():
