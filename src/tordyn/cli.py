@@ -198,7 +198,7 @@ def _execute(job: dict) -> tuple[dict, dict | None, dict | None]:
         cap = _int_param(params, "count", 20000)
         report = group_is_finite(gens, cap)
         payload = encode_group_report(report)
-        consumed = {"cap": cap, "elements_found": report.elements_found}
+        consumed = {"elements_found": report.elements_found}
         if report.status == "inconclusive":
             raise Inconclusive(payload, {"cap": cap}, consumed)
         return payload, {"cap": cap}, consumed

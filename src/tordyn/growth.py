@@ -31,25 +31,34 @@ norm_floor(floor_seq, level, transfer), and the rigor and the exterior norm
 floor of a certificate are properties computed from the two parts.
 derive_growth_certificate composes them.
 
+Sequences are computed on demand.  ImpulseResponse runs the recurrence of g
+the first time an index is read and keeps the terms; direction_sequence gives
+a view of it for one direction and level (a DirectionSequence), which keeps
+the Hankel determinants it has read.  A view's index range is capped, at
+window + a fixed tail in the producer and at a span that the certificate's
+power steps, the window and the degree bound in the checker, but only the
+terms a test reads are computed.
+
 The producer searches for the direction evidence in two parts (GrowthSearch).
-Once per annihilator: the float roots, the impulse values (extended in place
-when a wider radius needs a longer span) and, per direction, level and q,
-the invariant cone ratios mu, nu or the fact that there are none; none of
-these reads the window.  Once per radius: the cone entries, their floor and
-the polynomial path, which do.  A family build keeps one search per
-annihilator, so members that widen through several radii share all of the
-first part; growth_evidence is a fresh search at one radius, and every
-search gives at each radius what a fresh one gives there.
+Once per annihilator: the float roots, the impulse response with one
+sequence per direction and level, and, per direction, level and q, the
+invariant cone ratios mu, nu or the fact that there are none; none of these
+reads the window.  Once per radius: the cone entries, their floor and the
+polynomial path, which do.  A family build keeps one search per annihilator,
+so members that widen through several radii share all of the first part and
+every term computed so far; growth_evidence is a fresh search at one radius,
+and every search gives at each radius what a fresh one gives there.
 
 The producer and the checker (check_growth_certificate) share one routine for
-each step of the evidence: direction_sequence gives the sequence, recurrence
-and covered index of a direction and level; cone_is_invariant and enters_cone
-test a cone and its entries; the cone and polynomial floors come from
-_cone_floor and _try_polynomial_direction; and norm_floor turns a sequence
-floor into a norm floor.  The checker recomputes all of it from scratch, and
-splits the same way as a certificate: the direction evidence is checked once
-per (annihilator, window, directions), and each orbit's annihilator and
-transfer constant on their own.  Floating point appears only as a hint
+each step of the evidence: direction_sequence gives the sequence, its
+recurrence and the last index a window covers, for a direction and level;
+cone_is_invariant and enters_cone test a cone and its entries, in integers;
+the cone and polynomial floors come from _cone_floor and
+_try_polynomial_direction; and norm_floor turns a sequence floor into a norm
+floor.  The checker recomputes all of it from scratch, and splits the same
+way as a certificate: the direction evidence is checked once per
+(annihilator, window, directions), and each orbit's annihilator and transfer
+constant on their own.  Floating point appears only as a hint
 source for picking q, mu, nu in the producer, which searches; the checker
 only re-runs the exact tests.  The hints come from float approximations of
 the roots z of the annihilator, found once per search (float_roots, an
@@ -113,34 +122,47 @@ def cyclic_basis(m: Mat, v: Vec, d: int) -> Mat:
     return tuple(rows)
 
 
-def impulse_values(g: Poly, lo: int, hi: int) -> dict[int, int]:
-    """Impulse response of the monic recurrence g on the index range [lo, hi].
+class ImpulseResponse:
+    """The impulse response t of a monic integer g with unit constant term:
+    t[j] = (j == 0) for 0 <= j < deg g, and the recurrence extends it both
+    ways because the constant term of g is a unit.
 
-    t[j] = (j == 0) for 0 <= j < deg g; the recurrence extends both ways
-    because the constant term of g is a unit.
-    """
-    d = len(g) - 1
-    if d < 1 or g[-1] != 1 or g[0] not in (1, -1):
-        raise ValueError("need a monic annihilator with unit constant term")
-    vals = {j: 1 if j == 0 else 0 for j in range(d)}
-    _extend_impulse_values(g, vals, lo, hi)
-    return {k: t for k, t in vals.items() if lo <= k <= hi}
+    Terms are computed the first time they are needed and then kept: reading
+    t[j] computes the terms between the known ones and j, once, and nothing
+    beyond j."""
 
+    def __init__(self, g: Poly):
+        d = len(g) - 1
+        if d < 1 or g[-1] != 1 or g[0] not in (1, -1):
+            raise ValueError("need a monic annihilator with unit constant term")
+        self.g = g
+        # t[j] = ahead[j] for j >= 0, and t[-k] = behind[d - 1 + k] for k >= 0:
+        # behind runs t[d-1], ..., t[0], t[-1], ... by the reciprocal recurrence
+        self._ahead = [1] + [0] * (d - 1)
+        self._behind = [0] * (d - 1) + [1]
+        self.reciprocal = reciprocal_monic(g)
 
-def _extend_impulse_values(g: Poly, vals: dict[int, int], lo: int, hi: int) -> None:
-    """Extend in place the impulse values vals of g, known on an index range
-    that holds [0, deg g), to at least [lo, hi]."""
-    d = len(g) - 1
-    j = max(vals) + 1
-    while j <= hi:
-        vals[j] = -sum(g[i] * vals[j - d + i] for i in range(d))
-        j += 1
-    j = min(vals) - 1
-    while j >= lo:
-        # g0 t[j] = -(t[j+d] + sum_{i=1..d-1} g_i t[j+i]);  g0 is +-1
-        s = vals[j + d] + sum(g[i] * vals[j + i] for i in range(1, d))
-        vals[j] = -s * g[0]
-        j -= 1
+    @property
+    def known(self) -> tuple[int, int]:
+        """The index range [lo, hi] whose terms have been computed."""
+        return len(self.g) - 1 - len(self._behind), len(self._ahead) - 1
+
+    def __getitem__(self, j: int) -> int:
+        if j >= 0:
+            if j >= len(self._ahead):
+                self._extend(True, j)
+            return self._ahead[j]
+        i = len(self.g) - 2 - j
+        if i >= len(self._behind):
+            self._extend(False, i)
+        return self._behind[i]
+
+    def _extend(self, ahead: bool, i: int) -> None:
+        """Run the recurrence of one side until its list holds position i."""
+        vals, p = (self._ahead, self.g) if ahead else (self._behind, self.reciprocal)
+        low, d = p[:-1], len(p) - 1
+        while len(vals) <= i:
+            vals.append(-sum(map(mul, low, vals[-d:])))
 
 
 def recurrence_from_poly(p: Poly) -> tuple[int, ...]:
@@ -247,22 +269,6 @@ class GrowthCertificate:
                    for dc in (self.forward, self.backward))
 
 
-def _cone_bounds(b: tuple[int, ...], mu: Fraction, nu: Fraction) -> tuple[Fraction, Fraction]:
-    """Worst-case next/current ratios of the cone given recurrence coefficients."""
-    dd = len(b)
-    lb = Fraction(0)
-    ub = Fraction(0)
-    for i, c in enumerate(b):
-        drop = dd - 1 - i
-        if c > 0:
-            lb += c / nu**drop
-            ub += c / mu**drop
-        elif c < 0:
-            lb += c / mu**drop
-            ub += c / nu**drop
-    return lb, ub
-
-
 def float_roots(p: Poly) -> list[complex]:
     """Approximate complex roots, with multiplicity, of the monic integer p
     with nonzero constant term; none when the coefficients or the iterates
@@ -358,51 +364,117 @@ def _powered_hints(roots: list[complex], q: int) -> tuple[float, float] | None:
         return None
 
 
-def direction_sequence(
-    vals: dict[int, int], g: Poly, direction: str, level: int, window: int
-) -> tuple[dict[int, int], Poly, int] | None:
-    """(sequence, recurrence polynomial, last index the window covers) for the
-    evidence of one orbit direction at one level, or None if the direction is
-    unknown or the level does not apply.
+class DirectionSequence:
+    """The sequence s of one orbit direction and level on the indices
+    [-2, max_index], read from an impulse response t on demand.
 
-    Levels 0 (polynomial) and 1 run on the impulse response t, read backwards
-    with the reciprocal recurrence for the backward direction.  Level 2 runs
-    on the Hankel determinants t(j) t(j+2) - t(j+1)^2, whose recurrence has
-    the pairwise root products as roots; determinant j involves t(j+2), so
-    the window covers two indices fewer."""
+    Levels 0 (polynomial) and 1 read t(j) for the forward direction and
+    t(-j), which runs the reciprocal recurrence, for the backward one.  Level
+    2 reads the Hankel determinants s(j) s(j+2) - s(j+1)^2 of that sequence,
+    whose recurrence has the pairwise root products as roots; determinant j
+    reads two indices further, so both max_index and the last index a window
+    covers are two fewer than at level 1.  Each determinant is computed the
+    first time it is read and kept.  Reading an index outside the range
+    raises KeyError; `in` tests the range and computes nothing.  cap, the
+    last index of t the sequence may read, can be raised."""
+
+    def __init__(self, t: ImpulseResponse, direction: str, level: int, recurrence: Poly, cap: int):
+        self.recurrence = recurrence
+        self.cap = cap
+        self._t = t
+        self._sign = 1 if direction == "forward" else -1
+        self._shift = 2 if level == 2 else 0
+        self._dets: dict[int, int] | None = {} if level == 2 else None
+
+    @property
+    def max_index(self) -> int:
+        return self.cap - self._shift
+
+    def cover_from(self, window: int) -> int:
+        """The last index the window of radius `window` covers."""
+        return window - self._shift
+
+    def __contains__(self, j: int) -> bool:
+        return -2 <= j <= self.cap - self._shift
+
+    def __getitem__(self, j: int) -> int:
+        if not -2 <= j <= self.cap - self._shift:
+            raise KeyError(j)
+        if self._dets is None:
+            return self._t[self._sign * j]
+        h = self._dets.get(j)
+        if h is None:
+            h = self._dets[j] = self._det(j)
+        return h
+
+    def _det(self, j: int) -> int:
+        t, sign = self._t, self._sign
+        return t[sign * j] * t[sign * (j + 2)] - t[sign * (j + 1)] ** 2
+
+
+def direction_sequence(t: ImpulseResponse, direction: str, level: int, cap: int) -> DirectionSequence | None:
+    """The sequence of the evidence of one orbit direction at one level, with
+    its recurrence, or None if the direction is unknown or the level does not
+    apply (level 2 needs degree 3 or more)."""
     if direction == "forward":
-        g_dir = g
-        seq = {j: vals[j] for j in vals if j >= -2}
+        g_dir = t.g
     elif direction == "backward":
-        g_dir = reciprocal_monic(g)
-        seq = {-j: vals[j] for j in vals if j <= 2}
+        g_dir = t.reciprocal
     else:
         return None
     if level in (0, 1):
-        return seq, g_dir, window
-    if level == 2 and len(g) - 1 >= 3:
-        hseq = {j: seq[j] * seq[j + 2] - seq[j + 1] ** 2 for j in seq if j + 2 in seq}
-        return hseq, exterior_square_poly(g_dir), window - 2
+        return DirectionSequence(t, direction, level, g_dir, cap)
+    if level == 2 and len(t.g) - 1 >= 3:
+        return DirectionSequence(t, direction, level, exterior_square_poly(g_dir), cap)
     return None
 
 
 def cone_is_invariant(qpoly: Poly, mu: Fraction, nu: Fraction) -> bool:
     """Whether 1 < mu <= nu and the q-step recurrence qpoly maps the ratio cone
-    mu <= s(j+1)/s(j) <= nu into itself."""
+    mu <= s(j+1)/s(j) <= nu into itself.
+
+    The recurrence is s(j+D+1) = sum_{i<=D} r_i s(j+i).  Inside the cone,
+    s(j+i)/s(j+D) lies in [nu^-(D-i), mu^-(D-i)], so the next ratio
+    s(j+D+1)/s(j+D) lies in [lb, ub] with lb = P+(1/nu) + P-(1/mu) and
+    ub = P+(1/mu) + P-(1/nu), where P(y) = sum r_i y^(D-i) is split into its
+    positive and negative coefficients.  For mu = a/b and nu = c/e,
+    a^D P(b/a) = sum r_i a^i b^(D-i) is an integer, so lb >= mu and
+    ub <= nu are compared in integers."""
     if not 1 < mu <= nu:
         return False
-    lb, ub = _cone_bounds(recurrence_from_poly(qpoly), mu, nu)
-    return lb >= mu and ub <= nu
+    coeffs = recurrence_from_poly(qpoly)
+    pos = [max(x, 0) for x in coeffs]
+    neg = [min(x, 0) for x in coeffs]
+    a, b, c, e = mu.numerator, mu.denominator, nu.numerator, nu.denominator
+    D = len(coeffs) - 1
+    aD, cD = a**D, c**D
+    return (b * (aD * _homogeneous(pos, c, e) + cD * _homogeneous(neg, a, b)) >= a * aD * cD
+            and e * (cD * _homogeneous(pos, a, b) + aD * _homogeneous(neg, c, e)) <= c * aD * cD)
 
 
-def enters_cone(seq: dict[int, int], q: int, dd: int, mu: Fraction, nu: Fraction,
-                entry: ConeEntry) -> bool:
+def _homogeneous(coeffs: list[int], x: int, y: int) -> int:
+    """sum coeffs[i] x^i y^(D-i) for D = len(coeffs) - 1."""
+    acc, xp = 0, 1
+    for c in coeffs:
+        acc = acc * y + c * xp
+        xp *= x
+    return acc
+
+
+def enters_cone(seq, q: int, dd: int, mu: Fraction, nu: Fraction, entry: ConeEntry) -> bool:
     """Whether the dd values sign * seq(start + q i), i < dd, are positive with
-    every ratio of neighbours in [mu, nu].  A missing index raises KeyError."""
-    sv = [entry.sign * seq[entry.start_index + q * i] for i in range(dd)]
-    return all(x > 0 for x in sv) and all(
-        mu * sv[i] <= sv[i + 1] <= nu * sv[i] for i in range(dd - 1)
-    )
+    every ratio of neighbours in [mu, nu].  The values are read in order up
+    to the first that fails; a missing index read raises KeyError."""
+    a, b, c, e = mu.numerator, mu.denominator, nu.numerator, nu.denominator
+    prev = entry.sign * seq[entry.start_index]
+    if prev <= 0:
+        return False
+    for i in range(1, dd):
+        cur = entry.sign * seq[entry.start_index + q * i]
+        if cur <= 0 or not (a * prev <= b * cur and e * cur <= c * prev):
+            return False
+        prev = cur
+    return True
 
 
 def norm_floor(floor_seq: int, level: int, transfer: Fraction) -> int:
@@ -460,20 +532,17 @@ def _find_entries(seq, q, dd, mu, nu, cover_from) -> tuple[ConeEntry, ...] | Non
 
 
 def _cone_floor(seq, q, mu, entries, cover_from) -> int:
-    """Certified integer lower bound for |seq(j)| over indices j > cover_from."""
-    best: Fraction | None = None
+    """Certified integer lower bound for |seq(j)| over indices j > cover_from:
+    the least over the entries of ceil(|seq(start)| mu^steps), where steps
+    counts the q-steps from the entry to its first index past cover_from (the
+    ceiling of the least bound is the least ceiling)."""
+    a, b = mu.numerator, mu.denominator
+    floors = []
     for ent in entries:
-        base = abs(seq[ent.start_index])
-        m = cover_from + 1
-        while (m - ent.start_index) % q:
-            m += 1
-        steps = (m - ent.start_index) // q
+        steps = -((ent.start_index - cover_from - 1) // q)
         assert steps >= 0
-        bound = Fraction(base) * mu**steps
-        if best is None or bound < best:
-            best = bound
-    assert best is not None
-    return ceil_fraction(best)
+        floors.append(-((-abs(seq[ent.start_index]) * a**steps) // b**steps))
+    return min(floors)
 
 
 def _residue_polynomial(vals: list[int]) -> list[Fraction]:
@@ -562,14 +631,15 @@ class GrowthSearch:
     non-periodic annihilator g, at any number of window radii.
 
     Most of the search does not read the window and is done once: the float
-    roots of g, the impulse values (extended in place when a wider radius
-    needs a longer span), and for each direction, level and power step q the
-    invariant cone ratios (mu, nu), or the fact that there are none.
+    roots of g, one impulse response of g and one sequence per direction and
+    level over it, whose terms are computed when a test first reads them and
+    kept for every later radius, and for each direction, level and power step
+    q the invariant cone ratios (mu, nu), or the fact that there are none.
     evidence(radius) runs only what reads the window, the cone entries, their
     floor and the polynomial path, once per radius.  At every radius it gives
     what a fresh search gives there: the search reads no index more than a
-    fixed tail past the last one the window covers, however long the impulse
-    values have grown."""
+    fixed tail past the last one the window covers, however many terms
+    earlier radii computed."""
 
     def __init__(self, g: Poly):
         if is_squarefree_product_of_cyclotomics(g):
@@ -579,7 +649,8 @@ class GrowthSearch:
         # the cone entries of every q reach at most 12 d^2 indices past the
         # covered one; the polynomial path checks its own reach
         self._tail = 2 + 24 * (d * d + d + 2)
-        self._vals = impulse_values(g, 0, d - 1)
+        self._t = ImpulseResponse(g)
+        self._sequences: dict[tuple[str, int], DirectionSequence | None] = {}
         # hints: the backward recurrence has the inverse roots as roots, the
         # Hankel recurrence the pairwise products
         roots = float_roots(g)
@@ -600,40 +671,50 @@ class GrowthSearch:
         return self._evidence[window]
 
     def _derive(self, window: int) -> tuple[DirectionCertificate, DirectionCertificate]:
-        span = window + self._tail
-        _extend_impulse_values(self.g, self._vals, -span, span)
         return self._direction("forward", window), self._direction("backward", window)
+
+    def _sequence(self, direction: str, level: int, window: int) -> DirectionSequence | None:
+        """The kept sequence of a direction and level, its cap raised to
+        window + tail."""
+        key = (direction, level)
+        cap = window + self._tail
+        if key not in self._sequences:
+            self._sequences[key] = direction_sequence(self._t, direction, level, cap)
+        seq = self._sequences[key]
+        if seq is not None:
+            seq.cap = max(seq.cap, cap)
+        return seq
 
     def _direction(self, direction: str, window: int) -> DirectionCertificate:
         """A level 1 cone on the raw sequence, then the polynomial path for
         root-of-unity spectra, then a level 2 cone on the Hankel
         determinants (dominant complex pair)."""
-        seq, g_dir, cover_from = direction_sequence(self._vals, self.g, direction, 1, window)
-        res = self._try_cone(seq, g_dir, direction, 1, cover_from)
+        seq = self._sequence(direction, 1, window)
+        res = self._try_cone(seq, direction, 1, window)
         if res is not None:
             return DirectionCertificate(direction, "cone", 1, *res)
-        respoly = _try_polynomial_direction(seq, g_dir, cover_from, cover_from + self._tail)
+        respoly = _try_polynomial_direction(seq, seq.recurrence, window, window + self._tail)
         if respoly is not None:
             q, floor = respoly
             return DirectionCertificate(direction, "polynomial", 0, q, floor_seq=floor)
-        hankel = direction_sequence(self._vals, self.g, direction, 2, window)
-        if hankel is not None:
-            hseq, hpoly, cover_from = hankel
-            res = self._try_cone(hseq, hpoly, direction, 2, cover_from)
+        hseq = self._sequence(direction, 2, window)
+        if hseq is not None:
+            res = self._try_cone(hseq, direction, 2, window)
             if res is not None:
                 return DirectionCertificate(direction, "cone", 2, *res)
         return DirectionCertificate(direction, "window_only")
 
     def _try_cone(
-        self, seq: dict[int, int], rec_poly: Poly, direction: str, level: int, cover_from: int
+        self, seq: DirectionSequence, direction: str, level: int, window: int
     ) -> tuple[int, Fraction, Fraction, tuple[ConeEntry, ...], int] | None:
-        """(q, mu, nu, entries, floor) certifying seq(j) growth for
-        j > cover_from, or None."""
-        dd = len(rec_poly) - 1
+        """(q, mu, nu, entries, floor) certifying seq(j) growth for j past
+        the last index the window covers, or None."""
+        dd = len(seq.recurrence) - 1
+        cover_from = seq.cover_from(window)
         for q in CONE_POWER_STEPS:
             key = (direction, level, q)
             if key not in self._cones:
-                self._cones[key] = _invariant_cone(rec_poly, self._hints[direction, level], q)
+                self._cones[key] = _invariant_cone(seq.recurrence, self._hints[direction, level], q)
             if self._cones[key] is None:
                 continue
             mu, nu = self._cones[key]
@@ -718,15 +799,19 @@ def check_growth_evidence(
     g: Poly, evidence: tuple[DirectionCertificate, DirectionCertificate], window: int
 ) -> list[str]:
     """The failures of the forward and backward evidence of the non-periodic
-    annihilator g outside the window of radius `window`."""
+    annihilator g outside the window of radius `window`.
+
+    The sequences may read the impulse response up to index +-span, which
+    the certificate's power steps, the window and the degree of g bound; the
+    tests compute only the terms they read."""
     d = len(g) - 1
     q_max = max((dc.power_step for dc in evidence if dc.kind == "cone"), default=0)
     span = window + 2 + (q_max + 26) * (d * d + d + 2)
-    vals = impulse_values(g, -span, span)
-    return [p for dc in evidence for p in _check_direction(vals, g, dc, window)]
+    t = ImpulseResponse(g)
+    return [p for dc in evidence for p in _check_direction(t, dc, window, span)]
 
 
-def _check_direction(vals, g, dc: DirectionCertificate, window) -> list[str]:
+def _check_direction(t: ImpulseResponse, dc: DirectionCertificate, window: int, span: int) -> list[str]:
     """Failures of one direction's evidence, whose sequence floor must not
     exceed the recomputed one."""
     if dc.kind == "window_only":
@@ -737,12 +822,12 @@ def _check_direction(vals, g, dc: DirectionCertificate, window) -> list[str]:
         return [f"unknown growth kind {dc.kind!r}"]
     if (dc.kind == "polynomial") != (dc.level == 0):
         return [f"{dc.direction}: level {dc.level} does not fit {dc.kind} evidence"]
-    setup = direction_sequence(vals, g, dc.direction, dc.level, window)
-    if setup is None:
+    seq = direction_sequence(t, dc.direction, dc.level, span)
+    if seq is None:
         return [f"{dc.direction}: no level {dc.level} evidence for this annihilator"]
-    seq, rec, cover_from = setup
+    rec, cover_from = seq.recurrence, seq.cover_from(window)
     if dc.kind == "polynomial":
-        res = _try_polynomial_direction(seq, rec, cover_from, max(seq))
+        res = _try_polynomial_direction(seq, rec, cover_from, seq.max_index)
         if res is None:
             return [f"{dc.direction}: polynomial evidence cannot be reproduced"]
         q, floor = res

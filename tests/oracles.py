@@ -4,9 +4,9 @@ Everything here deliberately avoids the library code paths it is used to
 check: row spans are tested by rational elimination, characteristic
 polynomials by cofactor expansion, covector periodicity by one matrix that
 kills exactly the periodic covectors, orbits by direct stepping, finite order
-by direct powering, products by a triple loop, and group closures by one
+by direct powering, products by a triple loop, group closures by one
 order check per element or by multiplying matrices and filing each product
-under its entries mod 3.
+under its entries mod 3, and the growth cone tests by Fraction arithmetic.
 """
 
 from fractions import Fraction
@@ -559,3 +559,52 @@ def reference_isolation(h, dual_norm_bound, resolution):
                 best = lower
                 nearest = cand
     return IsolationReport(h, dual_norm_bound, res, count, best, nearest)
+
+
+def fraction_cone_bounds(b, mu, nu):
+    """Worst-case next/current ratios of the cone mu <= ratio <= nu under the
+    recurrence with coefficients b, in Fraction arithmetic."""
+    dd = len(b)
+    lb = Fraction(0)
+    ub = Fraction(0)
+    for i, c in enumerate(b):
+        drop = dd - 1 - i
+        if c > 0:
+            lb += c / nu**drop
+            ub += c / mu**drop
+        elif c < 0:
+            lb += c / mu**drop
+            ub += c / nu**drop
+    return lb, ub
+
+
+def fraction_cone_is_invariant(qpoly, mu, nu):
+    """Whether 1 < mu <= nu and the monic recurrence qpoly maps the ratio
+    cone [mu, nu] into itself, by fraction_cone_bounds."""
+    if not 1 < mu <= nu:
+        return False
+    lb, ub = fraction_cone_bounds(tuple(-c for c in qpoly[:-1]), mu, nu)
+    return lb >= mu and ub <= nu
+
+
+def fraction_enters_cone(seq, q, dd, mu, nu, start, sign):
+    """Whether sign * seq(start + q i), i < dd, are positive with every ratio
+    of neighbours in [mu, nu], comparing Fractions."""
+    sv = [sign * seq[start + q * i] for i in range(dd)]
+    return all(x > 0 for x in sv) and all(
+        mu * sv[i] <= sv[i + 1] <= nu * sv[i] for i in range(dd - 1)
+    )
+
+
+def fraction_cone_floor(seq, q, mu, starts, cover_from):
+    """The ceiling of the least |seq(start)| mu^steps over the entry starts,
+    steps counting the q-steps to the first index past cover_from."""
+    best = None
+    for start in starts:
+        m = cover_from + 1
+        while (m - start) % q:
+            m += 1
+        bound = Fraction(abs(seq[start])) * mu ** ((m - start) // q)
+        if best is None or bound < best:
+            best = bound
+    return -((-best.numerator) // best.denominator)

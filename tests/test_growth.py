@@ -1,4 +1,8 @@
 import random
+from contextlib import contextmanager
+from fractions import Fraction
+from math import ceil, floor
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -6,10 +10,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oracles import pseudo_inverse_transfer_constant, random_word, rational_rank
 from tordyn.dynamics import dual_matrix
 from tordyn.growth import (
+    DirectionSequence,
     GrowthSearch,
+    ImpulseResponse,
     check_growth_certificate,
     derive_growth_certificate,
-    impulse_values,
     minimal_annihilator,
     reciprocal_monic,
     transfer_constant,
@@ -62,13 +67,13 @@ def test_minimal_annihilator_annihilates():
 
 
 def test_impulse_values_run_both_directions():
-    vals = impulse_values((1, -3, 1), -6, 6)
+    t = ImpulseResponse((1, -3, 1))
     # x^2 = 3x - 1: forward 1, 0, -1, -3, -8, -21, -55
-    assert [vals[i] for i in range(7)] == [1, 0, -1, -3, -8, -21, -55]
+    assert [t[i] for i in range(7)] == [1, 0, -1, -3, -8, -21, -55]
     # backward values satisfy the reversed recurrence
-    g = (1, -3, 1)
     for m in range(-6, 4):
-        assert vals[m + 2] == 3 * vals[m + 1] - vals[m]
+        assert t[m + 2] == 3 * t[m + 1] - t[m]
+    assert t.known == (-6, 6)
 
 
 def test_reciprocal_monic():
@@ -381,6 +386,30 @@ def test_float_roots_of_widely_spread_moduli(g):
     assert _hint_mismatches(g) == []
 
 
+@contextmanager
+def recorded_terms():
+    """Record every impulse term and every Hankel determinant computed in the
+    block, as ("t", side, list position) and ("hankel", direction sign,
+    index), and every impulse response that computed a term."""
+    computed, responses = [], []
+    extend, det = ImpulseResponse._extend, DirectionSequence._det
+
+    def counted_extend(self, ahead, i):
+        if self not in responses:
+            responses.append(self)
+        n = len(self._ahead if ahead else self._behind)
+        computed.extend(("t", ahead, k) for k in range(n, i + 1))
+        extend(self, ahead, i)
+
+    def counted_det(self, j):
+        computed.append(("hankel", self._sign, j))
+        return det(self, j)
+
+    with patch.object(ImpulseResponse, "_extend", counted_extend), \
+            patch.object(DirectionSequence, "_det", counted_det):
+        yield computed, responses
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.integers(2, 6).flatmap(lambda d: st.tuples(
@@ -392,21 +421,142 @@ def test_float_roots_of_widely_spread_moduli(g):
 # (x - 1)^2: the polynomial path reads past the window, so a search that did
 # not extend its impulse values would fail at the wider radius
 @example((1, [-2]), [1, 300])
-# a narrow-gap sextic through the radii of its family build
+# the two narrow-gap sextics through the radii of their family builds
 @example((1, [0, -2, -1, 1, -1]), [24, 36, 54, 81, 96])
+@example((1, [1, 2, 1, 1, 1]), [24, 36, 54, 81, 96])
 def test_one_search_through_many_radii_equals_fresh_searches(poly, radii):
-    # a search keeps its impulse values, roots and cone ratios across radii;
-    # at each radius its evidence is what a fresh search derives there, when
-    # it is widened through the radii in ascending order and in drawn order
+    # a search keeps its impulse response, sequences, roots and cone ratios
+    # across radii, and computes each impulse term and Hankel determinant
+    # once; at each radius its evidence is what a fresh search derives there,
+    # when it is widened through the radii in ascending order and in drawn
+    # order
     from tordyn.polynomials import is_squarefree_product_of_cyclotomics
 
     c0, middle = poly
     g = (c0, *middle, 1)
     assume(not is_squarefree_product_of_cyclotomics(g))
     fresh = {radius: GrowthSearch(g).evidence(radius) for radius in radii}
-    ascending = GrowthSearch(g)
-    for radius in sorted(radii):
-        assert ascending.evidence(radius) == fresh[radius]
-    drawn = GrowthSearch(g)
-    for radius in radii:
-        assert drawn.evidence(radius) == fresh[radius]
+    for order in (sorted(radii), radii):
+        with recorded_terms() as (computed, _):
+            search = GrowthSearch(g)
+            for radius in order:
+                assert search.evidence(radius) == fresh[radius]
+        assert len(set(computed)) == len(computed)
+
+
+def test_checker_computes_only_the_terms_its_tests_read():
+    # the honest x^5 - x - 1 evidence of a k=3 family: each direction reads
+    # its entry chains, at most q (dd - 1) past the entry at or below
+    # cover_from + 1, and computes no impulse term beyond them, far short of
+    # the span the checker allows
+    from tordyn.families import disjoint_hyperplane_orbits
+    from tordyn.growth import check_growth_evidence
+
+    companion = UnimodularMatrix(((0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+                                  (0, 0, 0, 0, 1), (1, 1, 0, 0, 0)))
+    report = disjoint_hyperplane_orbits(companion, 3).orbit_reports[0]
+    window, growth = report.window_radius, report.growth
+    evidence = (growth.forward, growth.backward)
+    assert {dc.kind for dc in evidence} == {"cone"}
+    with recorded_terms() as (_, responses):
+        assert check_growth_evidence(growth.annihilator, evidence, window) == []
+    (t,) = responses
+    d = len(growth.annihilator) - 1
+    reach = {dc.direction: window + 2 + dc.power_step * ((d if dc.level == 1 else d * (d - 1) // 2) - 1)
+             for dc in evidence}
+    span = window + 2 + (max(dc.power_step for dc in evidence) + 26) * (d * d + d + 2)
+    lo, hi = t.known
+    assert hi + 1 <= reach["forward"] < span
+    assert -lo <= reach["backward"] < span
+
+
+def _ratios():
+    """Rationals with arbitrary denominators, zero and negative ones among them."""
+    return st.fractions(min_value=-3, max_value=40, max_denominator=10**6)
+
+
+@st.composite
+def cones(draw):
+    """A monic recurrence of degree <= 15 and ratios (mu, nu): drawn freely,
+    or around a dominant coefficient c, where the cone [c - x, c + y] is
+    often invariant."""
+    degree = draw(st.integers(1, 15))
+    low = draw(st.lists(st.integers(-4, 4), min_size=degree, max_size=degree))
+    if draw(st.booleans()):
+        c = draw(st.integers(2, 10**4))
+        low[-1] = -c
+        slack = st.fractions(min_value=0, max_value=1, max_denominator=10**4)
+        mu, nu = c - draw(slack), c + draw(slack)
+    else:
+        mu, nu = draw(_ratios()), draw(_ratios())
+    return (*low, 1), mu, nu
+
+
+@settings(max_examples=300, deadline=None)
+@given(cones())
+@example(((-2, 1), Fraction(2), Fraction(2)))  # x - 2: the cone [2, 2] holds exactly
+@example(((-1, -1, 1), Fraction(1), Fraction(2)))  # mu = 1 is refused
+@example(((-1, -3, 1), Fraction(3), Fraction(5, 2)))  # mu > nu is refused
+def test_integer_cone_invariance_matches_fractions(cone):
+    from oracles import fraction_cone_is_invariant
+
+    from tordyn.growth import cone_is_invariant
+
+    qpoly, mu, nu = cone
+    assert cone_is_invariant(qpoly, mu, nu) == fraction_cone_is_invariant(qpoly, mu, nu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_cone_entries_and_floors_match_fractions(data):
+    # chains built to stay inside [mu, nu] where the integers allow, so that
+    # entries are often accepted; any rational mu and nu, including mu > nu
+    from oracles import fraction_cone_floor, fraction_enters_cone
+
+    from tordyn.growth import ConeEntry, _cone_floor, enters_cone
+
+    mu, nu = data.draw(_ratios()), data.draw(_ratios())
+    q, dd = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 8))
+    sign = data.draw(st.sampled_from((1, -1)))
+    start = data.draw(st.integers(-2, 6))
+    seq = {j: data.draw(st.integers(-50, 50)) for j in range(-2, start + q * (dd + 3) + 2)}
+    x = data.draw(st.integers(1, 10**6))
+    for i in range(dd):
+        seq[start + q * i] = sign * x
+        lo, hi = max(ceil(mu * x), 1), floor(nu * x)
+        x = data.draw(st.integers(lo, hi) if lo <= hi else st.integers(-5, 10**6))
+    entry = ConeEntry(start % q, start, sign)
+    assert enters_cone(seq, q, dd, mu, nu, entry) == fraction_enters_cone(seq, q, dd, mu, nu, start, sign)
+    cover_from = data.draw(st.integers(start - 1, start + 3 * q))
+    starts = [start] + data.draw(st.lists(st.integers(-2, cover_from + 1), max_size=3))
+    entries = [ConeEntry(s % q, s, 1) for s in starts]
+    assert _cone_floor(seq, q, mu, entries, cover_from) == fraction_cone_floor(seq, q, mu, starts, cover_from)
+
+
+@pytest.mark.parametrize("g", [(1, -3, 1), (-1, -1, 0, 1), (1, 1, 2, 1, 1, 1, 1)])
+def test_direction_sequences_read_the_impulse_response_on_their_range(g):
+    # levels 0 and 1 read t(j) forward and t(-j) backward on [-2, cap]; level
+    # 2 reads the Hankel determinants on [-2, cap - 2]; `in` computes nothing
+    from tordyn.growth import direction_sequence
+    from tordyn.polynomials import exterior_square_poly
+
+    cap, t = 30, ImpulseResponse(g)
+    for direction, sign, g_dir in (("forward", 1, g), ("backward", -1, reciprocal_monic(g))):
+        for level in (0, 1, 2):
+            seq = direction_sequence(t, direction, level, cap)
+            if level == 2 and len(g) - 1 < 3:
+                assert seq is None
+                continue
+            shift = 2 if level == 2 else 0
+            assert seq.recurrence == (exterior_square_poly(g_dir) if level == 2 else g_dir)
+            assert seq.max_index == cap - shift and seq.cover_from(12) == 12 - shift
+            known = t.known
+            assert [j for j in range(-10, cap + 10) if j in seq] == list(range(-2, cap - shift + 1))
+            assert t.known == known
+            for j in (-3, cap - shift + 1):
+                with pytest.raises(KeyError):
+                    seq[j]
+            for j in range(-2, cap - shift + 1):
+                s = [t[sign * (j + i)] for i in range(3)]
+                assert seq[j] == (s[0] * s[2] - s[1] ** 2 if level == 2 else s[0])
+    assert direction_sequence(t, "sideways", 1, cap) is None

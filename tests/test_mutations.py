@@ -305,3 +305,35 @@ def test_hostile_unipotent_power_is_rejected_quickly():
     started = time.perf_counter()
     assert exit_code(certificate) == 2
     assert time.perf_counter() - started < 1
+
+
+def test_forged_level_2_cone_computes_no_term_past_the_checker_cap():
+    # a degree 6 annihilator with the largest power step the checker admits
+    # and entry chains that start as late as they may, at cover_from + 1, and
+    # ratios so loose that a chain of one sign reads to its end: the checker
+    # refuses the cone and computes no impulse term past its cap
+    from test_growth import recorded_terms
+
+    # the companion of x^6 - 2x^4 - x^3 + x^2 - x + 1
+    sextic = UnimodularMatrix(tuple(
+        tuple(int(j == i + 1) for j in range(6)) for i in range(5)
+    ) + ((-1, 1, -1, 1, 2, 0),))
+    certificate = encode_family(disjoint_hyperplane_orbits(sextic, 1))
+    report = certificate["orbit_reports"][0]
+    window = report["window_radius"]
+    q, cover_from = window + 4, window - 2
+    report["growth"]["forward"] = {
+        "direction": "forward", "kind": "cone", "level": 2, "power_step": q,
+        "mu": "1/1000000000000", "nu": "1000000000000000000000000000000/1",
+        "entries": [{"residue": r, "start_index": r if r <= cover_from + 1 else r - q, "sign": 1}
+                    for r in range(q)],
+        "floor_seq": 1,
+    }
+    with recorded_terms() as (_, responses):
+        assert exit_code(certificate) == 4
+    d = 6
+    span = window + 2 + (q + 26) * (d * d + d + 2)
+    assert responses
+    for t in responses:
+        lo, hi = t.known
+        assert -span <= lo and hi <= span
