@@ -221,6 +221,7 @@ class OrbitBuilder:
         self.annihilator: Poly | None = None
         self.transfer: Fraction | None = None
         self.growth: GrowthCertificate | None = None
+        self.min_exterior_norm: int | None = None
         if h.dim in (0, h.ambient_dim):
             return
         g = minimal_annihilator(m, v)
@@ -237,20 +238,18 @@ class OrbitBuilder:
 
     def widen(self, radius: int, evidence) -> None:
         """Widen the window to `radius`; evidence(g, radius) gives the growth
-        evidence of an injective orbit there."""
+        evidence of an injective orbit there, and with it the annihilator
+        norm floor outside the window, min_exterior_norm, kept until the
+        next widening."""
         self.window = widen_window(self.t, self.tinv, self.window, radius)
         if self.annihilator is not None:
             self.growth = GrowthCertificate(
                 self.annihilator, self.transfer, *evidence(self.annihilator, radius)
             )
-
-    @property
-    def min_exterior_norm(self) -> int | None:
-        if self.growth is None or self.growth.min_exterior_norm is None:
-            return None
-        return _plucker_floor_to_annihilator_floor(
-            self.growth.min_exterior_norm, self.h.ambient_dim - self.h.dim
-        )
+            floor = self.growth.min_exterior_norm
+            if floor is not None:
+                floor = _plucker_floor_to_annihilator_floor(floor, self.h.ambient_dim - self.h.dim)
+            self.min_exterior_norm = floor
 
     def report(self) -> OrbitReport:
         window = tuple((m, sub.basis) for m, sub in self.window)

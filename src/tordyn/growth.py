@@ -2,12 +2,13 @@
 
 For a covector v and an integer matrix M, the iterates M^m v live in the
 cyclic lattice spanned by v, Mv, ..., M^(d-1)v, and their coordinates there
-form a single integer sequence t (the impulse response of the minimal
-annihilator of v).  A growth certificate is a statement
+are the coefficients x_m of x^m modulo the minimal annihilator g of v; their
+first entries form a single integer sequence t (the impulse response of g).
+A growth certificate is a statement
 
     every orbit element with |exponent| > window has sup norm > floor
 
-backed by one of two exact mechanisms, checkable by pure integer/rational
+backed by one of three exact mechanisms, checkable by pure integer/rational
 re-computation:
 
 * cone: a two-sided ratio cone mu <= s(j+1)/s(j) <= nu that the q-step
@@ -22,14 +23,22 @@ re-computation:
 * polynomial: when every eigenvalue is a root of unity (with multiplicity),
   each residue class of t along step q = lcm of the orders is an exact
   polynomial, bounded below by elementary tail estimates.
+* lyapunov: a rational symmetric form P with C^T P C - P positive definite,
+  for C the multiplication by x mod g, so that V(x) = x^T P x increases
+  along the orbit, and a sign of V at the window's edge that bounds the
+  coordinates x_m past it (tordyn.lyapunov).  Such a form exists exactly
+  when no root of g lies on the unit circle, and it needs no gap between
+  the root moduli, which the cones do.  The search tries it after both cone
+  levels.
 
 A certificate has two parts.  The direction evidence depends only on the
 annihilator g and the window radius: for each direction the kind, level, q,
-mu, nu, entries and sequence floor.  Only the transfer constant belongs to
-the orbit itself.  Nothing else is stored: the norm floor of a direction is
-norm_floor(floor_seq, level, transfer), and the rigor and the exterior norm
-floor of a certificate are properties computed from the two parts.
-derive_growth_certificate composes them.
+mu, nu, entries, Lyapunov form and sequence floor.  Only the transfer
+constant belongs to the orbit itself.  Nothing else is stored: the norm floor
+of a direction is norm_floor(floor_seq, level, transfer), where a Lyapunov
+floor, which bounds all of x_m, counts as level 1, and the rigor and the
+exterior norm floor of a certificate are properties computed from the two
+parts.  derive_growth_certificate composes them.
 
 Sequences are computed on demand.  ImpulseResponse runs the recurrence of g
 the first time an index is read and keeps the terms; direction_sequence gives
@@ -41,31 +50,36 @@ terms a test reads are computed.
 
 The producer searches for the direction evidence in two parts (GrowthSearch).
 Once per annihilator: the float roots, the impulse response with one
-sequence per direction and level, and, per direction, level and q, the
-invariant cone ratios mu, nu or the fact that there are none; none of these
-reads the window.  Once per radius: the cone entries, their floor and the
-polynomial path, which do.  A family build keeps one search per annihilator,
-so members that widen through several radii share all of the first part and
-every term computed so far; growth_evidence is a fresh search at one radius,
-and every search gives at each radius what a fresh one gives there.
+sequence per direction and level, per direction, level and q, the invariant
+cone ratios mu, nu or the fact that there are none, and, the first time a
+direction needs it, the Lyapunov form; none of these reads the window.  Once
+per radius: the cone entries, their floor, the polynomial path and the sign
+and floor of V at the window's edge, which do.  A family build keeps one
+search per annihilator, so members that widen through several radii share
+all of the first part and every term computed so far; growth_evidence is a
+fresh search at one radius, and every search gives at each radius what a
+fresh one gives there.
 
 The producer and the checker (check_growth_certificate) share one routine for
 each step of the evidence: direction_sequence gives the sequence, its
 recurrence and the last index a window covers, for a direction and level;
 cone_is_invariant and enters_cone test a cone and its entries, in integers;
 the cone and polynomial floors come from _cone_floor and
-_try_polynomial_direction; and norm_floor turns a sequence floor into a norm
-floor.  The checker recomputes all of it from scratch, and splits the same
-way as a certificate: the direction evidence is checked once per
-(annihilator, window, directions), and each orbit's annihilator and transfer
-constant on their own.  Floating point appears only as a hint
-source for picking q, mu, nu in the producer, which searches; the checker
-only re-runs the exact tests.  The hints come from float approximations of
-the roots z of the annihilator, found once per search (float_roots, an
-Aberth-Ehrlich iteration): the backward direction reads 1/z, level 2 the
-pairwise products z_i z_j, and a q-step cone the q-th powers, which are the
-roots of the recurrences above.  A bad hint can only make the search miss a
-cone; every cone it proposes is still checked exactly by cone_is_invariant.
+_try_polynomial_direction; lyapunov.form_is_lyapunov tests a form and
+lyapunov.lyapunov_floor derives its floor; and norm_floor turns a sequence
+floor into a norm floor.  The checker recomputes all of it from scratch, and
+splits the same way as a certificate: the direction evidence is checked once
+per (annihilator, window, directions), and each orbit's annihilator and
+transfer constant on their own.  Floating point appears only as a hint source
+in the producer, which searches; the checker only re-runs the exact tests.  A
+Lyapunov form is proposed by a float solve of the Stein equation
+C^T P C - P = I.  The cone hints come from float approximations of the roots
+z of the annihilator, found once per search (float_roots, an Aberth-Ehrlich
+iteration): the backward direction reads 1/z, level 2 the pairwise products
+z_i z_j, and a q-step cone the q-th powers, which are the roots of the
+recurrences above.  A bad hint can only make the search miss a cone or a
+form; every cone it proposes is still checked exactly by cone_is_invariant,
+and every form by lyapunov.form_is_lyapunov.
 """
 
 from __future__ import annotations
@@ -73,6 +87,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import exp, isfinite, isqrt, lcm, log, pi
 from operator import mul
@@ -237,13 +252,14 @@ class DirectionCertificate:
     """Growth evidence for one orbit direction (exponents m > 0 or m < 0)."""
 
     direction: str  # "forward" or "backward"
-    kind: str  # "cone", "polynomial" or "window_only"
-    level: int = 0  # 1 = scalar sequence, 2 = Hankel determinants
+    kind: str  # "cone", "polynomial", "lyapunov" or "window_only"
+    level: int = 0  # 1 = scalar sequence or coordinates, 2 = Hankel determinants
     power_step: int = 0
     mu: Fraction = Fraction(0)
     nu: Fraction = Fraction(0)
     entries: tuple[ConeEntry, ...] = ()
     floor_seq: int = 0  # certified bound for the underlying sequence
+    form: tuple[tuple[Fraction, ...], ...] = ()  # the Lyapunov form P
 
 
 @dataclass(frozen=True)
@@ -633,13 +649,14 @@ class GrowthSearch:
     Most of the search does not read the window and is done once: the float
     roots of g, one impulse response of g and one sequence per direction and
     level over it, whose terms are computed when a test first reads them and
-    kept for every later radius, and for each direction, level and power step
-    q the invariant cone ratios (mu, nu), or the fact that there are none.
+    kept for every later radius, for each direction, level and power step q
+    the invariant cone ratios (mu, nu), or the fact that there are none, and
+    the Lyapunov form of g, or the fact that none was found.
     evidence(radius) runs only what reads the window, the cone entries, their
-    floor and the polynomial path, once per radius.  At every radius it gives
-    what a fresh search gives there: the search reads no index more than a
-    fixed tail past the last one the window covers, however many terms
-    earlier radii computed."""
+    floor, the polynomial path and the sign and floor of V at the window's
+    edge, once per radius.  At every radius it gives what a fresh search
+    gives there: the search reads no index more than a fixed tail past the
+    last one the window covers, however many terms earlier radii computed."""
 
     def __init__(self, g: Poly):
         if is_squarefree_product_of_cyclotomics(g):
@@ -688,7 +705,8 @@ class GrowthSearch:
     def _direction(self, direction: str, window: int) -> DirectionCertificate:
         """A level 1 cone on the raw sequence, then the polynomial path for
         root-of-unity spectra, then a level 2 cone on the Hankel
-        determinants (dominant complex pair)."""
+        determinants (dominant complex pair), then the Lyapunov form (no
+        root on the unit circle, whatever the gaps between the moduli)."""
         seq = self._sequence(direction, 1, window)
         res = self._try_cone(seq, direction, 1, window)
         if res is not None:
@@ -702,7 +720,22 @@ class GrowthSearch:
             res = self._try_cone(hseq, direction, 2, window)
             if res is not None:
                 return DirectionCertificate(direction, "cone", 2, *res)
+        if self._lyapunov is not None:
+            from .lyapunov import lyapunov_floor
+
+            form, scaled = self._lyapunov
+            floor = lyapunov_floor(self.g, scaled, direction, window)
+            if floor is not None:
+                return DirectionCertificate(direction, "lyapunov", 1, floor_seq=floor, form=form)
         return DirectionCertificate(direction, "window_only")
+
+    @cached_property
+    def _lyapunov(self) -> tuple[tuple[tuple[Fraction, ...], ...], Mat] | None:
+        """The Lyapunov form of g and its integer multiple, or None: proposed
+        and checked the first time a direction needs it, once per search."""
+        from .lyapunov import lyapunov_form
+
+        return lyapunov_form(self.g)
 
     def _try_cone(
         self, seq: DirectionSequence, direction: str, level: int, window: int
@@ -803,7 +836,9 @@ def check_growth_evidence(
 
     The sequences may read the impulse response up to index +-span, which
     the certificate's power steps, the window and the degree of g bound; the
-    tests compute only the terms they read."""
+    tests compute only the terms they read.  A Lyapunov direction reads no
+    sequence: it walks x_m to the window's edge, and its form is checked to
+    be d x d before any arithmetic."""
     d = len(g) - 1
     q_max = max((dc.power_step for dc in evidence if dc.kind == "cone"), default=0)
     span = window + 2 + (q_max + 26) * (d * d + d + 2)
@@ -818,6 +853,10 @@ def _check_direction(t: ImpulseResponse, dc: DirectionCertificate, window: int, 
         if dc != DirectionCertificate(dc.direction, "window_only"):
             return [f"{dc.direction}: window-only evidence carries data"]
         return []
+    if dc.kind == "lyapunov":
+        from .lyapunov import check_lyapunov_direction
+
+        return check_lyapunov_direction(t.g, dc, window)
     if dc.kind not in ("cone", "polynomial"):
         return [f"unknown growth kind {dc.kind!r}"]
     if (dc.kind == "polynomial") != (dc.level == 0):

@@ -15,13 +15,15 @@ orbit, unipotent power or invariant set, no growth rigor flag or norm floor
 exact value.  Any other version is rejected, as there is one parser.
 parse_* functions are strict, and every violation is a ParseError (exit 2):
 each object has exactly one key set (no missing key, no unknown key, no
-defaults); integers are exact, flags JSON booleans, rationals canonical,
-`explanation` a string or null, and tags (branch, status, direction, kind)
-one of their values; automorphism matrices have determinant +-1 and subtorus
-bases are canonical (rejected, never fixed); `period` is an integer >= 1
-exactly for a periodic orbit report, which carries no growth evidence; and a
-non-expansivity certificate's branch decides which of its evidence fields
-are present and which are null.
+defaults), and a growth direction's kind picks it: a Lyapunov direction
+stores its form, a matrix of rationals with rows of one length, and its
+floor, and every other kind the cone fields; integers are exact, flags JSON
+booleans, rationals canonical, `explanation` a string or null, and tags
+(branch, status, direction, kind) one of their values; automorphism matrices
+have determinant +-1 and subtorus bases are canonical (rejected, never
+fixed); `period` is an integer >= 1 exactly for a periodic orbit report,
+which carries no growth evidence; and a non-expansivity certificate's branch
+decides which of its evidence fields are present and which are null.
 
 Orbit-window entries are the exception: each is an [m, basis] pair read as
 exact integers only (rows of one length), not as a subtorus.  The checker
@@ -269,6 +271,13 @@ def parse_growth(data) -> GrowthCertificate:
 
 
 def encode_direction(d: DirectionCertificate) -> dict:
+    if d.kind == "lyapunov":
+        return {
+            "direction": d.direction,
+            "kind": d.kind,
+            "form": [[_frac_str(x) for x in row] for row in d.form],
+            "floor_seq": d.floor_seq,
+        }
     return {
         "direction": d.direction,
         "kind": d.kind,
@@ -289,11 +298,28 @@ def _parse_cone_entry(data) -> ConeEntry:
         ("residue", "start_index", "sign"), _parse_int)))
 
 
+def _parse_form(data) -> tuple[tuple[Fraction, ...], ...]:
+    rows = tuple(_tuple_of(_parse_frac, "form row")(row) for row in _array(data, "form"))
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ParseError("invalid form: ragged rows")
+    return rows
+
+
 def parse_direction(data, direction: str) -> DirectionCertificate:
-    """Growth evidence for the named direction ("forward" or "backward")."""
-    return DirectionCertificate(**_record(data, f"{direction} growth direction", {
+    """Growth evidence for the named direction ("forward" or "backward").  A
+    Lyapunov direction has its own key set, and its evidence is a level 1
+    floor."""
+    parsers = {
         "direction": _choice(direction),
-        "kind": _choice("cone", "polynomial", "window_only"),
+        "kind": _choice("cone", "polynomial", "lyapunov", "window_only"),
+    }
+    if isinstance(data, dict) and data.get("kind") == "lyapunov":
+        v = _record(data, f"{direction} growth direction", {
+            **parsers, "form": _parse_form, "floor_seq": _parse_int,
+        })
+        return DirectionCertificate(**v, level=1)
+    return DirectionCertificate(**_record(data, f"{direction} growth direction", {
+        **parsers,
         "level": _parse_int,
         "power_step": _parse_int,
         "mu": _parse_frac,

@@ -16,9 +16,10 @@ radius-0 window, and `dynamics.covector_window_set`); the orbit dichotomy and
 period, on a member's orbit data (S, gamma) (`growth.minimal_annihilator`,
 `dynamics.periodic_orbit_period`); growth (`growth.check_growth_certificate`,
 which shares with the producer the sequence of a direction and level, the
-cone-invariance and entry-chain tests and the norm-floor conversion); the
-invariant sets under S^p of both root-of-unity branches, `finite_order` and
-`unipotent_power` (`families.PowerInvariants`), whose tag is checked against
+cone-invariance and entry-chain tests, the Lyapunov-form test and floor and
+the norm-floor conversion); the invariant sets under S^p of both
+root-of-unity branches, `finite_order` and `unipotent_power`
+(`families.PowerInvariants`), whose tag is checked against
 whether T^p = I; and the isolation bound of the first member's hyperplane,
 the closed form 1/(2 ||gamma||_2)
 (`metric.hyperplane_isolation_bound`).  Convergence to the full torus is
@@ -28,15 +29,19 @@ the recomputed orbit dichotomy.
 Trusted base: the exact arithmetic of `intmat`, `polynomials` (including the
 Newton power-sum routines behind the q-step and Hankel recurrences) and
 `lattices`; the subtorus and covector code of `subtori`; and the shared
-routines of `dynamics`, `growth`, `metric` and `families` named above.  Every
-name it imports is public and comes from one of these modules.  Input is
-validated once, where it enters: the matrix by `UnimodularMatrix` and each
-member by `canonicalize_covector` and `PrimitiveCovector`, after the parser
-has read every integer exactly.  The recomputation then runs on kernels that
-take these trusted ints and check nothing again:
-`lattices.trusted_hnf_basis` behind every `act` step of a window,
-`subtori.trusted_canonicalize_covector` behind the covector walks, and the
-integer quotient of `growth.transfer_constant`.
+routines of `dynamics`, `growth`, `metric` and `families` named above.  A
+Lyapunov growth direction is checked by `lyapunov.check_lyapunov_direction`,
+on the integer routines of `lyapunov`: `power_coordinates` (the coefficients
+of x^m mod g), `stein_residual` and `is_positive_definite` (fraction-free
+LDL^T pivots), and `lyapunov_floor`; the float Stein solve that proposes a
+form is the producer's alone.  Every name it imports is public and comes from
+one of these modules.  Input is validated once, where it enters: the matrix
+by `UnimodularMatrix` and each member by `canonicalize_covector` and
+`PrimitiveCovector`, after the parser has read every integer exactly.  The
+recomputation then runs on kernels that take these trusted ints and check
+nothing again: `lattices.trusted_hnf_basis` behind every `act` step of a
+window, `subtori.trusted_canonicalize_covector` behind the covector walks,
+and the integer quotient of `growth.transfer_constant`.
 
 `verify_family` inverts the matrix once: T^-1 steps the windows backwards
 and S = T^-T carries the annihilator data and the covector windows.  Members

@@ -608,3 +608,28 @@ def fraction_cone_floor(seq, q, mu, starts, cover_from):
         if best is None or bound < best:
             best = bound
     return -((-best.numerator) // best.denominator)
+
+
+def fraction_ldl_pivots(m):
+    """The pivots of the LDL^T factorization of the symmetric matrix m, in
+    Fraction arithmetic, up to the first that is not positive."""
+    a = [[Fraction(x) for x in row] for row in m]
+    pivots = []
+    for k in range(len(a)):
+        pivots.append(a[k][k])
+        if a[k][k] <= 0:
+            break
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, len(a)):
+                a[i][j] -= f * a[k][j]
+    return pivots
+
+
+def multiplication_by_x(g):
+    """The matrix C of multiplication by x on the coefficients mod the monic
+    g (constant term first), so that C x_m = x_(m+1), built column by column
+    from x * x^i mod g."""
+    d = len(g) - 1
+    columns = [[int(k == i + 1) for k in range(d)] for i in range(d - 1)] + [[-c for c in g[:-1]]]
+    return [[columns[j][i] for j in range(d)] for i in range(d)]

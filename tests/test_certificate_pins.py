@@ -2,19 +2,23 @@
 
 Each pin is the sha256 of the canonical JSON (serialization.canonical_json) of
 the certificate a job produces through cli.run_job.  The first six jobs cover
-the paths of the growth search: narrow-gap annihilators that widen through
-several radii without a cone (the two sextics and the quintic), a cone at one
-radius shared by many members (x^3-x-1 and the cat map) and a unipotent
+the paths of the growth search: narrow-gap annihilators that have a cone in
+one direction only and a Lyapunov form in the other, so that every member is
+rigorous at the first radius, 24 (the two sextics and the quintic), a cone at
+one radius shared by many members (x^3-x-1 and the cat map) and a unipotent
 spectrum (the T^3 shear).  The last five cover the root-of-unity spectrum:
 finite order (the rotation, the identity and an order-6 matrix of T^3), a
 unipotent T^2 shear, and shear + rotation, whose non-expansivity family
 keeps only members with injective orbits.
 
-The first six pins were generated with the search that rebuilt every piece
-of evidence at every radius, before the search kept its radius-independent
-part across radii; the last five with separate finite-order and
-unipotent-power family builders, before one builder served both.  Each was
-generated by running this file as a script on that tree:
+The three narrow-gap pins were generated once the search tried a Lyapunov
+form after the cones; before that, the same jobs widened every member
+through 24, 36, 54, 81 and 96 and ended `rigorous: false`.  Of the other
+pins, three were generated with the search that rebuilt every piece of
+evidence at every radius, before the search kept its radius-independent
+part across radii, and five with separate finite-order and unipotent-power
+family builders, before one builder served both.  Each was generated by
+running this file as a script on that tree:
 
     PYTHONPATH=src python tests/test_certificate_pins.py
 
@@ -63,11 +67,11 @@ JOBS = {
 
 PINS = {
     "x^6+x^5+x^4+x^3+2x^2+x+1 family k=2":
-        "301d6d490edd246cc630ebfd1d692b0c62b2515c459a318fc92911d1dca57a24",
+        "354de990936f0aa128c4bf18ba00a2278b5dd7679689170a0f56c96ebedd06b5",
     "x^6-2x^4-x^3+x^2-x+1 family k=2":
-        "99e0d7af78af37e80380065d2ee3cfe415899ce0fa60ccd02318e97ba2c7d23b",
+        "d111c7e575fc3f106e7354aa8674b7dfce2905480b3fd37420d018aec569ddc2",
     "x^5-x^2+2x+1 certify k=2":
-        "1adf2b39ccfb52c97fc8e0fed799f76c073f18ce1929852b7aec058b1a986598",
+        "a4235a53ae567d31ff70b74aa5ecb593ebc57ad31f35b7d8b4429ac0a827faa0",
     "x^3-x-1 family k=20":
         "d17adb86f3ea1671cfc69a5d424af8dc2c9d042ff5cc3643a1664f142030afee",
     "shear T^3 family k=16":

@@ -462,20 +462,36 @@ def test_family_derives_growth_once_per_annihilator_and_window(monkeypatch):
     assert {rep.window_radius for rep in cert.orbit_reports} <= {r for _, r in derivations}
 
 
-def test_narrow_gap_sextic_searches_once_through_five_radii(monkeypatch):
-    # no cone at any radius: both members widen through 24, 36, 54, 81 and
-    # the budget's 96 on one search, which derives at each radius once
+def test_narrow_gap_sextic_derives_once_at_radius_24(monkeypatch):
+    # no cone in one direction at any radius, but a Lyapunov form: both
+    # members clear the target at the first radius, on one derivation
     searches, derivations = _count_growth_searches(monkeypatch)
     sextic = UnimodularMatrix((
         (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
         (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1), (-1, 1, -1, 1, 2, 0),
     ))  # companion of x^6 - 2x^4 - x^3 + x^2 - x + 1
     cert = disjoint_hyperplane_orbits(sextic, 2)
-    assert cert.count == 2 and cert.complete and not cert.rigorous
+    assert cert.count == 2 and cert.complete and cert.rigorous
     # S = T^-T has the reciprocal annihilator x^6 - x^5 + x^4 + x^3 - 2x^2 + 1
     assert searches == [(1, 0, -2, -1, 1, -1, 1)]
-    assert derivations == [(searches[0], r) for r in (24, 36, 54, 81, 96)]
-    assert all(rep.window_radius == 96 for rep in cert.orbit_reports)
+    assert derivations == [(searches[0], 24)]
+    assert all(rep.window_radius == 24 for rep in cert.orbit_reports)
+    assert {rep.growth.forward.kind for rep in cert.orbit_reports} == {"lyapunov"}
+    assert {rep.growth.backward.kind for rep in cert.orbit_reports} == {"cone"}
+    assert verify_certificate(cert).ok
+
+
+def test_cubic_searches_once_through_three_radii(monkeypatch):
+    # x^3 - x - 1 has cones both ways; its members widen through 24, 36 and
+    # 54 on one search, which derives at each radius once
+    searches, derivations = _count_growth_searches(monkeypatch)
+    cert = disjoint_hyperplane_orbits(COMPANION, 20)
+    assert cert.count == 20 and cert.rigorous
+    assert searches == [cert.orbit_reports[0].growth.annihilator]
+    assert derivations == [(searches[0], r) for r in (24, 36, 54)]
+    assert {rep.window_radius for rep in cert.orbit_reports} == {24, 36, 54}
+    assert {dc.kind for rep in cert.orbit_reports
+            for dc in (rep.growth.forward, rep.growth.backward)} == {"cone"}
 
 
 def test_second_build_derives_again(monkeypatch):

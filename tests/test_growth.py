@@ -445,23 +445,25 @@ def test_one_search_through_many_radii_equals_fresh_searches(poly, radii):
 
 
 def test_checker_computes_only_the_terms_its_tests_read():
-    # the honest x^5 - x - 1 evidence of a k=3 family: each direction reads
+    # the honest cone evidence of the x^5 - x - 1 family members' annihilator
+    # at radius 54, where both directions have a cone (the family itself now
+    # stops at a smaller radius, on a Lyapunov form): each direction reads
     # its entry chains, at most q (dd - 1) past the entry at or below
     # cover_from + 1, and computes no impulse term beyond them, far short of
     # the span the checker allows
     from tordyn.families import disjoint_hyperplane_orbits
-    from tordyn.growth import check_growth_evidence
+    from tordyn.growth import check_growth_evidence, growth_evidence
 
     companion = UnimodularMatrix(((0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
                                   (0, 0, 0, 0, 1), (1, 1, 0, 0, 0)))
     report = disjoint_hyperplane_orbits(companion, 3).orbit_reports[0]
-    window, growth = report.window_radius, report.growth
-    evidence = (growth.forward, growth.backward)
+    window, annihilator = 54, report.growth.annihilator
+    evidence = growth_evidence(annihilator, window)
     assert {dc.kind for dc in evidence} == {"cone"}
     with recorded_terms() as (_, responses):
-        assert check_growth_evidence(growth.annihilator, evidence, window) == []
+        assert check_growth_evidence(annihilator, evidence, window) == []
     (t,) = responses
-    d = len(growth.annihilator) - 1
+    d = len(annihilator) - 1
     reach = {dc.direction: window + 2 + dc.power_step * ((d if dc.level == 1 else d * (d - 1) // 2) - 1)
              for dc in evidence}
     span = window + 2 + (max(dc.power_step for dc in evidence) + 26) * (d * d + d + 2)
@@ -560,3 +562,135 @@ def test_direction_sequences_read_the_impulse_response_on_their_range(g):
                 s = [t[sign * (j + i)] for i in range(3)]
                 assert seq[j] == (s[0] * s[2] - s[1] ** 2 if level == 2 else s[0])
     assert direction_sequence(t, "sideways", 1, cap) is None
+
+
+# the narrow-gap annihilators of the bench (constant term first), whose
+# families have a cone in one direction only
+NARROW_GAP = [(1, 2, -1, 0, 0, 1), (1, 1, 2, 1, 1, 1, 1), (1, -1, 1, -1, -2, 0, 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-12, 12), st.integers(1, 6).flatmap(
+    lambda d: st.lists(st.lists(st.integers(-9, 9), min_size=d, max_size=d), min_size=d, max_size=d)))
+def test_positive_definite_matches_fraction_ldl(shift, rows):
+    # symmetric integer matrices, shifted along the diagonal so that both
+    # answers occur
+    from oracles import fraction_ldl_pivots
+
+    from tordyn.lyapunov import is_positive_definite
+
+    d = len(rows)
+    m = [[rows[i][j] + rows[j][i] + (shift if i == j else 0) for j in range(d)] for i in range(d)]
+    assert is_positive_definite(m) == all(p > 0 for p in fraction_ldl_pivots(m))
+
+
+@pytest.mark.parametrize("g", NARROW_GAP + [(-1, -1, 0, 1), (1, -3, 1)])
+def test_power_coordinates_and_stein_residual_match_the_companion(g):
+    # x_m is C^m e_0 both ways, its first entry is the impulse response, and
+    # the residual is C^T N C - N by matrix products
+    from oracles import mat_mul_triple_loop, multiplication_by_x
+
+    from tordyn.lyapunov import power_coordinates, stein_residual
+
+    d = len(g) - 1
+    c = multiplication_by_x(g)
+    c_inv = inverse_unimodular(tuple(map(tuple, c)))
+    t = ImpulseResponse(g)
+    x = y = (1,) + (0,) * (d - 1)
+    for m in range(1, 30):
+        x, y = mat_vec(c, x), mat_vec(c_inv, y)
+        assert power_coordinates(g, m) == x and power_coordinates(g, -m) == y
+        assert x[0] == t[m] and y[0] == t[-m]
+    n = [[(3 * i + 5 * j + i * j) % 7 - 3 for j in range(d)] for i in range(d)]
+    n = [[n[i][j] + n[j][i] for j in range(d)] for i in range(d)]
+    expected = mat_mul_triple_loop(mat_mul_triple_loop(transpose(c), n), c)
+    assert stein_residual(g, n) == [[e - x for e, x in zip(er, nr)] for er, nr in zip(expected, n)]
+
+
+@pytest.mark.parametrize("g", NARROW_GAP)
+def test_narrow_gap_floors_hold_on_the_direct_walk(g):
+    # every member's Lyapunov floor at radius 24 is at most the least norm of
+    # the orbit for 24 < |m| < 200, walked directly
+    s = companion_dual(g)
+    v = (0,) * (len(s) - 1) + (1,)
+    cert = derive_growth_certificate(s, v, 24)
+    assert cert.rigorous and "lyapunov" in {cert.forward.kind, cert.backward.kind}
+    assert check_growth_certificate(s, v, cert, 24) == []
+    assert brute_min_norm_outside_window(s, v, 24, 199) >= cert.min_exterior_norm
+
+
+def _no_root_on_the_unit_circle(g) -> bool:
+    import numpy as np
+
+    return all(abs(abs(z) - 1) > 1e-6 for z in np.roots(list(reversed(g))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(lambda d: st.tuples(
+        st.sampled_from((1, -1)),
+        st.lists(st.integers(-3, 3), min_size=d - 1, max_size=d - 1),
+    )),
+    st.integers(1, 30),
+)
+@example((1, [2, -1, 0, 0]), 24)
+@example((1, [1, 2, 1, 1, 1]), 24)
+@example((1, [-1, 1, -1, -2, 0]), 24)
+@example((-1, [-1, 1, -1]), 24)  # x^4 - x^3 + x^2 - x - 1
+@example((-1, [-1, 0, 0, 0]), 3)  # x^5 - x - 1
+def test_lyapunov_floors_hold_three_windows_out(poly, window):
+    # whenever the search gives a Lyapunov direction, the checker accepts the
+    # certificate, and every S^m v with window < |m| <= 3 window in that
+    # direction meets the derived norm floor, and its coordinates x_m the
+    # sequence floor
+    from tordyn.growth import norm_floor
+    from tordyn.lyapunov import power_coordinates
+
+    c0, middle = poly
+    g = (c0, *middle, 1)
+    assume(_no_root_on_the_unit_circle(g))
+    s = companion_dual(g)
+    v = (0,) * (len(s) - 1) + (1,)
+    cert = derive_growth_certificate(s, v, window)
+    assert check_growth_certificate(s, v, cert, window) == []
+    for dc, step, sign in ((cert.forward, s, 1), (cert.backward, inverse_unimodular(s), -1)):
+        if dc.kind != "lyapunov":
+            continue
+        floor = norm_floor(dc.floor_seq, dc.level, cert.transfer)
+        cur = v
+        for m in range(1, 3 * window + 1):
+            cur = mat_vec(step, cur)
+            if m > window:
+                assert max(map(abs, cur)) >= floor
+                assert max(map(abs, power_coordinates(cert.annihilator, sign * m))) >= dc.floor_seq
+
+
+def test_checker_rejects_lyapunov_forgeries():
+    # the honest form of x^4 - x^3 + x^2 - x - 1 backward at radius 24, and
+    # one forgery per exact test, each refused by its own message
+    from dataclasses import replace
+
+    from tordyn.growth import DirectionCertificate, check_growth_evidence, growth_evidence
+
+    g = (-1, 1, -1, 1, 1)
+    window_only = DirectionCertificate("forward", "window_only")
+    honest = growth_evidence(g, 24)[1]
+    assert honest.kind == "lyapunov"
+    assert check_growth_evidence(g, (window_only, honest), 24) == []
+    form = honest.form
+    forgeries = {
+        "not positive definite": replace(honest, form=tuple(tuple(-x for x in row) for row in form)),
+        "not symmetric": replace(honest, form=((form[0][0], form[0][1] + 1, *form[0][2:]), *form[1:])),
+        "not 4 x 4": replace(honest, form=tuple(row[:3] for row in form[:3])),
+        "floor too large": replace(honest, floor_seq=honest.floor_seq + 1),
+        "carries cone data": replace(honest, power_step=1),
+    }
+    for message, forged in forgeries.items():
+        (problem,) = check_growth_evidence(g, (window_only, forged), 24)
+        assert message in problem, (message, problem)
+    # V is negative up to x_4, so the honest form has the wrong sign at the
+    # forward edge of a window of radius 2
+    forward = replace(honest, direction="forward", floor_seq=1)
+    assert check_growth_evidence(g, (forward, replace(window_only, direction="backward")), 2) == [
+        "forward: V has the wrong sign at the window edge"
+    ]

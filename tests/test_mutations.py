@@ -11,6 +11,7 @@ mutant that is accepted must fall in one of the classes of `weaker_claim`.
 import copy
 import re
 import time
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -27,11 +28,14 @@ from tordyn.serialization import (
     encode_non_expansivity,
     parse_certificate,
 )
+from tordyn.verify import verify_certificate
 
 ROT = UnimodularMatrix(((0, -1), (1, 0)))
 SHEAR = UnimodularMatrix(((1, 1), (0, 1)))
 CAT = UnimodularMatrix(((2, 1), (1, 1)))
 REDUCIBLE = UnimodularMatrix(((1, 1, 0), (0, 2, 1), (0, 1, 1)))
+# companion of x^4 - x^3 + x^2 - x - 1: a cone forward, a Lyapunov form backward
+QUARTIC = UnimodularMatrix(((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, -1, 1)))
 
 
 NAMES = (
@@ -39,6 +43,7 @@ NAMES = (
     "unipotent_power",
     "greedy",
     "greedy_reducible",
+    "greedy_lyapunov",
     "non_expansivity_finite",
     "non_expansivity_infinite",
 )
@@ -53,11 +58,12 @@ def certificates() -> dict:
         "unipotent_power": encode_family(disjoint_hyperplane_orbits(SHEAR, 2)),
         "greedy": encode_family(disjoint_hyperplane_orbits(CAT, 2)),
         "greedy_reducible": encode_family(disjoint_hyperplane_orbits(REDUCIBLE, 2)),
+        "greedy_lyapunov": encode_family(disjoint_hyperplane_orbits(QUARTIC, 2)),
         "non_expansivity_finite": encode_non_expansivity(non_expansivity_certificate(ROT, 2)),
         "non_expansivity_infinite": encode_non_expansivity(non_expansivity_certificate(CAT, 2)),
     }
-    for name in NAMES[:4]:
-        assert certs[name]["branch"] == name.removesuffix("_reducible")
+    for name in NAMES[:5]:
+        assert certs[name]["branch"] == name.removesuffix("_reducible").removesuffix("_lyapunov")
     return certs
 
 
@@ -201,6 +207,7 @@ OBJECTS = {
     "growth certificate": ("greedy", ("orbit_reports", 0, "growth")),
     "cone direction": ("greedy", ("orbit_reports", 0, "growth", "forward")),
     "polynomial direction": ("unipotent_power", ("orbit_reports", 1, "growth", "forward")),
+    "lyapunov direction": ("greedy_lyapunov", ("orbit_reports", 0, "growth", "backward")),
     "cone entry": ("greedy", ("orbit_reports", 0, "growth", "forward", "entries", 0)),
     "non-expansivity certificate": ("non_expansivity_infinite", ()),
     "isolation report": ("non_expansivity_infinite", ("isolation",)),  # only bound_exact
@@ -223,12 +230,13 @@ def test_encoders_emit_exactly_the_parsed_key_set(what):
 
 
 # the rows of the README's key-set table, by the object of OBJECTS each names;
-# both growth directions have the row "growth direction"
+# the cone and polynomial directions share the row "growth direction"
 README_ROWS = {
     "disjoint family": ("disjoint-family certificate",),
     "orbit report": ("orbit report",),
     "growth": ("growth certificate",),
     "growth direction": ("cone direction", "polynomial direction"),
+    "Lyapunov direction": ("lyapunov direction",),
     "cone entry": ("cone entry",),
     "non-expansivity": ("non-expansivity certificate",),
     "isolation": ("isolation report",),
@@ -337,3 +345,82 @@ def test_forged_level_2_cone_computes_no_term_past_the_checker_cap():
     for t in responses:
         lo, hi = t.known
         assert -span <= lo and hi <= span
+
+
+def _lyapunov_forgery(forge):
+    """The small Lyapunov certificate with its first member's backward
+    direction changed by forge."""
+    certificate = copy.deepcopy(certificates()["greedy_lyapunov"])
+    direction = _at(certificate, OBJECTS["lyapunov direction"][1])
+    assert direction["kind"] == "lyapunov"
+    forge(direction)
+    return certificate
+
+
+def _negated(direction):
+    direction["form"] = [[f"{-Fraction(x).numerator}/{Fraction(x).denominator}" for x in row]
+                         for row in direction["form"]]
+
+
+def _asymmetric(direction):
+    x = Fraction(direction["form"][0][1]) + 1
+    direction["form"][0][1] = f"{x.numerator}/{x.denominator}"
+
+
+def _shrunk(direction):
+    direction["form"] = [row[:-1] for row in direction["form"][:-1]]
+
+
+def _inflated(direction):
+    direction["floor_seq"] += 1
+
+
+@pytest.mark.parametrize("forge", [_negated, _asymmetric, _shrunk, _inflated])
+def test_lyapunov_forgery_is_rejected(forge):
+    # C^T P C - P not positive definite, P not symmetric, P of the wrong
+    # size, a sequence floor above the derived one
+    assert exit_code(_lyapunov_forgery(forge)) == 4
+
+
+def test_lyapunov_form_of_the_wrong_sign_at_the_edge_is_rejected():
+    # V is negative on x_m up to m = 4 for this form, so claimed forward at a
+    # window of radius 2 it has the wrong sign at the edge x_3; the rest of
+    # the forgery claims nothing else: the window is cut to radius 2, the
+    # backward direction is window-only and no rigor is claimed
+    certificate = _lyapunov_forgery(lambda direction: direction.update(direction="forward", floor_seq=1))
+    report = certificate["orbit_reports"][0]
+    growth = report["growth"]
+    growth["forward"], growth["backward"] = growth["backward"], {
+        "direction": "backward", "kind": "window_only", "level": 0, "power_step": 0,
+        "mu": "0/1", "nu": "0/1", "entries": [], "floor_seq": 0,
+    }
+    report.update(window_radius=2, window=[e for e in report["window"] if abs(e[0]) <= 2],
+                  rigorous=False, min_exterior_norm=None)
+    certificate.update(rigorous=False, explanation="window only")
+    result = verify_certificate(parse_certificate(certificate))
+    assert result.failures == (
+        "member 0: growth certificate: forward: V has the wrong sign at the window edge",
+    )
+    assert exit_code(certificate) == 4
+
+
+@pytest.mark.parametrize("forge", [
+    lambda direction: direction.pop("form"),
+    lambda direction: direction.update(level=1),  # a cone key
+    lambda direction: direction["form"][0].__setitem__(0, "-8/2"),
+    lambda direction: direction["form"][0].__setitem__(0, "-4"),
+    lambda direction: direction["form"][0].pop(),  # ragged rows
+])
+def test_lyapunov_direction_is_parsed_strictly(forge):
+    # a missing or unknown key, a rational not in lowest 'p/q' form
+    assert exit_code(_lyapunov_forgery(forge)) == 2
+
+
+def test_every_field_mutation_of_a_lyapunov_direction_claims_no_more():
+    name, path = "greedy_lyapunov", OBJECTS["lyapunov direction"][1]
+    certificate = certificates()[name]
+    for site in mutations(_at(certificate, path), path):
+        code = exit_code(mutate(certificate, *site))
+        assert code in (0, 2, 4)
+        if code == 0:
+            assert weaker_claim(certificate, *site), site
