@@ -28,7 +28,6 @@ from .intmat import (
     Mat,
     UnimodularMatrix,
     Vec,
-    char_poly,
     compound_matrix,
     det,
     evaluate_poly_at_matrix,
@@ -36,14 +35,11 @@ from .intmat import (
     inverse_unimodular,
     mat_mul,
     mat_vec,
-    matrix_order,
-    order_bound,
     transpose,
 )
 from .lattices import (
     Lattice,
     annihilator_rows,
-    matrix_minimal_polynomial,
     saturate_rows,
     trusted_hnf_basis,
 )
@@ -51,8 +47,6 @@ from .polynomials import (
     Poly,
     cyclotomic_orders_if_product,
     is_squarefree_product_of_cyclotomics,
-    rational_factors,
-    strip_cyclotomic_factors,
     degree as poly_degree,
 )
 from .subtori import (
@@ -139,7 +133,7 @@ def periodic_orbit_period(m: Mat, v: Vec, g: Poly) -> int:
     this is the least p with T^p H = H."""
     orders = cyclotomic_orders_if_product(g)
     assert orders is not None
-    cap = lcm(*orders) if orders else 1
+    cap = lcm(*orders)
     cur = v
     for p in range(1, cap + 1):
         cur = mat_vec(m, cur)
@@ -309,13 +303,12 @@ def converges_to_full(t: UnimodularMatrix, h: Subtorus) -> bool:
 def is_distal_linear(t: UnimodularMatrix) -> bool:
     """Distality of the linear action on R^n: every eigenvalue on the unit
     circle, which for integer matrices forces roots of unity."""
-    return order_bound(t.rows) is not None
+    return t.spectrum.order_bound is not None
 
 
 def is_ergodic(t: UnimodularMatrix) -> bool:
     """No eigenvalue is a root of unity."""
-    orders, _ = strip_cyclotomic_factors(char_poly(t.rows))
-    return not orders
+    return not t.spectrum.orders
 
 
 @dataclass(frozen=True)
@@ -334,7 +327,7 @@ def acts_distally_on_subp(t: UnimodularMatrix) -> DistalityVerdict:
     hyperplane whose orbit converges to the full torus in both directions, an
     explicit proximal pair with the full torus.
     """
-    order = matrix_order(t)
+    order = t.spectrum.order
     if order is not None:
         return DistalityVerdict(True, order, None, None, None)
     if t.n < 2:
@@ -366,9 +359,8 @@ def invariant_rational_subspaces(t: UnimodularMatrix) -> InvariantSubspaceReport
     """
     if t.n < 2:
         raise ValueError("needs ambient dimension >= 2")
-    cp = char_poly(t.rows)
-    factors = tuple(rational_factors(cp))
-    mu = matrix_minimal_polynomial(t.rows)
+    factors = t.spectrum.factors
+    mu = t.spectrum.minimal_polynomial
     reducible = len(factors) > 1 or factors[0][1] > 1
     if not reducible:
         return InvariantSubspaceReport(False, (), factors, mu)

@@ -1,24 +1,27 @@
 """Constructive engines: disjoint-orbit families of codimension-1 subtori and
 non-expansivity certificates.
 
-Family construction dispatches on the spectrum of the automorphism:
+Family construction dispatches on the spectrum of the automorphism
+(intmat.Spectrum, which the matrix carries):
 
-* every eigenvalue a root of unity: for p = order_bound(T), the lcm of their
-  orders, S^p is unipotent (S = T^-T), and orbits on the dual side are
-  separated by exact invariants (the class of a covector modulo the
-  sublattice its own difference orbit under S^p spans).  A T-orbit is the
-  union of p interleaved T^p-orbits, so each member has the set of
-  invariants of its p translates, and disjointness of those sets is the
-  evidence.  T has finite order exactly when T^p = I; then each invariant is
-  the covector itself up to sign, its set is its orbit, and the family is
-  tagged `finite_order` (otherwise `unipotent_power`).  A covector's orbit
-  is periodic exactly when its difference lattice is {0}.
+* every eigenvalue a root of unity: for p the lcm of their orders (the
+  spectrum's order_bound), S^p is unipotent (S = T^-T), and orbits on the
+  dual side are separated by exact invariants (the class of a covector
+  modulo the sublattice its own difference orbit under S^p spans).  A
+  T-orbit is the union of p interleaved T^p-orbits, so each member has the
+  set of invariants of its p translates, and disjointness of those sets is
+  the evidence.  T has finite order exactly when T^p = I; then each
+  invariant is the covector itself up to sign, its set is its orbit, and
+  the family is tagged `finite_order` (otherwise `unipotent_power`).  A
+  covector's orbit is periodic exactly when its difference lattice is {0}.
 * some eigenvalue off the unit circle: greedy selection of covectors by
   increasing norm, certified by orbit windows plus norm-growth floors.  The
   candidates lie in L = ker f(S), for f the first irreducible factor of the
-  characteristic polynomial of S that is not cyclotomic, so every member has
-  the annihilator f, an injective orbit and the growth evidence of f.  For
-  irreducible T, f(S) = 0 and L = Z^n.
+  characteristic polynomial of S that is not cyclotomic (the spectrum's
+  dual_factors), so every member has the annihilator f, an injective orbit
+  and the growth evidence of f.  For irreducible T, f(S) = 0 and L = Z^n.
+
+A non-expansivity certificate stores the spectrum's order when it is finite.
 
 One build computes T^-1 and S = T^-T once (FamilyOrbits).  Each member's
 orbit report is built once and widened in place (dynamics.OrbitBuilder).  The
@@ -51,7 +54,6 @@ from .intmat import (
     Mat,
     UnimodularMatrix,
     Vec,
-    char_poly,
     evaluate_poly_at_matrix,
     identity,
     is_unipotent,
@@ -59,8 +61,6 @@ from .intmat import (
     mat_pow,
     mat_sub,
     mat_vec,
-    matrix_order,
-    order_bound,
     transpose,
 )
 from .lattices import (
@@ -71,7 +71,7 @@ from .lattices import (
     trusted_hnf_basis,
 )
 from .metric import enumerate_hnf_lattices, hyperplane_isolation_bound
-from .polynomials import Poly, is_squarefree_product_of_cyclotomics, rational_factors
+from .polynomials import Poly, is_squarefree_product_of_cyclotomics
 from .subtori import (
     PrimitiveCovector,
     Subtorus,
@@ -228,24 +228,23 @@ def _candidate_covectors(basis: Mat, budget: Budget):
         yield trusted_canonicalize_covector(mat_vec(columns, c))
 
 
-def _kernel_lattice(s: Mat) -> Mat:
-    """HNF basis of L = ker f(S), for the first non-cyclotomic factor f in
-    rational_factors(char_poly(S)): every covector of L has the irreducible
-    annihilator f, so its orbit is injective.  L is saturated."""
-    f = next(f for f, _ in rational_factors(char_poly(s))
+def _kernel_lattice(orbits: FamilyOrbits) -> Mat:
+    """HNF basis of L = ker f(S), for the first non-cyclotomic factor f of
+    the characteristic polynomial of S (Spectrum.dual_factors): every
+    covector of L has the irreducible annihilator f, so its orbit is
+    injective.  L is saturated."""
+    f = next(f for f, _ in orbits.t.spectrum.dual_factors
              if not is_squarefree_product_of_cyclotomics(f))
-    return annihilator_rows(evaluate_poly_at_matrix(f, s), len(s))
+    return annihilator_rows(evaluate_poly_at_matrix(f, orbits.s), len(orbits.s))
 
 
 def _root_of_unity_family(
-    orbits: FamilyOrbits,
-    k: int,
-    power: int,
-    budget: Budget,
-    injective_only: bool,
+    orbits: FamilyOrbits, k: int, budget: Budget, injective_only: bool
 ) -> DisjointFamilyCertificate:
-    """The family of a T whose eigenvalues are roots of unity, with power =
-    order_bound(T): members of disjoint invariant sets under S^power."""
+    """The family of a T whose eigenvalues are roots of unity: members of
+    disjoint invariant sets under S^power, for power the spectrum's
+    order_bound (1 for a unipotent T)."""
+    power = orbits.t.spectrum.order_bound
     invariants = PowerInvariants(orbits.s, power)
     finite = is_zero(invariants.nilpotent)
     if finite and injective_only:
@@ -288,7 +287,7 @@ def unipotent_family(t: UnimodularMatrix, k: int, budget: Budget = Budget()) -> 
         raise ValueError("the identity is excluded")
     if k < 1:
         raise ValueError("need k >= 1")
-    return _root_of_unity_family(FamilyOrbits(t), k, 1, budget, injective_only=False)
+    return _root_of_unity_family(FamilyOrbits(t), k, budget, injective_only=False)
 
 
 def _greedy_family(orbits: FamilyOrbits, k: int, budget: Budget) -> DisjointFamilyCertificate:
@@ -305,7 +304,7 @@ def _greedy_family(orbits: FamilyOrbits, k: int, budget: Budget) -> DisjointFami
             w = builder.radius
             builder.widen(min(budget.max_window, w + max(12, w // 2)), orbits.evidence)
 
-    for gamma in _candidate_covectors(_kernel_lattice(orbits.s), budget):
+    for gamma in _candidate_covectors(_kernel_lattice(orbits), budget):
         if len(kept) == k:
             break
         if any(gamma in window_sets[g] for g in kept):
@@ -369,10 +368,8 @@ def disjoint_hyperplane_orbits(
     if k < 1:
         raise ValueError("need k >= 1")
     orbits = FamilyOrbits(t)
-    # the lcm of the eigenvalues' orders, the least power whose eigenvalues are all 1
-    power = order_bound(t.rows)
-    if power is not None:
-        return _root_of_unity_family(orbits, k, power, budget, injective_only)
+    if t.spectrum.order_bound is not None:
+        return _root_of_unity_family(orbits, k, budget, injective_only)
     # every candidate of the greedy has an injective orbit
     return _greedy_family(orbits, k, budget)
 
@@ -466,7 +463,7 @@ def non_expansivity_certificate(
         raise ValueError("needs ambient dimension >= 2")
     if orbit_count < 1:
         raise ValueError("need orbit_count >= 1")
-    order = matrix_order(t)
+    order = t.spectrum.order
     if order is not None:
         # T^order is the identity and fixes every hyperplane; n >= 2 gives at
         # least two of norm 1

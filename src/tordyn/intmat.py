@@ -1,6 +1,7 @@
 """Arbitrary-precision integer matrices: products, determinants, characteristic
 polynomials, exterior powers, and the group elements of the automorphism group
-of the n-torus (integer matrices of determinant +-1).
+of the n-torus (integer matrices of determinant +-1), each of which carries
+its spectrum, computed the first time it is read.
 
 Matrices are tuples of row tuples of Python ints, so every value is immutable
 and exact.
@@ -8,13 +9,26 @@ and exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from operator import mul
 
-from .polynomials import Poly, cyclotomic_orders_if_product, normalize
+from .polynomials import (
+    ONE,
+    Poly,
+    cyclotomic,
+    divmod_exact,
+    normalize,
+    primitive_part,
+    rational_factors,
+    reciprocal,
+    sorted_factors,
+    strip_cyclotomic_factors,
+)
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -198,6 +212,61 @@ def evaluate_poly_at_matrix(p: Poly, a: Mat) -> Mat:
     return acc
 
 
+class Spectrum:
+    """The spectrum of a square integer matrix T, from one characteristic
+    polynomial chi_T: the orders m of its cyclotomic factors Phi_m, with
+    multiplicity, and the cyclotomic-free cofactor.  Every eigenvalue is a
+    root of unity exactly when the cofactor is 1 (Kronecker); `order_bound`,
+    the lcm of the orders, is None otherwise.  The rest is computed when
+    first read."""
+
+    def __init__(self, rows: Mat):
+        self.rows = rows
+        self.char = char_poly(rows)
+        orders, self.cofactor = strip_cyclotomic_factors(self.char)
+        self.orders = tuple(orders)
+        self.order_bound = lcm(*orders) if self.cofactor == ONE else None
+
+    @cached_property
+    def order(self) -> int | None:
+        """The order of T, or None when it is infinite.  T^p = Id for p =
+        order_bound makes T diagonalisable with a primitive m-th root of unity
+        as an eigenvalue for every order m, so its order is exactly p."""
+        p = self.order_bound
+        if p is None or mat_pow(self.rows, p) != identity(len(self.rows)):
+            return None
+        return p
+
+    @cached_property
+    def factors(self) -> tuple[tuple[Poly, int], ...]:
+        """The irreducible factors of chi_T with multiplicities, as
+        rational_factors(chi_T) returns them: the stripped cyclotomic
+        factors and the factors of the cofactor."""
+        out = [(cyclotomic(m), e) for m, e in Counter(self.orders).items()]
+        if self.cofactor != ONE:
+            out += rational_factors(self.cofactor)
+        return tuple(sorted_factors(out))
+
+    @cached_property
+    def dual_factors(self) -> tuple[tuple[Poly, int], ...]:
+        """The factors of chi_S for S = T^-T, whose eigenvalues are the
+        inverses of T's: each factor of chi_T reversed, sign made positive."""
+        return tuple(sorted_factors((primitive_part(reciprocal(f)), e) for f, e in self.factors))
+
+    @cached_property
+    def minimal_polynomial(self) -> Poly:
+        """mu_T: chi_T with the exponent of each factor lowered while the
+        quotient still annihilates T; each factor of chi_T divides mu_T."""
+        mu = self.char
+        for f, e in self.factors:
+            for _ in range(e - 1):
+                q = divmod_exact(mu, f)[0]
+                if not is_zero(evaluate_poly_at_matrix(q, self.rows)):
+                    break
+                mu = q
+        return mu
+
+
 @dataclass(frozen=True)
 class UnimodularMatrix:
     """An automorphism of the n-torus: an integer matrix with det = +-1."""
@@ -217,10 +286,6 @@ class UnimodularMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    @property
-    def determinant(self) -> int:
-        return det(self.rows)
-
     def __mul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
         return UnimodularMatrix(mat_mul(self.rows, other.rows))
 
@@ -235,51 +300,16 @@ class UnimodularMatrix:
     def is_identity(self) -> bool:
         return self.rows == identity(self.n)
 
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        return Spectrum(self.rows)
+
 
 def is_unipotent(t: UnimodularMatrix) -> bool:
-    n = t.n
-    nil = mat_sub(t.rows, identity(n))
-    return is_zero(mat_pow(nil, n))
-
-
-def order_bound(a: Mat) -> int | None:
-    """A multiple of the order of the square matrix a if it has one: the lcm
-    of the cyclotomic orders when its characteristic polynomial is a product
-    of cyclotomics, which a finite order needs; otherwise None.  A power at
-    the bound that is not the identity means infinite order (a nontrivial
-    Jordan block, as in shear + rotation)."""
-    orders = cyclotomic_orders_if_product(char_poly(a))
-    if orders is None:
-        return None
-    return lcm(*orders) if orders else 1
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, in increasing order."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+    """chi_T = (x - 1)^n."""
+    return t.spectrum.orders == (1,) * t.n
 
 
 def matrix_order(t: UnimodularMatrix) -> int | None:
-    """Smallest m >= 1 with t^m = Id, or None when no power is the identity.
-
-    t^order_bound != Id means infinite order; otherwise each prime is divided
-    out of the bound while the power stays the identity, one mat_pow per
-    test."""
-    order = order_bound(t.rows)
-    eye = identity(t.n)
-    if order is None or mat_pow(t.rows, order) != eye:
-        return None
-    for p in _prime_factors(order):
-        while order % p == 0 and mat_pow(t.rows, order // p) == eye:
-            order //= p
-    return order
+    """Smallest m >= 1 with t^m = Id, or None when no power is the identity."""
+    return t.spectrum.order

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intmat import Mat, Vec, as_matrix, identity, transpose
-from .polynomials import Poly, normalize as poly_normalize
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -235,25 +234,3 @@ class Lattice:
             return all(row[i] == 1 for i, row in enumerate(self.basis))
         return self.saturation() == self
 
-
-def matrix_minimal_polynomial(a: Mat) -> Poly:
-    """Minimal polynomial of an integer matrix, monic with integer coefficients."""
-    n = len(a)
-    from .intmat import mat_mul
-
-    powers = [identity(n)]
-    for _ in range(n):
-        powers.append(mat_mul(a, powers[-1]))
-    for d in range(1, n + 1):
-        stacked = tuple(
-            tuple(x for row in powers[i] for x in row) for i in range(d + 1)
-        )
-        kern = left_kernel(stacked, d + 1)
-        if kern:
-            rel = kern[0]
-            if rel[-1] < 0:
-                rel = tuple(-x for x in rel)
-            if rel[-1] != 1:
-                raise AssertionError("minimal polynomial must be monic")
-            return poly_normalize(rel)
-    raise AssertionError("unreachable: char poly annihilates")

@@ -538,6 +538,12 @@ def _irreducible_factors(f: Poly) -> list[Poly]:
     return _recombine(f, _hensel_lift(list(f), modular, p, k), p**k)
 
 
+def sorted_factors(factors) -> list[tuple[Poly, int]]:
+    """(factor, multiplicity) pairs in the order rational_factors returns
+    them: by degree, then by coefficients."""
+    return sorted(factors, key=lambda fe: (degree(fe[0]), fe[0]))
+
+
 def rational_factors(p: Poly) -> list[tuple[Poly, int]]:
     """Irreducible factorization over Q, as primitive integer polynomials.
 
@@ -551,9 +557,8 @@ def rational_factors(p: Poly) -> list[tuple[Poly, int]]:
         raise ValueError("need degree >= 1")
     if not is_monic_up_to_sign(p):
         raise ValueError("polynomial must be monic up to sign")
-    out = [(f, e) for a, e in squarefree_decomposition(monic_normalize(p))
-           for f in _irreducible_factors(a)]
-    out.sort(key=lambda fe: (degree(fe[0]), fe[0]))
+    out = sorted_factors((f, e) for a, e in squarefree_decomposition(monic_normalize(p))
+                         for f in _irreducible_factors(a))
     check = ONE
     for f, e in out:
         check = mul(check, power_poly(f, e))

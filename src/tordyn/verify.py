@@ -57,7 +57,9 @@ subtori are all it claims, must be complete.
 The checker bounds its work by the size of the certificate and the matrix: a
 window radius must come with its 2r + 1 entries, a cone power step is at most
 the number of entry indices the cone can use, and the power p that sizes the
-recomputed invariant sets comes from the matrix alone.
+recomputed invariant sets comes from the matrix alone: from its spectrum
+(`intmat.Spectrum`), which also gives the order of T that a non-expansivity
+certificate's branch and order are checked against.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import (
-    act,
     covector_window_set,
     periodic_orbit_period,
     widen_window,
@@ -76,13 +77,7 @@ from .families import (
     PowerInvariants,
 )
 from .growth import check_growth_certificate, minimal_annihilator
-from .intmat import (
-    UnimodularMatrix,
-    is_zero,
-    matrix_order,
-    order_bound,
-    transpose,
-)
+from .intmat import UnimodularMatrix, is_zero, transpose
 from .metric import hyperplane_isolation_bound
 from .polynomials import is_squarefree_product_of_cyclotomics
 from .subtori import (
@@ -156,19 +151,23 @@ def _check_member_report(t, tinv, s, gamma, report, failures, idx, growth_checks
 
 
 def verify_family(cert: DisjointFamilyCertificate) -> VerificationResult:
-    failures: list[str] = []
     try:
         t = UnimodularMatrix(cert.matrix)
     except ValueError as exc:
         return VerificationResult(False, (f"matrix: {exc}",))
-    n = t.n
+    return _verify_family(t, cert)
+
+
+def _verify_family(t: UnimodularMatrix, cert: DisjointFamilyCertificate) -> VerificationResult:
+    """verify_family on the validated matrix t of the certificate."""
+    failures: list[str] = []
     if cert.count != len(cert.members):
         _fail(failures, "count does not equal the number of members")
     if len(set(cert.members)) != len(cert.members):
         dup = [m for m in cert.members if cert.members.count(m) > 1][0]
         _fail(failures, f"duplicate member {dup}")
     for i, g in enumerate(cert.members):
-        if len(g) != n:
+        if len(g) != t.n:
             _fail(failures, f"member {i}: wrong length")
         elif canonicalize_covector(g) != g:
             _fail(failures, f"member {i}: covector not canonical")
@@ -211,8 +210,8 @@ def _check_disjoint(sets, what: str, failures) -> None:
 
 
 def _verify_root_of_unity_branch(t, s, cert, failures):
-    # the power comes from the matrix, which also bounds the work
-    power = order_bound(t.rows)
+    # the power comes from the matrix's spectrum, which also bounds the work
+    power = t.spectrum.order_bound
     if power is None:
         _fail(failures, "some eigenvalue is not a root of unity")
         return
@@ -265,7 +264,7 @@ def verify_non_expansivity(cert: NonExpansivityCertificate) -> VerificationResul
         t = UnimodularMatrix(cert.matrix)
     except ValueError as exc:
         return VerificationResult(False, (f"matrix: {exc}",))
-    order = matrix_order(t)
+    order = t.spectrum.order
     if cert.branch == "finite_order":
         if order is None:
             _fail(failures, "matrix has infinite order")
@@ -278,11 +277,10 @@ def verify_non_expansivity(cert: NonExpansivityCertificate) -> VerificationResul
                 _fail(failures, "complete is false beside two fixed subtori")
             if len(set(cert.fixed)) != len(cert.fixed):
                 _fail(failures, "fixed subtori are not distinct")
-            if order is not None:
-                tp = t.power(order)
-                for i, h in enumerate(cert.fixed):
-                    if act(tp, h) != h:
-                        _fail(failures, f"fixed subtorus {i} is not fixed by the power")
+            # the spectrum found T^order = Id, which fixes every subtorus of T^n
+            for i, h in enumerate(cert.fixed):
+                if h.ambient_dim != t.n:
+                    _fail(failures, f"fixed subtorus {i} is not a subtorus of T^{t.n}")
     elif cert.branch == "infinitely_many_orbits":
         if order is not None:
             _fail(failures, "matrix has finite order; wrong branch")
@@ -292,7 +290,7 @@ def verify_non_expansivity(cert: NonExpansivityCertificate) -> VerificationResul
         if cert.family.matrix != cert.matrix:
             _fail(failures, "family certificate is for a different matrix")
             return VerificationResult(False, tuple(failures))
-        sub = verify_family(cert.family)
+        sub = _verify_family(t, cert.family)
         for f in sub.failures:
             _fail(failures, f"family: {f}")
         if cert.converges is None or len(cert.converges) != len(cert.family.members):

@@ -4,13 +4,16 @@ Everything here deliberately avoids the library code paths it is used to
 check: row spans are tested by rational elimination, characteristic
 polynomials by cofactor expansion, covector periodicity by one matrix that
 kills exactly the periodic covectors, orbits by direct stepping, finite order
-by direct powering, products by a triple loop, group closures by one
+by direct powering or by dividing primes out of the cyclotomic bound one
+matrix power at a time, minimal polynomials by the first linear relation
+among the matrix powers, products by a triple loop, group closures by one
 order check per element or by multiplying matrices and filing each product
 under its entries mod 3, and the growth cone tests by Fraction arithmetic.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 from tordyn.dynamics import GroupReport
 from tordyn.intmat import (
@@ -20,10 +23,18 @@ from tordyn.intmat import (
     identity,
     inverse_unimodular,
     mat_mul,
+    char_poly,
+    mat_pow,
     mat_vec,
-    matrix_order,
 )
-from tordyn.polynomials import cyclotomic, divides, orders_with_totient_at_most
+from tordyn.lattices import left_kernel
+from tordyn.polynomials import (
+    cyclotomic,
+    cyclotomic_orders_if_product,
+    divides,
+    normalize,
+    orders_with_totient_at_most,
+)
 
 
 def rational_solve_row(rows, target):
@@ -259,6 +270,71 @@ def direct_order(t: UnimodularMatrix, bound: int):
     return None
 
 
+def order_bound(a: Mat) -> int | None:
+    """A multiple of the order of the square matrix a if it has one: the lcm
+    of the cyclotomic orders when its characteristic polynomial is a product
+    of cyclotomics, which a finite order needs; otherwise None.  A power at
+    the bound that is not the identity means infinite order (a nontrivial
+    Jordan block, as in shear + rotation)."""
+    orders = cyclotomic_orders_if_product(char_poly(a))
+    if orders is None:
+        return None
+    return lcm(*orders) if orders else 1
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, in increasing order."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def matrix_order_by_descent(t: UnimodularMatrix) -> int | None:
+    """Smallest m >= 1 with t^m = Id, or None when no power is the identity.
+
+    t^order_bound != Id means infinite order; otherwise each prime is divided
+    out of the bound while the power stays the identity, one mat_pow per
+    test."""
+    order = order_bound(t.rows)
+    eye = identity(t.n)
+    if order is None or mat_pow(t.rows, order) != eye:
+        return None
+    for p in _prime_factors(order):
+        while order % p == 0 and mat_pow(t.rows, order // p) == eye:
+            order //= p
+    return order
+
+
+def matrix_minimal_polynomial(a: Mat):
+    """Minimal polynomial of an integer matrix, monic with integer coefficients."""
+    n = len(a)
+
+    powers = [identity(n)]
+    for _ in range(n):
+        powers.append(mat_mul(a, powers[-1]))
+    for d in range(1, n + 1):
+        stacked = tuple(
+            tuple(x for row in powers[i] for x in row) for i in range(d + 1)
+        )
+        kern = left_kernel(stacked, d + 1)
+        if kern:
+            rel = kern[0]
+            if rel[-1] < 0:
+                rel = tuple(-x for x in rel)
+            if rel[-1] != 1:
+                raise AssertionError("minimal polynomial must be monic")
+            return normalize(rel)
+    raise AssertionError("unreachable: char poly annihilates")
+
+
 def mat_mul_triple_loop(a, b):
     """Product of an m x k and a k x p matrix by the textbook triple loop."""
     p = len(b[0]) if b else 0
@@ -302,7 +378,8 @@ def block_diag(a, b):
 
 def reference_group_closure(generators, cap=20000):
     """(status, order, sorted elements, witness) of the breadth-first closure
-    that decides every new element with its own `matrix_order` call."""
+    that decides every new element with its own `matrix_order_by_descent`
+    call."""
     gens = [g if isinstance(g, UnimodularMatrix) else UnimodularMatrix(g) for g in generators]
     n = gens[0].n
     step = [g.rows for g in gens] + [inverse_unimodular(g.rows) for g in gens]
@@ -315,7 +392,7 @@ def reference_group_closure(generators, cap=20000):
                 b = mat_mul(a, s)
                 if b in seen:
                     continue
-                if matrix_order(UnimodularMatrix(b)) is None:
+                if matrix_order_by_descent(UnimodularMatrix(b)) is None:
                     return ("infinite", None, None, b)
                 seen[b] = None
                 if len(seen) > cap:

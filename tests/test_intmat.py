@@ -227,7 +227,6 @@ def test_transpose_involution():
 
 
 def test_minimal_polynomial_divides_power_relation():
-    from tordyn.lattices import matrix_minimal_polynomial
     from tordyn.polynomials import divides
 
     rng = random.Random(19)
@@ -238,6 +237,6 @@ def test_minimal_polynomial_divides_power_relation():
         if order is None:
             continue
         seen_finite += 1
-        mu = matrix_minimal_polynomial(t.rows)
+        mu = t.spectrum.minimal_polynomial
         x_m_minus_1 = tuple([-1] + [0] * (order - 1) + [1])
         assert divides(mu, x_m_minus_1)

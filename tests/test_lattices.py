@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from oracles import in_integer_rowspan, in_rational_rowspan, rational_rank
-from tordyn.intmat import det, identity, mat_mul
+from oracles import in_integer_rowspan, in_rational_rowspan, matrix_minimal_polynomial, rational_rank
+from tordyn.intmat import UnimodularMatrix, det, identity, mat_mul
 from tordyn.lattices import (
     Lattice,
     annihilator_rows,
@@ -13,7 +13,6 @@ from tordyn.lattices import (
     hnf_with_transform,
     is_canonical_hnf,
     left_kernel,
-    matrix_minimal_polynomial,
     saturate_rows,
     trusted_hnf_basis,
 )
@@ -180,10 +179,16 @@ def test_lattice_class_roundtrip_and_equality():
 
 
 def test_matrix_minimal_polynomial():
-    assert matrix_minimal_polynomial(identity(3)) == (-1, 1)
-    assert matrix_minimal_polynomial(((0, 1), (1, 0))) == (-1, 0, 1)
-    # nilpotent block: minimal polynomial x^2 over the shear's difference
-    assert matrix_minimal_polynomial(((1, 1), (0, 1))) == (1, -2, 1)
+    # the first left-kernel relation among the powers, and the spectrum's
+    # reduction of the characteristic polynomial, factor by factor
+    for rows, mu in (
+        (identity(3), (-1, 1)),
+        (((0, 1), (1, 0)), (-1, 0, 1)),
+        # nilpotent block: minimal polynomial x^2 over the shear's difference
+        (((1, 1), (0, 1)), (1, -2, 1)),
+    ):
+        assert matrix_minimal_polynomial(rows) == mu
+        assert UnimodularMatrix(rows).spectrum.minimal_polynomial == mu
 
 
 def test_is_canonical_hnf():

@@ -140,7 +140,7 @@ def weaker_claim(certificate, path, kind, value) -> str | None:
       the power step is 1): the checker re-verifies the cone chain there and
       recomputes the floor from it;
     * another fixed subtorus: for a finite-order automorphism every subtorus
-      is fixed by T^order, which the checker re-verifies;
+      of T^n is fixed by T^order = Id, which the checker's spectrum finds;
     * another automorphism of a family that acts as the original does on the
       members' orbit lattice (`same_action_on_members`): every orbit, window
       and growth certificate of a member is the same under both, and the
