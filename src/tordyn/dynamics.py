@@ -7,6 +7,13 @@ an integer vector: the maximal-minor (Plucker) vector of its annihilator
 lattice under the corresponding exterior-power matrix.  That orbit is periodic
 exactly when the minimal annihilator of the vector is a squarefree product of
 cyclotomic polynomials, which is a finite, exact test.
+
+A hyperplane H_gamma moves as its covector does: T(H_gamma) = H_{S gamma}
+with S = T^-T (UnimodularMatrix.dual).  So an `act` step of a hyperplane is
+one matrix-vector product and the closed-form basis of the image
+(subtori.hyperplane_basis), and the covectors of an orbit window are the
+ones its hyperplanes carry (`window_covectors`).  Only a subtorus of
+codimension >= 2 is moved by the HNF of its image rows.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ from .intmat import (
     inverse_unimodular,
     mat_mul,
     mat_vec,
-    transpose,
 )
 from .lattices import (
     Lattice,
@@ -54,28 +60,41 @@ from .subtori import (
     Subtorus,
     _trusted_subtorus,
     annihilator,
-    canonicalize_covector,
     covector_to_hyperplane,
     iter_primitive_covectors,
     trusted_canonicalize_covector,
+    trusted_hyperplane,
 )
 
 
 def act(t: UnimodularMatrix, h: Subtorus) -> Subtorus:
-    """Image of the subtorus under the automorphism; dimension is preserved."""
-    if t.n != h.ambient_dim:
+    """Image of the subtorus under the automorphism; dimension is preserved.
+
+    {0} and T^n are fixed.  A hyperplane goes to T(H_gamma) = H_{S gamma}
+    with S = T^-T: one step of the covector it carries, and the closed-form
+    basis of the image (subtori.hyperplane_basis).  Only a subtorus of
+    codimension >= 2 maps its basis rows and takes their HNF.
+    """
+    n = h.ambient_dim
+    if t.n != n:
         raise ValueError("ambient dimension mismatch")
+    k = h.dim
+    if k == 0 or k == n:
+        return h
+    # the rows of t and h were validated when t and h were built
+    if k == n - 1:
+        return trusted_hyperplane(trusted_canonicalize_covector(mat_vec(t.dual, h.covector)))
     # a unimodular map sends a saturated lattice onto a saturated lattice, so
-    # the HNF of the image is already the canonical basis of the image; the
-    # rows of t and h were validated when t and h were built
+    # the HNF of the image is already the canonical basis of the image
     rows = [mat_vec(t.rows, r) for r in h.basis]
-    return _trusted_subtorus(h.ambient_dim, trusted_hnf_basis(rows))
+    return _trusted_subtorus(n, trusted_hnf_basis(rows))
 
 
 def dual_matrix(t: UnimodularMatrix) -> UnimodularMatrix:
     """Inverse transpose; intertwines the action on codimension-1 subtori with
-    the action on their primitive annihilating covectors."""
-    return UnimodularMatrix(transpose(inverse_unimodular(t.rows)))
+    the action on their primitive annihilating covectors.  Its rows are the
+    S that t computes once (UnimodularMatrix.dual)."""
+    return UnimodularMatrix._trusted(t.dual)
 
 
 def plucker_vector(basis: Mat, n: int) -> Vec:
@@ -121,7 +140,7 @@ def annihilator_orbit_data(s: Mat, h: Subtorus) -> tuple[Mat, Vec]:
 def orbit_is_periodic(t: UnimodularMatrix, h: Subtorus) -> bool:
     if h.dim in (0, h.ambient_dim):
         return True
-    m, pv = annihilator_orbit_data(dual_matrix(t).rows, h)
+    m, pv = annihilator_orbit_data(t.dual, h)
     g = minimal_annihilator(m, pv)
     return is_squarefree_product_of_cyclotomics(g)
 
@@ -177,19 +196,10 @@ def orbit_window(
     return widen_window(t, t.inv(), ((0, h),), radius)
 
 
-def covector_window_set(t: UnimodularMatrix, s: Mat, gamma: Vec, radius: int) -> frozenset[Vec]:
-    """{canonicalize(S^m gamma) : |m| <= radius} with S = T^-T given by its
-    rows: the primitive covectors of the hyperplanes in the window of the
-    hyperplane gamma annihilates, without building any subtorus."""
-    if t.n != len(gamma):
-        raise ValueError("ambient dimension mismatch")
-    out = {canonicalize_covector(gamma)}
-    for step in (s, transpose(t.rows)):
-        cur = gamma
-        for _ in range(radius):
-            cur = mat_vec(step, cur)
-            out.add(trusted_canonicalize_covector(cur))
-    return frozenset(out)
+def window_covectors(window: tuple[tuple[int, Subtorus], ...]) -> frozenset[Vec]:
+    """The covectors the hyperplanes of a window carry: for the window of
+    H_gamma, {canonicalize(S^m gamma) : |m| <= radius} with S = T^-T."""
+    return frozenset([h.covector for _, h in window])
 
 
 class OrbitBuilder:
@@ -268,8 +278,7 @@ def orbit(
         raise ValueError("window radius must be >= 1")
     if t.n != h.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    tinv = t.inv()
-    builder = OrbitBuilder(t, tinv, h, *annihilator_orbit_data(transpose(tinv.rows), h))
+    builder = OrbitBuilder(t, t.inv(), h, *annihilator_orbit_data(t.dual, h))
     builder.widen(window_radius, growth_evidence)
     return builder.report()
 
@@ -332,7 +341,7 @@ def acts_distally_on_subp(t: UnimodularMatrix) -> DistalityVerdict:
         return DistalityVerdict(True, order, None, None, None)
     if t.n < 2:
         raise AssertionError("every automorphism of the circle has finite order")
-    s = dual_matrix(t).rows
+    s = t.dual
     for gamma in iter_primitive_covectors(t.n):
         if not is_squarefree_product_of_cyclotomics(minimal_annihilator(s, gamma)):
             cov = PrimitiveCovector(gamma)

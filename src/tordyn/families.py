@@ -23,8 +23,11 @@ Family construction dispatches on the spectrum of the automorphism
 
 A non-expansivity certificate stores the spectrum's order when it is finite.
 
-One build computes T^-1 and S = T^-T once (FamilyOrbits).  Each member's
-orbit report is built once and widened in place (dynamics.OrbitBuilder).  The
+One build reads T^-1 and S = T^-T off the matrix, which computes each once
+(FamilyOrbits).  Each member's orbit report is built once and widened in
+place (dynamics.OrbitBuilder); the greedy selection tests a candidate
+against the covectors the hyperplanes of each kept window carry
+(dynamics.window_covectors), which verify reads the same way.  The
 growth evidence depends only on the annihilator and the window radius: a
 table that lives as long as the build holds one growth search per
 annihilator, which does its radius-independent work once and derives the
@@ -46,8 +49,7 @@ from .dynamics import (
     OrbitBuilder,
     OrbitReport,
     act,
-    covector_window_set,
-    dual_matrix,
+    window_covectors,
 )
 from .growth import GrowthSearch
 from .intmat import (
@@ -187,8 +189,8 @@ class PowerInvariants:
 
 
 class FamilyOrbits:
-    """The automorphism of one family build with T^-1 and S = T^-T, and the
-    orbit reports of its members.
+    """The automorphism of one family build with T^-1 and S = T^-T (both
+    computed once by the matrix), and the orbit reports of its members.
 
     `evidence` reads the build's table of growth searches, one per
     annihilator (growth.GrowthSearch): members that share an annihilator
@@ -199,7 +201,7 @@ class FamilyOrbits:
     def __init__(self, t: UnimodularMatrix):
         self.t = t
         self.tinv = t.inv()
-        self.s = transpose(self.tinv.rows)
+        self.s = t.dual
         self._searches: dict[Poly, GrowthSearch] = {}
 
     def evidence(self, g: Poly, radius: int):
@@ -313,7 +315,7 @@ def _greedy_family(orbits: FamilyOrbits, k: int, budget: Budget) -> DisjointFami
         builder = orbits.start(gamma, min(24, budget.max_window))
         widen(builder, max(covector_norm_inf(g) for g in kept))
         builders[gamma] = builder
-        window_sets[gamma] = covector_window_set(orbits.t, orbits.s, gamma, builder.radius)
+        window_sets[gamma] = window_covectors(builder.window)
         # a wider window may reveal an earlier member on this orbit
         if any(other != gamma and other in window_sets[gamma] for other in kept):
             kept.pop()
@@ -395,7 +397,7 @@ def fixed_subtori(
     if not 1 <= k <= n - 1:
         raise ValueError("dimension out of range")
     if k == n - 1:
-        s = dual_matrix(t).rows
+        s = t.dual
         members = []
         capped = False
         for sign in (1, -1):

@@ -1,7 +1,9 @@
 """Arbitrary-precision integer matrices: products, determinants, characteristic
 polynomials, exterior powers, and the group elements of the automorphism group
-of the n-torus (integer matrices of determinant +-1), each of which carries
-its spectrum, computed the first time it is read.
+of the n-torus (integer matrices of determinant +-1).  Each of these is
+validated once and carries, computed the first time it is read, its inverse
+(built with no second determinant, and linked back to it), its dual
+S = T^-T, and its spectrum.
 
 Matrices are tuples of row tuples of Python ints, so every value is immutable
 and exact.
@@ -145,6 +147,12 @@ def inverse_unimodular(a: Mat) -> Mat:
     """Exact inverse of an integer matrix with determinant +-1."""
     if det(a) not in (1, -1):
         raise ValueError("matrix is not unimodular")
+    return _integral_inverse(a)
+
+
+def _integral_inverse(a: Mat) -> Mat:
+    """inverse_unimodular without the determinant check: the caller
+    guarantees that a is unimodular."""
     inv = []
     for row in rational_inverse(a):
         if any(x.denominator != 1 for x in row):
@@ -269,7 +277,13 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class UnimodularMatrix:
-    """An automorphism of the n-torus: an integer matrix with det = +-1."""
+    """An automorphism of the n-torus: an integer matrix with det = +-1.
+
+    The matrix is validated once, where it enters.  Its inverse is computed
+    the first time `inv` is called, without a second determinant, and the two
+    are linked both ways (t.inv().inv() is t).  `dual`, the rows of
+    S = T^-T, which steps the covectors of hyperplanes, is read off the
+    inverse once."""
 
     rows: Mat
 
@@ -282,6 +296,14 @@ class UnimodularMatrix:
         if det(rows) not in (1, -1):
             raise ValueError("automorphism matrix must have determinant +-1")
 
+    @classmethod
+    def _trusted(cls, rows: Mat) -> "UnimodularMatrix":
+        """A UnimodularMatrix without validation: the caller guarantees that
+        rows is a square tuple of int tuples with determinant +-1."""
+        t = object.__new__(cls)
+        t.__dict__["rows"] = rows
+        return t
+
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -290,7 +312,17 @@ class UnimodularMatrix:
         return UnimodularMatrix(mat_mul(self.rows, other.rows))
 
     def inv(self) -> "UnimodularMatrix":
-        return UnimodularMatrix(inverse_unimodular(self.rows))
+        inverse = self.__dict__.get("_inverse")
+        if inverse is None:
+            inverse = UnimodularMatrix._trusted(_integral_inverse(self.rows))
+            inverse.__dict__["_inverse"] = self
+            self.__dict__["_inverse"] = inverse
+        return inverse
+
+    @cached_property
+    def dual(self) -> Mat:
+        """The rows of S = T^-T."""
+        return transpose(self.inv().rows)
 
     def power(self, k: int) -> "UnimodularMatrix":
         if k >= 0:

@@ -176,6 +176,18 @@ def parse_unimodular(data) -> UnimodularMatrix:
         raise ParseError(str(exc)) from exc
 
 
+def _automorphism_rows(data, validated: Mat | None = None) -> Mat:
+    """The rows of parse_unimodular(data); rows equal to `validated`, those
+    of a matrix validated already, are not validated again."""
+    rows = _parse_matrix(data, "automorphism matrix")
+    if rows != validated:
+        try:
+            UnimodularMatrix(rows)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
+    return rows
+
+
 def encode_subtorus(h: Subtorus) -> dict:
     return {"ambient_dim": h.ambient_dim, "basis": _matrix_payload(h.basis)}
 
@@ -354,12 +366,14 @@ def _check_header(data, kind: str) -> None:
         raise ParseError(f"not a {kind} certificate")
 
 
-def parse_family(data) -> DisjointFamilyCertificate:
+def parse_family(data, validated: Mat | None = None) -> DisjointFamilyCertificate:
+    """The family certificate in data; a matrix equal to `validated`, the rows
+    of a matrix validated already, is not validated again."""
     _check_header(data, "disjoint_family")
     v = _record(data, "disjoint-family certificate", {
         "format_version": None,
         "kind": None,
-        "matrix": lambda x: parse_unimodular(x).rows,
+        "matrix": lambda x: _automorphism_rows(x, validated),
         "count": _parse_int,
         "requested": _parse_int,
         "members": _tuple_of(lambda x: parse_covector(x).entries, "members"),
@@ -414,14 +428,23 @@ _NON_EXPANSIVITY_EVIDENCE = {
 
 def parse_non_expansivity(data) -> NonExpansivityCertificate:
     _check_header(data, "non_expansivity")
+    matrix = None
+
+    def parse_matrix(x) -> Mat:
+        nonlocal matrix
+        matrix = _automorphism_rows(x)
+        return matrix
+
+    # `matrix` is parsed before `family`, whose matrix, when it has the same
+    # rows, is not validated a second time
     v = _record(data, "non-expansivity certificate", {
         "format_version": None,
         "kind": None,
-        "matrix": lambda x: parse_unimodular(x).rows,
+        "matrix": parse_matrix,
         "branch": _choice(*_NON_EXPANSIVITY_EVIDENCE),
         "order": _parse_optional_int,
         "fixed_subtori": _optional(_tuple_of(parse_subtorus, "fixed subtori")),
-        "family": _optional(parse_family),
+        "family": _optional(lambda x: parse_family(x, matrix)),
         "converges_to_full": _optional(_tuple_of(_parse_bool, "convergence flags")),
         "isolation": _optional(_parse_isolation_bound),
         "rigorous": _parse_bool,

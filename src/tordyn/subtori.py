@@ -4,12 +4,17 @@ A subtorus is the image in R^n/Z^n of a rational subspace W, stored as the
 saturated lattice W intersect Z^n in canonical HNF.  Codimension-1 subtori
 correspond to primitive integer covectors (gcd 1, sign canonical) through the
 annihilator pairing; that bijection is what every orbit computation here
-reduces to.
+reduces to.  A hyperplane carries its covector (`Subtorus.covector`): one
+built from a covector keeps it, and one read off a basis computes it the
+first time it is asked for.  The canonical basis of the hyperplane of a
+covector has a closed form (`hyperplane_basis`), so a covector step needs no
+echelon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .intmat import Mat, Vec, as_vector
@@ -57,6 +62,12 @@ class Subtorus:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
+    @cached_property
+    def covector(self) -> Vec:
+        """The canonical primitive covector of a codimension-1 subtorus; it
+        takes no part in equality or hashing, which the lattice decides."""
+        return hyperplane_to_covector(self).entries
+
 
 def annihilator(h: Subtorus) -> Lattice:
     """Characters vanishing on h; saturated of rank n - dim(h)."""
@@ -68,19 +79,24 @@ def _trusted_subtorus(ambient_dim: int, basis: Mat) -> Subtorus:
     """Build a Subtorus without re-validating it.
 
     The caller guarantees that basis is the canonical HNF basis of a saturated
-    sublattice of Z^ambient_dim.  Two callers rely on this: act, whose basis
-    is trusted_hnf_basis of the image rows of a validated subtorus under a
-    validated UnimodularMatrix (a unimodular image of a saturated lattice is
-    saturated), and subtorus_from_annihilator (a kernel lattice is
+    sublattice of Z^ambient_dim.  Three callers rely on this: act, whose basis
+    for codimension >= 2 is trusted_hnf_basis of the image rows of a
+    validated subtorus under a validated UnimodularMatrix (a unimodular image
+    of a saturated lattice is saturated), trusted_hyperplane (the closed-form
+    basis of a kernel), and subtorus_from_annihilator (a kernel lattice is
     saturated).  Outside input is validated where it enters, by Subtorus and
     Lattice, and never reaches this function unchecked.
     """
+    # a frozen dataclass keeps its fields in the instance __dict__; writing
+    # there skips both __post_init__ and the frozen __setattr__
     lattice = object.__new__(Lattice)
-    object.__setattr__(lattice, "ambient_dim", ambient_dim)
-    object.__setattr__(lattice, "basis", basis)
+    fields = lattice.__dict__
+    fields["ambient_dim"] = ambient_dim
+    fields["basis"] = basis
     h = object.__new__(Subtorus)
-    object.__setattr__(h, "ambient_dim", ambient_dim)
-    object.__setattr__(h, "lattice", lattice)
+    fields = h.__dict__
+    fields["ambient_dim"] = ambient_dim
+    fields["lattice"] = lattice
     return h
 
 
@@ -146,7 +162,8 @@ class PrimitiveCovector:
 
 
 def hyperplane_to_covector(h: Subtorus) -> PrimitiveCovector:
-    """The primitive character whose kernel is the codimension-1 subtorus h."""
+    """The primitive character whose kernel is the codimension-1 subtorus h,
+    computed from its basis."""
     if h.dim != h.ambient_dim - 1:
         raise ValueError("covector duality needs a codimension-1 subtorus")
     ann = annihilator(h)
@@ -156,10 +173,76 @@ def hyperplane_to_covector(h: Subtorus) -> PrimitiveCovector:
 
 def covector_to_hyperplane(gamma: PrimitiveCovector) -> Subtorus:
     """The codimension-1 subtorus annihilated by gamma."""
-    n = gamma.ambient_dim
-    if n < 2:
+    if gamma.ambient_dim < 2:
         raise ValueError("hyperplanes need ambient dimension >= 2")
-    return subtorus_from_annihilator(n, (gamma.entries,))
+    return trusted_hyperplane(gamma.entries)
+
+
+def trusted_hyperplane(gamma: Vec) -> Subtorus:
+    """covector_to_hyperplane without the checks: the caller guarantees that
+    gamma is a canonical primitive covector, such as the
+    trusted_canonicalize_covector of a unimodular image of one.  The
+    hyperplane carries gamma."""
+    h = _trusted_subtorus(len(gamma), hyperplane_basis(gamma))
+    h.__dict__["covector"] = gamma
+    return h
+
+
+def hyperplane_basis(gamma: Vec) -> Mat:
+    """The canonical HNF basis of {v in Z^n : gamma . v = 0}, for a primitive
+    gamma, in closed form.
+
+    Let g_j = gcd(gamma_j, ..., gamma_{n-1}) and k the last index with
+    gamma_k != 0.  A vector of the kernel that vanishes before column j has
+    gamma_j v_j in g_{j+1} Z, and every such v_j occurs, so the pivot of
+    column j < k is d_j = g_{j+1} / g_j (g_0 = 1, as gamma is primitive);
+    column k is no pivot (v_k = 0 there), and every column after k has the
+    pivot row e_j.  Row j < k is d_j e_j plus entries in the pivot columns
+    i = j+1, ..., k-1, each reduced into [0, d_i), and one in column k.
+    Column by column, with c the partial sum gamma . v so far (a multiple of
+    g_i), the rest of the row sums to a multiple of g_{i+1}, so v_i is the
+    unique residue mod d_i with (gamma_i / g_i) v_i = -c / g_i; gamma_i / g_i
+    is a unit mod d_i, whose inverse is taken once per column.  A column
+    with d_i = 1 has v_i = 0.  The entry in column k is then -c / gamma_k
+    exactly.
+    """
+    n = len(gamma)
+    k = n - 1
+    while not gamma[k]:
+        k -= 1
+    gk = gamma[k]
+    pivot = [1] * k
+    # (i, g_i, d_i, gamma_i, inverse of gamma_i / g_i mod d_i) for the
+    # columns 0 < i < k with d_i > 1, the only ones a row reduces into
+    wide = []
+    g_next = abs(gk)
+    for i in range(k - 1, -1, -1):
+        gi = gamma[i]
+        g = gcd(g_next, gi)
+        if g != g_next:
+            d = pivot[i] = g_next // g
+            if i:
+                wide.append((i, g, d, gi, pow(gi // g, -1, d)))
+        g_next = g
+    wide.reverse()
+    rows = []
+    for j in range(k):
+        row = [0] * n
+        row[j] = dj = pivot[j]
+        c = gamma[j] * dj
+        for i, g, d, gi, unit in wide:
+            if i > j:
+                v = -(c // g) * unit % d
+                if v:
+                    row[i] = v
+                    c += gi * v
+        row[k] = -c // gk
+        rows.append(tuple(row))
+    for j in range(k + 1, n):
+        row = [0] * n
+        row[j] = 1
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def covector_norm_inf(v: Vec) -> int:

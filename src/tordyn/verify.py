@@ -12,7 +12,9 @@ reports, not how the producer chose them.
 Each piece of evidence has one routine, which the producer calls to build it
 and the checker calls to recompute it: the orbit windows
 (`dynamics.widen_window`, which `dynamics.orbit_window` starts from the
-radius-0 window, and `dynamics.covector_window_set`); the orbit dichotomy and
+radius-0 window, and `dynamics.window_covectors`, the set of covectors its
+hyperplanes carry, against which the greedy branch tests the other
+members); the orbit dichotomy and
 period, on a member's orbit data (S, gamma) (`growth.minimal_annihilator`,
 `dynamics.periodic_orbit_period`); growth (`growth.check_growth_certificate`,
 which shares with the producer the sequence of a direction and level, the
@@ -39,12 +41,17 @@ one of these modules.  Input is validated once, where it enters: the matrix
 by `UnimodularMatrix` and each member by `canonicalize_covector` and
 `PrimitiveCovector`, after the parser has read every integer exactly.  The
 recomputation then runs on kernels that take these trusted ints and check
-nothing again: `lattices.trusted_hnf_basis` behind every `act` step of a
-window, `subtori.trusted_canonicalize_covector` behind the covector walks,
-and the integer quotient of `growth.transfer_constant`.
+nothing again: behind every `act` step of a window, one step of the
+hyperplane's covector by S = T^-T, `subtori.trusted_canonicalize_covector`
+and the closed-form basis `subtori.hyperplane_basis`; the same
+canonicalization behind the covector walks; and the integer quotient of
+`growth.transfer_constant`.
 
-`verify_family` inverts the matrix once: T^-1 steps the windows backwards
-and S = T^-T carries the annihilator data and the covector windows.  Members
+`verify_family` validates the matrix once (the parser has validated it too,
+and a non-expansivity certificate's family matrix only when its rows differ)
+and inverts it once, with no determinant: T and T^-1 step the windows
+forwards and backwards, each by its dual (S = T^-T and S^-1 = T^T, computed
+once per matrix), and S carries the annihilator data.  Members
 that share everything the growth direction check reads (the annihilator, the
 window radius and both directions' evidence) are direction-checked once; each
 member's annihilator and transfer constant are checked on their own.  A
@@ -67,9 +74,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import (
-    covector_window_set,
     periodic_orbit_period,
     widen_window,
+    window_covectors,
 )
 from .families import (
     DisjointFamilyCertificate,
@@ -77,7 +84,7 @@ from .families import (
     PowerInvariants,
 )
 from .growth import check_growth_certificate, minimal_annihilator
-from .intmat import UnimodularMatrix, is_zero, transpose
+from .intmat import UnimodularMatrix, is_zero
 from .metric import hyperplane_isolation_bound
 from .polynomials import is_squarefree_product_of_cyclotomics
 from .subtori import (
@@ -98,28 +105,40 @@ def _fail(failures: list[str], msg: str) -> None:
     failures.append(msg)
 
 
-def _check_member_report(t, tinv, s, gamma, report, failures, idx, growth_checks) -> None:
+def _check_member_report(t, tinv, s, gamma, report, failures, idx, growth_checks):
     """Check one member's orbit report; tinv is T^-1, s the rows of S = T^-T,
-    and growth_checks the direction-check outcomes the members share."""
+    and growth_checks the direction-check outcomes the members share.
+    Returns the covectors of the recomputed window
+    (dynamics.window_covectors), or None when the report's radius gave no
+    window to recompute."""
     try:
         h = covector_to_hyperplane(PrimitiveCovector(gamma))
     except ValueError as exc:
         _fail(failures, f"member {idx}: invalid covector ({exc})")
-        return
+        return None
     w = report.window_radius
     if w < 1:
         _fail(failures, f"member {idx}: window radius {w} is below 1")
-        return
+        return None
     if len(report.window) != 2 * w + 1:
         _fail(failures, f"member {idx}: window has {len(report.window)} entries, expected {2 * w + 1}")
-        return
+        return None
     # recomputed bases are canonical and saturated, so a stored entry that is
     # not (or has the wrong length) cannot compare equal and is rejected here
-    expected = tuple((m, sub.basis) for m, sub in widen_window(t, tinv, ((0, h),), w))
+    window = widen_window(t, tinv, ((0, h),), w)
+    expected = tuple((m, sub.basis) for m, sub in window)
     if tuple(report.window) != expected:
         m = next(e[0] for e, r in zip(expected, report.window) if e != r)
         _fail(failures, f"member {idx}: window entry at exponent {m} does not match recomputation")
-        return
+    else:
+        _check_orbit_claims(s, gamma, report, failures, idx, growth_checks)
+    return window_covectors(window)
+
+
+def _check_orbit_claims(s, gamma, report, failures, idx, growth_checks) -> None:
+    """Check the status, period and growth claims of a member's report, whose
+    window has been matched with the recomputation."""
+    w = report.window_radius
     # (S, gamma) is the hyperplane's orbit data, as in the producer
     g = minimal_annihilator(s, gamma)
     periodic = is_squarefree_product_of_cyclotomics(g)
@@ -177,10 +196,10 @@ def _verify_family(t: UnimodularMatrix, cert: DisjointFamilyCertificate) -> Veri
     if failures:
         return VerificationResult(False, tuple(failures))
     tinv = t.inv()
-    s = transpose(tinv.rows)
+    s = t.dual
     growth_checks: dict = {}
-    for i, (g, rep) in enumerate(zip(cert.members, cert.orbit_reports)):
-        _check_member_report(t, tinv, s, g, rep, failures, i, growth_checks)
+    window_sets = [_check_member_report(t, tinv, s, g, rep, failures, i, growth_checks)
+                   for i, (g, rep) in enumerate(zip(cert.members, cert.orbit_reports))]
     if cert.complete != (cert.count == cert.requested):
         _fail(failures, f"complete is {cert.complete} for {cert.count} of {cert.requested} "
                         "requested members")
@@ -192,7 +211,7 @@ def _verify_family(t: UnimodularMatrix, cert: DisjointFamilyCertificate) -> Veri
     if checker is None:
         _fail(failures, f"unknown branch {cert.branch!r}")
     else:
-        checker(t, s, cert, failures)
+        checker(t, s, cert, window_sets, failures)
     return VerificationResult(not failures, tuple(failures))
 
 
@@ -209,7 +228,7 @@ def _check_disjoint(sets, what: str, failures) -> None:
         _fail(failures, f"members {i} and {j}: {what} intersect")
 
 
-def _verify_root_of_unity_branch(t, s, cert, failures):
+def _verify_root_of_unity_branch(t, s, cert, window_sets, failures):
     # the power comes from the matrix's spectrum, which also bounds the work
     power = t.spectrum.order_bound
     if power is None:
@@ -224,21 +243,17 @@ def _verify_root_of_unity_branch(t, s, cert, failures):
                     "invariant sets", failures)
 
 
-def _verify_greedy_branch(t, s, cert, failures):
-    # the radius is read off the stored window, which _check_member_report
-    # has matched entry for entry with 2 * window_radius + 1 recomputed ones;
-    # a radius claimed without its entries then costs no extra work here
-    window_sets = [
-        covector_window_set(t, s, g, (len(rep.window) - 1) // 2)
-        for g, rep in zip(cert.members, cert.orbit_reports)
-    ]
+def _verify_greedy_branch(t, s, cert, window_sets, failures):
+    # window_sets[i] holds the covectors of member i's recomputed window; a
+    # member without one has failed already, and no member is tested
+    # against it
     for i in range(len(cert.members)):
         for j in range(len(cert.members)):
             if i == j:
                 continue
             gi, gj = cert.members[i], cert.members[j]
             rep_i = cert.orbit_reports[i]
-            if gj in window_sets[i]:
+            if window_sets[i] is not None and gj in window_sets[i]:
                 _fail(failures, f"members {i} and {j}: the second lies on the first orbit window")
                 continue
             # the growth-floor obligation binds only when rigor is claimed;

@@ -2,13 +2,14 @@
 
 Everything here deliberately avoids the library code paths it is used to
 check: row spans are tested by rational elimination, characteristic
-polynomials by cofactor expansion, covector periodicity by one matrix that
-kills exactly the periodic covectors, orbits by direct stepping, finite order
-by direct powering or by dividing primes out of the cyclotomic bound one
-matrix power at a time, minimal polynomials by the first linear relation
-among the matrix powers, products by a triple loop, group closures by one
-order check per element or by multiplying matrices and filing each product
-under its entries mod 3, and the growth cone tests by Fraction arithmetic.
+polynomials by cofactor expansion, hyperplanes by the left kernel of their
+covector, covector periodicity by one matrix that kills exactly the periodic
+covectors, orbits by direct stepping, finite order by direct powering or by
+dividing primes out of the cyclotomic bound one matrix power at a time,
+minimal polynomials by the first linear relation among the matrix powers,
+products by a triple loop, group closures by one order check per element or
+by multiplying matrices and filing each product under its entries mod 3, and
+the growth cone tests by Fraction arithmetic.
 """
 
 from fractions import Fraction
@@ -35,6 +36,33 @@ from tordyn.polynomials import (
     normalize,
     orders_with_totient_at_most,
 )
+from tordyn.subtori import (
+    PrimitiveCovector,
+    Subtorus,
+    canonicalize_covector,
+    subtorus_from_annihilator,
+)
+
+
+def covectors():
+    """Hypothesis strategy: canonical primitive covectors of length 2..6, with
+    small or huge (up to 2^70) entries of either sign and a tail of zeros."""
+    from hypothesis import strategies as st
+
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    return st.integers(2, 6).flatmap(
+        lambda n: st.lists(entry, min_size=1, max_size=n).map(lambda head: head + [0] * (n - len(head)))
+    ).filter(any).map(canonicalize_covector)
+
+
+def left_kernel_hyperplane(gamma: PrimitiveCovector) -> Subtorus:
+    """The codimension-1 subtorus annihilated by gamma, by the left-kernel
+    route (HNF of the covector, then its annihilator): what
+    `covector_to_hyperplane` computed before its closed form."""
+    n = gamma.ambient_dim
+    if n < 2:
+        raise ValueError("hyperplanes need ambient dimension >= 2")
+    return subtorus_from_annihilator(n, (gamma.entries,))
 
 
 def rational_solve_row(rows, target):

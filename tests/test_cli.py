@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from oracles import left_kernel_hyperplane
 from tordyn.cli import EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, EXIT_VERIFY_FAILED, main
 from tordyn.serialization import FORMAT_VERSION
+from tordyn.subtori import PrimitiveCovector
 
 
 def run_cli(args, payload, capsys):
@@ -77,6 +79,25 @@ def test_orbit_command(capsys):
     assert code == EXIT_OK
     assert env["result"]["status"] == "periodic"
     assert env["result"]["period"] == 2
+
+
+@pytest.mark.parametrize("matrix, gamma", [
+    ([[2, 1], [1, 1]], [1, 2]),
+    ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], [2, -3, 5]),
+    ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], [0, 0, 1]),  # a fixed hyperplane of the shear
+])
+def test_orbit_of_a_hyperplane_given_as_subtorus_or_covector(matrix, gamma, capsys):
+    # a parsed subtorus computes the covector it carries on first read; the
+    # basis comes from the left-kernel oracle, not from the closed form
+    n = len(gamma)
+    basis = left_kernel_hyperplane(PrimitiveCovector(tuple(gamma))).basis
+    results = []
+    for job in ({"covector": gamma},
+                {"subtorus": {"ambient_dim": n, "basis": [list(r) for r in basis]}}):
+        code, env, _ = run_cli(["orbit", "--budget-window", "6"], dict(job, matrix=matrix), capsys)
+        assert code == EXIT_OK
+        results.append(env["result"])
+    assert results[0] == results[1]
 
 
 def test_disjoint_family_and_verify_pipeline(capsys):

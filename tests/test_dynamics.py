@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     block_diag,
     covector_orbit_scan,
+    covectors,
     cyclotomic_radical_matrix,
     direct_order_bound_12,
     first_repetition_is_injective,
@@ -20,7 +21,6 @@ from tordyn.dynamics import (
     act,
     acts_distally_on_subp,
     converges_to_full,
-    covector_window_set,
     dual_matrix,
     group_is_finite,
     invariant_rational_subspaces,
@@ -29,6 +29,7 @@ from tordyn.dynamics import (
     orbit,
     orbit_is_periodic,
     orbit_window,
+    window_covectors,
 )
 from tordyn.intmat import (
     UnimodularMatrix,
@@ -42,7 +43,7 @@ from tordyn.intmat import (
     mat_vec,
     transpose,
 )
-from tordyn.lattices import Lattice, hnf_basis
+from tordyn.lattices import Lattice, hnf_basis, trusted_hnf_basis
 from tordyn.subtori import (
     PrimitiveCovector,
     Subtorus,
@@ -167,6 +168,9 @@ def test_orbit_window_contents():
 
 
 def test_covector_window_set_matches_orbit_window():
+    # the window set is read off the covectors the window's hyperplanes
+    # carry: each is the covector scan's entry at its exponent, and the one
+    # recomputed from its basis
     rng = random.Random(23)
     for n in (2, 3, 4):
         for _ in range(6):
@@ -174,8 +178,13 @@ def test_covector_window_set_matches_orbit_window():
             gamma = rng.choice(primitive_covectors(n, 2))
             h0 = covector_to_hyperplane(PrimitiveCovector(gamma))
             for r in (0, 1, 5):
-                expected = {hyperplane_to_covector(h).entries for _, h in orbit_window(t, h0, r)}
-                assert covector_window_set(t, dual_matrix(t).rows, gamma, r) == expected
+                window = orbit_window(t, h0, r)
+                scan = covector_orbit_scan(dual_matrix(t).rows, gamma, r)
+                for m, h in window:
+                    assert h.covector == scan[m]
+                    parsed = Subtorus(n, Lattice(n, h.basis))
+                    assert hyperplane_to_covector(parsed).entries == scan[m]
+                assert window_covectors(window) == set(scan.values())
 
 
 def test_orbit_rejects_bad_window():
@@ -665,3 +674,16 @@ def test_widened_report_equals_orbit_at_final_radius(poly, steps, which):
         dynamics.act = original
     assert len(acts) == 2 * radius
     assert builder.report() == orbit(t, h, radius)
+
+
+@settings(max_examples=200, deadline=None)
+@given(covectors(), st.integers(0, 2**32))
+def test_hyperplane_act_is_the_hnf_of_the_image_rows(gamma, seed):
+    n = len(gamma)
+    t = random_word(random.Random(seed), n, max_len=10)
+    h = covector_to_hyperplane(PrimitiveCovector(gamma))
+    for step in (t, t.inv()):
+        image = act(step, h)
+        assert image.basis == trusted_hnf_basis([mat_vec(step.rows, r) for r in h.basis])
+        # the covector the image carries is the one its basis gives
+        assert image.covector == hyperplane_to_covector(Subtorus(n, Lattice(n, image.basis))).entries

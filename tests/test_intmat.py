@@ -240,3 +240,13 @@ def test_minimal_polynomial_divides_power_relation():
         mu = t.spectrum.minimal_polynomial
         x_m_minus_1 = tuple([-1] + [0] * (order - 1) + [1])
         assert divides(mu, x_m_minus_1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32))
+def test_inverse_and_dual_are_computed_once_and_linked(n, seed):
+    t = random_word(random.Random(seed), n, max_len=10)
+    assert t.inv() is t.inv() and t.inv().inv() is t
+    assert t.inv().rows == inverse_unimodular(t.rows)
+    assert t.dual == transpose(inverse_unimodular(t.rows))
+    assert t.dual is t.dual and t.inv().dual == transpose(t.rows)

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
-from oracles import rational_solve_row
+from oracles import covectors, left_kernel_hyperplane, rational_solve_row
 from tordyn.lattices import Lattice
 from tordyn.subtori import (
     PrimitiveCovector,
@@ -11,6 +12,7 @@ from tordyn.subtori import (
     canonicalize_covector,
     contains,
     covector_to_hyperplane,
+    hyperplane_basis,
     hyperplane_to_covector,
     iter_primitive_covectors,
     primitive_covectors,
@@ -180,3 +182,37 @@ def test_subtorus_validation():
     h = Subtorus.from_generators(3, [(0, 2, 4)])
     assert h.basis == ((0, 1, 2),)
     assert rational_solve_row(((0, 2, 4),), h.basis[0]) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(covectors())
+@example((1, 0, 0))
+@example((0, 0, 0, 1))
+@example((2**64 + 1, -(2**64), 0, 0))
+@example((6, 10, 15, 0))
+def test_closed_form_hyperplane_is_the_left_kernel_route(gamma):
+    h = covector_to_hyperplane(PrimitiveCovector(gamma))
+    expected = left_kernel_hyperplane(PrimitiveCovector(gamma))
+    assert hyperplane_basis(gamma) == h.basis == expected.basis
+    # the hyperplane carries gamma, which is the covector its basis gives
+    assert h.covector == gamma
+    assert hyperplane_to_covector(Subtorus(len(gamma), Lattice(len(gamma), h.basis))).entries == gamma
+
+
+@settings(max_examples=150, deadline=None)
+@given(covectors())
+def test_carried_covector_leaves_equality_and_hashing_alone(gamma):
+    n = len(gamma)
+    carried = covector_to_hyperplane(PrimitiveCovector(gamma))
+    parsed = Subtorus(n, Lattice(n, carried.basis))
+    assert carried == parsed and hash(carried) == hash(parsed)
+    assert parsed.covector == gamma  # computed on first read
+    assert carried == parsed and hash(carried) == hash(parsed)
+    assert {carried, parsed, left_kernel_hyperplane(PrimitiveCovector(gamma))} == {parsed}
+    other = canonicalize_covector(gamma[1:] + gamma[:1])
+    assert (covector_to_hyperplane(PrimitiveCovector(other)) == carried) == (other == gamma)
+
+
+def test_covector_of_a_non_hyperplane_is_refused():
+    with pytest.raises(ValueError):
+        Subtorus.full(3).covector

@@ -296,3 +296,26 @@ def test_forgery_in_one_of_two_members_sharing_evidence_names_that_member(cat_fa
     res = reject(bad)
     assert any(f.startswith("member 1: growth certificate") for f in res.failures), res.failures
     assert not any(f.startswith("member 0") for f in res.failures)
+
+
+def test_certify_verify_validates_the_matrix_twice_and_its_inverse_never(monkeypatch):
+    # the parser validates the certificate's matrix and reads the family's
+    # equal rows without a second determinant; verify validates once more,
+    # and the inverse of a validated matrix needs no determinant at all
+    import tordyn.intmat
+
+    t = COMPANION.rows
+    tinv = COMPANION.inv().rows
+    certificate = run_job({"command": "certify-nonexpansive", "matrix": [list(r) for r in t],
+                           "parameters": {"count": 3}})
+    counted = []
+    det = tordyn.intmat.det
+
+    def counting_det(a):
+        counted.append(tuple(map(tuple, a)))
+        return det(a)
+
+    monkeypatch.setattr(tordyn.intmat, "det", counting_det)
+    assert run_job({"command": "verify", "certificate": certificate})["ok"] is True
+    assert counted.count(t) <= 2
+    assert counted.count(tinv) == 0
